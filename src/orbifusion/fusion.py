@@ -51,31 +51,50 @@ def sign_value(i1: int, i2: int, i3: int, j1: int, j2: int) -> int:
     return j1 + j2 - residue3((i1 + i2 - i3) // 2)
 
 
+def _check_operand(label: IrrLabel, k: int) -> None:
+    """Raise ``ValueError`` unless ``label`` is a well-formed label at level ``k``."""
+    if not isinstance(label, IrrLabel):
+        raise ValueError(f"not an irreducible label: {label!r}")
+    sector, i, j = label
+    if type(sector) is not Sector or type(i) is not int or type(j) is not int:
+        raise ValueError(f"not an irreducible label: {tuple(label)!r}")
+    if not (0 <= i <= k and 0 <= j <= 2):
+        raise ValueError(f"label {label.token()} invalid at level {k}")
+
+
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
-    """Fusion product of two irreducible modules as a FusionVector."""
+    """Fusion product of two irreducible modules as a FusionVector.
+
+    Each branch is one sector-pair formula with ``sign_value`` written out:
+    ``(s - i3) // 2`` is ``t`` before its reduction, and every ``j`` is
+    reduced modulo 3 once.  The output sector is fixed per branch, so the
+    outputs come in canonical order: ascending ``i3``, or descending where
+    the output index is ``k - i3``.
+    """
     check_level(k)
-    for lab in (a, b):
-        if not 0 <= lab.i <= k:
-            raise ValueError(f"label {lab.token()} invalid at level {k}")
+    _check_operand(a, k)
+    _check_operand(b, k)
     if a.sector > b.sector:
         a, b = b, a  # commutativity; formulas below cover sector(a) <= sector(b)
     (s1, i1, j1), (s2, i2, j2) = a, b
-    out: list[IrrLabel] = []
-    for i3 in sl2_fusion_range(k, i1, i2):
-        if s1 is Sector.U and s2 is Sector.U:
-            lab = make_label(Sector.U, i3, sign_value(i1, i2, i3, j1, j2), k)
-        elif s1 is Sector.U and s2 is Sector.T1:
-            lab = make_label(Sector.T1, i3, sign_value(i1, i2, i3, j1, j2), k)
-        elif s1 is Sector.U and s2 is Sector.T2:
-            lab = make_label(Sector.T2, i3, -sign_value(i1, i2, i3, j1, -j2), k)
-        elif s1 is Sector.T1 and s2 is Sector.T1:
-            lab = make_label(Sector.T2, i3, -sign_value(i1, i2, i3, j1, j2), k)
-        elif s1 is Sector.T1 and s2 is Sector.T2:
-            lab = make_label(Sector.U, k - i3, sign_value(i1, i2, i3, j1, -j2) + k - i3, k)
-        else:  # T2 x T2
-            lab = make_label(Sector.T1, k - i3, sign_value(i1, i2, i3, -j1, -j2) + k - i3, k)
-        out.append(lab)
-    return FusionVector((lab, 1) for lab in out)
+    s = i1 + i2
+    i3s = range(abs(i1 - i2), min(s, 2 * k - s) + 1, 2)
+    label = IrrLabel._make
+    if s1 is Sector.U:
+        if s2 is Sector.U:
+            out = [label((Sector.U, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
+        elif s2 is Sector.T1:
+            out = [label((Sector.T1, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
+        else:
+            out = [label((Sector.T2, i3, ((s - i3) // 2 - j1 + j2) % 3)) for i3 in i3s]
+    elif s1 is Sector.T1:
+        if s2 is Sector.T1:
+            out = [label((Sector.T2, i3, ((s - i3) // 2 - j1 - j2) % 3)) for i3 in i3s]
+        else:
+            out = [label((Sector.U, k - i3, (j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+    else:  # T2 x T2
+        out = [label((Sector.T1, k - i3, (-j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+    return FusionVector._from_canonical(out)
 
 
 def fuse(v1: FusionVector, v2: FusionVector, k: int) -> FusionVector:

@@ -199,6 +199,17 @@ class FusionVector:
     def single(cls, label: IrrLabel) -> "FusionVector":
         return cls(((label, 1),))
 
+    @classmethod
+    def _from_canonical(cls, labels: Iterable[IrrLabel]) -> "FusionVector":
+        """Trusted constructor for the fusion formulas: no checks, no sort.
+
+        ``labels`` must be distinct and already in canonical order; each
+        gets multiplicity 1.
+        """
+        vector = cls.__new__(cls)
+        vector._entries = dict.fromkeys(labels, 1)
+        return vector
+
     def coefficient(self, label: IrrLabel) -> int:
         """Multiplicity of ``label``; 0 when absent."""
         return self._entries.get(label, 0)

@@ -8,6 +8,13 @@ at any level.  The level-1 suite additionally checks the whole catalog
 against an independent oracle: the orbifold at level 1 is isomorphic to a
 rank-one lattice theory whose 18 simple modules fuse like Z/18, whose duals
 negate, and whose weights are s^2/36 modulo 1.
+
+The fusion suites (``comm``, ``assoc``, ``dual``, ``qdim``) read one integer
+table of all n^2 products, multiplicities kept.  :func:`run_suites` builds it
+once and shares it, so each ordered pair is fused exactly once per run; a
+suite called on its own builds its own.  No table outlives the call that
+built it, so a substituted ``fuse_irreducible`` is always what is verified.
+A report's ``elapsed`` times the checks only, not the table build.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .labels import (
     vacuum,
 )
 from .weights import base_twist_weight, conformal_weight
-from .qdim import has_unit_qdim, qdim_exact
+from .qdim import QDimElement, has_unit_qdim, qdim_exact
 from .fusion import contragredient, fuse_irreducible
 
 __all__ = [
@@ -100,32 +107,35 @@ def _render_vector(v: FusionVector) -> str:
 class _FusionTable:
     """Integer-indexed fusion products of all irreducibles at one level.
 
-    Multiplicities of irreducible-by-irreducible products are all 1, so a
-    product is stored as a tuple of output indices; multiset accumulation
-    only appears in triple products.
+    ``products[a][b]`` holds the indices (into ``labels``) of the outputs of
+    ``labels[a] x labels[b]`` in canonical order, each repeated as often as
+    its multiplicity, so sums over a product are plain iteration and a wrong
+    multiplicity is seen by every suite.  Built with one call of this
+    module's ``fuse_irreducible`` per ordered pair.
     """
 
     def __init__(self, k: int):
         check_level(k)
         self.k = k
         self.labels = enumerate_irreducibles(k)
-        self.index = {lab: t for t, lab in enumerate(self.labels)}
+        self.index = index = {lab: t for t, lab in enumerate(self.labels)}
         self.products = [
             [
-                tuple(self.index[c] for c in fuse_irreducible(a, b, k))
+                tuple(index[c] for c, m in fuse_irreducible(a, b, k).items() for _ in range(m))
                 for b in self.labels
             ]
             for a in self.labels
         ]
 
-    def triple_counts(self, first: tuple[int, ...], other: int, other_on_left: bool) -> dict[int, int]:
-        """Multiset of outputs of (first-set) fused with one more factor."""
-        out: dict[int, int] = {}
-        for t in first:
-            row = self.products[other][t] if other_on_left else self.products[t][other]
-            for c in row:
-                out[c] = out.get(c, 0) + 1
-        return out
+    def vector(self, row: tuple[int, ...]) -> FusionVector:
+        """A table row as a FusionVector, for failure messages."""
+        return FusionVector((self.labels[c], 1) for c in row)
+
+
+def _sampled_pairs(n: int, seed: int, samples: int):
+    """``samples`` seeded random index pairs, streamed rather than stored."""
+    rng = random.Random(seed)
+    return ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
 
 
 def _finish(report: VerificationReport, start: float) -> VerificationReport:
@@ -155,22 +165,30 @@ def verify_commutativity(
     k: int, cap: int = QUADRATIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> VerificationReport:
     """Fusion product is symmetric: a x b = b x a."""
+    return _commutativity(_FusionTable(k), cap, seed, samples)
+
+
+def _commutativity(
+    table: _FusionTable, cap: int = QUADRATIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
+) -> VerificationReport:
     start = time.perf_counter()
+    k, labels, products = table.k, table.labels, table.products
+    n = len(labels)
     report = VerificationReport("comm", k)
-    labels = enumerate_irreducibles(k)
     if k <= cap:
-        pairs = [(a, b) for n, a in enumerate(labels) for b in labels[n:]]
+        pairs = ((a, b) for a in range(n) for b in range(a, n))
     else:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(samples)]
+        pairs = _sampled_pairs(n, seed, samples)
         report.note = f"sampled {samples} pairs, seed {seed}"
-    for a, b in pairs:
+    for ia, ib in pairs:
         report.checks_run += 1
-        ab, ba = fuse_irreducible(a, b, k), fuse_irreducible(b, a, k)
+        ab, ba = products[ia][ib], products[ib][ia]
         if ab != ba:
+            a, b = labels[ia], labels[ib]
             report.failures.append(
                 Failure(
-                    f"{a.token()} x {b.token()} = {_render_vector(ab)} but reversed gives {_render_vector(ba)}",
+                    f"{a.token()} x {b.token()} = {_render_vector(table.vector(ab))} "
+                    f"but reversed gives {_render_vector(table.vector(ba))}",
                     (a, b),
                 )
             )
@@ -181,9 +199,15 @@ def verify_associativity(
     k: int, cap: int = CUBIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> VerificationReport:
     """(a x b) x c = a x (b x c), exhaustively up to the cap, sampled beyond."""
+    return _associativity(_FusionTable(k), cap, seed, samples)
+
+
+def _associativity(
+    table: _FusionTable, cap: int = CUBIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
+) -> VerificationReport:
     start = time.perf_counter()
+    k = table.k
     report = VerificationReport("assoc", k)
-    table = _FusionTable(k)
     n = len(table.labels)
     if k <= cap:
         triples = ((ia, ib, ic) for ia in range(n) for ib in range(n) for ic in range(n))
@@ -230,10 +254,16 @@ def verify_duality(
     (ii) The vacuum appears in a x b exactly when b = a'.
     (iii) Duality is an involution preserving weight and quantum dimension.
     """
+    return _duality(_FusionTable(k), cap, seed, samples)
+
+
+def _duality(
+    table: _FusionTable, cap: int = QUADRATIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
+) -> VerificationReport:
     start = time.perf_counter()
+    k, labels, products = table.k, table.labels, table.products
+    n = len(labels)
     report = VerificationReport("dual", k)
-    labels = enumerate_irreducibles(k)
-    vac = vacuum(k)
     duals = {lab: contragredient(lab, k) for lab in labels}
 
     for lab in labels:  # part (iii)
@@ -258,19 +288,21 @@ def verify_duality(
                 )
             )
 
+    dual = [table.index[duals[lab]] for lab in labels]
+    vac = table.index[vacuum(k)]
     if k <= cap:
-        pairs = [(a, b) for a in labels for b in labels]
+        pairs = ((a, b) for a in range(n) for b in range(n))
     else:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(samples)]
+        pairs = _sampled_pairs(n, seed, samples)
         report.note = f"sampled {samples} pairs, seed {seed}"
-    for a, b in pairs:
-        product = fuse_irreducible(a, b, k)
+    for ia, ib in pairs:
+        product = products[ia][ib]
         # part (ii)
         report.checks_run += 1
-        vac_mult = product.coefficient(vac)
-        expected = 1 if b == duals[a] else 0
+        vac_mult = product.count(vac)
+        expected = 1 if ib == dual[ia] else 0
         if vac_mult != expected:
+            a, b = labels[ia], labels[ib]
             report.failures.append(
                 Failure(
                     f"N_{{{a.token()},{b.token()}}}^vacuum = {vac_mult}, expected {expected}",
@@ -278,10 +310,12 @@ def verify_duality(
                 )
             )
         # part (i), positive sweep
-        for c, mult in product.items():
+        for ic in dict.fromkeys(product):
             report.checks_run += 1
-            partner = fuse_irreducible(a, duals[c], k).coefficient(duals[b])
+            mult = product.count(ic)
+            partner = products[ia][dual[ic]].count(dual[ib])
             if partner != mult:
+                a, b, c = labels[ia], labels[ib], labels[ic]
                 report.failures.append(
                     Failure(
                         f"N_{{{a.token()},{b.token()}}}^{{{c.token()}}} = {mult} but "
@@ -296,24 +330,44 @@ def verify_qdim_homomorphism(
     k: int, cap: int = QUADRATIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> VerificationReport:
     """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
+    return _qdim_homomorphism(_FusionTable(k), cap, seed, samples)
+
+
+def _qdim_homomorphism(
+    table: _FusionTable, cap: int = QUADRATIC_CAP, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
+) -> VerificationReport:
     start = time.perf_counter()
+    k, labels, products = table.k, table.labels, table.products
+    n = len(labels)
     report = VerificationReport("qdim", k)
-    labels = enumerate_irreducibles(k)
-    qd = {lab: qdim_exact(lab, k) for lab in labels}
+    # Residue arithmetic is memoised by value, never by label, so a qdim
+    # that wrongly depended on a label's sector or j would still be caught.
+    value_id: dict[QDimElement, int] = {}
+    vid = [value_id.setdefault(qdim_exact(lab, k), len(value_id)) for lab in labels]
+    values = list(value_id)
+    lhs_memo: dict[tuple[int, int], QDimElement] = {}
+    rhs_memo: dict[tuple[int, ...], QDimElement | None] = {}
     if k <= cap:
-        pairs = [(a, b) for a in labels for b in labels]
+        pairs = ((a, b) for a in range(n) for b in range(n))
     else:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(samples)]
+        pairs = _sampled_pairs(n, seed, samples)
         report.note = f"sampled {samples} pairs, seed {seed}"
-    for a, b in pairs:
+    for ia, ib in pairs:
         report.checks_run += 1
-        lhs = qd[a] * qd[b]
-        rhs = None
-        for c, mult in fuse_irreducible(a, b, k).items():
-            for _ in range(mult):
-                rhs = qd[c] if rhs is None else rhs + qd[c]
+        key = (vid[ia], vid[ib])
+        lhs = lhs_memo.get(key)
+        if lhs is None:
+            lhs = lhs_memo[key] = values[key[0]] * values[key[1]]
+        outputs = tuple(sorted(vid[c] for c in products[ia][ib]))
+        if outputs in rhs_memo:
+            rhs = rhs_memo[outputs]
+        else:
+            rhs = None
+            for v in outputs:
+                rhs = values[v] if rhs is None else rhs + values[v]
+            rhs_memo[outputs] = rhs
         if rhs is None or lhs != rhs:
+            a, b = labels[ia], labels[ib]
             report.failures.append(
                 Failure(
                     f"qdim({a.token()}) * qdim({b.token()}) = {lhs} but fusion side sums to {rhs}",
@@ -434,7 +488,13 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
     "oracle": lambda k, **_: verify_k1_lattice_oracle(),
 }
 
-_CAPPED = {"comm", "assoc", "dual", "qdim"}
+#: Suites that read the shared fusion table, keyed to their table-taking bodies.
+_TABLE_SUITES: dict[str, Callable[..., VerificationReport]] = {
+    "comm": _commutativity,
+    "assoc": _associativity,
+    "dual": _duality,
+    "qdim": _qdim_homomorphism,
+}
 
 
 def run_suites(
@@ -447,20 +507,21 @@ def run_suites(
     """Run the named suites at level ``k`` in catalog order.
 
     ``cap``, ``seed`` and ``samples`` override the sweep defaults where a
-    suite supports them.  The oracle suite only exists at level 1.
+    suite supports them.  The oracle suite only exists at level 1.  The
+    fusion suites share one table, built when the first of them runs.
     """
     check_level(k)
+    overrides = {"cap": cap, "seed": seed, "samples": samples}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    table = None
     reports = []
     for name in names:
         if name == "oracle" and k != 1:
             raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")
-        kwargs = {}
-        if name in _CAPPED:
-            if cap is not None:
-                kwargs["cap"] = cap
-            if seed is not None:
-                kwargs["seed"] = seed
-            if samples is not None:
-                kwargs["samples"] = samples
-        reports.append(SUITES[name](k, **kwargs))
+        if name in _TABLE_SUITES:
+            if table is None:
+                table = _FusionTable(k)
+            reports.append(_TABLE_SUITES[name](table, **overrides))
+        else:
+            reports.append(SUITES[name](k))
     return reports

@@ -4,6 +4,7 @@ import pytest
 
 from orbifusion.labels import (
     FusionVector,
+    IrrLabel,
     Sector,
     enumerate_irreducibles,
     make_label,
@@ -215,3 +216,53 @@ def test_level_mismatch_rejected():
         fuse_irreducible(parse_label("u:3:0", 3), parse_label("u:1:0", 2), 2)
     with pytest.raises(ValueError, match="invalid at level"):
         contragredient(parse_label("t1:3:0", 3), 2)
+
+
+def _reference_fuse(a, b, k):
+    """The sector-pair formulas built label by label through the public helpers."""
+    if a.sector > b.sector:
+        a, b = b, a
+    (s1, i1, j1), (s2, i2, j2) = a, b
+    out = []
+    for i3 in sl2_fusion_range(k, i1, i2):
+        if s1 is Sector.U and s2 is Sector.U:
+            lab = make_label(Sector.U, i3, sign_value(i1, i2, i3, j1, j2), k)
+        elif s1 is Sector.U and s2 is Sector.T1:
+            lab = make_label(Sector.T1, i3, sign_value(i1, i2, i3, j1, j2), k)
+        elif s1 is Sector.U and s2 is Sector.T2:
+            lab = make_label(Sector.T2, i3, -sign_value(i1, i2, i3, j1, -j2), k)
+        elif s1 is Sector.T1 and s2 is Sector.T1:
+            lab = make_label(Sector.T2, i3, -sign_value(i1, i2, i3, j1, j2), k)
+        elif s1 is Sector.T1 and s2 is Sector.T2:
+            lab = make_label(Sector.U, k - i3, sign_value(i1, i2, i3, j1, -j2) + k - i3, k)
+        else:
+            lab = make_label(Sector.T1, k - i3, sign_value(i1, i2, i3, -j1, -j2) + k - i3, k)
+        out.append(lab)
+    return FusionVector((lab, 1) for lab in out)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_fuse_irreducible_matches_reference_in_order(k):
+    labels = enumerate_irreducibles(k)
+    for a in labels:
+        for b in labels:
+            got = fuse_irreducible(a, b, k)
+            want = _reference_fuse(a, b, k)
+            assert got == want
+            assert list(got.items()) == list(want.items())
+
+
+def test_int_sector_rejected():
+    k = 3
+    with pytest.raises(ValueError, match="not an irreducible label"):
+        fuse_irreducible(IrrLabel(0, 1, 0), parse_label("u:1:0", k), k)
+
+
+def test_out_of_range_j_rejected():
+    with pytest.raises(ValueError, match="invalid at level"):
+        fuse_irreducible(IrrLabel(Sector.U, 1, 7), parse_label("u:1:0", 3), 3)
+
+
+def test_plain_tuple_rejected():
+    with pytest.raises(ValueError, match="not an irreducible label"):
+        fuse_irreducible((Sector.U, 1, 0), parse_label("u:1:0", 3), 3)

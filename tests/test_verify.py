@@ -146,3 +146,66 @@ def test_catalog_suite_counts_simple_current_checks_at_level_one():
     report = verify_catalog(1)
     # 2 structural + 18 weight checks + 2*(3+1) pairing/base + 18 simple-current
     assert report.checks_run == 2 + 18 + 8 + 18
+
+
+def _fuse_with(k, pair, change):
+    """Honest fusion, except that the product of ``pair`` goes through ``change``."""
+    from orbifusion.fusion import fuse_irreducible
+
+    target = tuple(parse_label(tok, k) for tok in pair)
+
+    def fuse(a, b, level):
+        honest = fuse_irreducible(a, b, level)
+        return change(honest) if (a, b) == target else honest
+
+    return fuse
+
+
+def test_doubled_multiplicity_fails_assoc_and_qdim(monkeypatch):
+    def double_first(v):
+        first = next(iter(v))
+        return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:1:0", "t1:1:0"), double_first))
+    reports = run_suites(["assoc", "qdim"], 2)
+    assert [r.passed for r in reports] == [False, False]
+
+
+def test_run_suites_fuses_each_pair_once(monkeypatch):
+    from orbifusion.fusion import fuse_irreducible
+
+    calls = []
+
+    def counting(a, b, k):
+        calls.append((a, b))
+        return fuse_irreducible(a, b, k)
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", counting)
+    reports = run_suites(["catalog", "unit", "comm", "assoc", "dual", "qdim"], 20)
+    assert all(r.passed for r in reports)
+    n = 9 * 21
+    assert len(calls) == n * n + n  # the shared table, then the unit suite
+    assert len(set(calls)) == n * n
+
+
+def test_corruption_after_honest_run_is_caught(monkeypatch):
+    assert all(r.passed for r in run_suites(["comm", "qdim"], 3))
+
+    def drop_last(v):
+        return FusionVector(list(v.items())[:-1])
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(3, ("u:1:0", "t1:2:0"), drop_last))
+    reports = run_suites(["comm", "qdim"], 3)
+    assert [r.passed for r in reports] == [False, False]
+
+
+def test_qdim_memo_is_by_value_not_by_index(monkeypatch):
+    from orbifusion.qdim import qdim_exact, qdim_index
+
+    wrong = parse_label("u:0:1", 2)  # given qdim(i=1) although its i is 0
+    monkeypatch.setattr(
+        verify_mod, "qdim_exact", lambda lab, k: qdim_index(1, k) if lab == wrong else qdim_exact(lab, k)
+    )
+    report = verify_qdim_homomorphism(2)
+    assert not report.passed
+    assert (wrong, wrong) in [f.labels for f in report.failures]
