@@ -171,10 +171,7 @@ def glob(k: int) -> None:
 @main.command()
 @_level_option
 @click.option("--suite", type=click.Choice(SUITE_NAMES), default="all", show_default=True)
-@click.option("--cap", type=int, default=None,
-              help="Exhaustive-sweep level cap; beyond it suites sample randomly.")
-@click.option("--seed", type=int, default=None, help="Seed for sampled sweeps.")
-def verify(k: int, suite: str, cap: int | None, seed: int | None) -> None:
+def verify(k: int, suite: str) -> None:
     """Run verification suites; exit 1 if any identity fails."""
     if suite == "all":
         names = ["catalog", "unit", "comm", "assoc", "dual", "qdim"]
@@ -183,7 +180,7 @@ def verify(k: int, suite: str, cap: int | None, seed: int | None) -> None:
     else:
         names = [suite]
     try:
-        reports = run_suites(names, k, cap=cap, seed=seed)
+        reports = run_suites(names, k)
     except ValueError as err:
         raise click.UsageError(str(err))
     failed = False

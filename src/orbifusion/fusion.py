@@ -15,7 +15,7 @@ multiplicity exactly 1.
 
 from __future__ import annotations
 
-from .labels import FusionVector, IrrLabel, Sector, check_level, make_label, residue3
+from .labels import FusionVector, IrrLabel, Sector, check_label, check_level, make_label, residue3
 
 __all__ = [
     "sl2_fusion_range",
@@ -51,17 +51,6 @@ def sign_value(i1: int, i2: int, i3: int, j1: int, j2: int) -> int:
     return j1 + j2 - residue3((i1 + i2 - i3) // 2)
 
 
-def _check_operand(label: IrrLabel, k: int) -> None:
-    """Raise ``ValueError`` unless ``label`` is a well-formed label at level ``k``."""
-    if not isinstance(label, IrrLabel):
-        raise ValueError(f"not an irreducible label: {label!r}")
-    sector, i, j = label
-    if type(sector) is not Sector or type(i) is not int or type(j) is not int:
-        raise ValueError(f"not an irreducible label: {tuple(label)!r}")
-    if not (0 <= i <= k and 0 <= j <= 2):
-        raise ValueError(f"label {label.token()} invalid at level {k}")
-
-
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
@@ -71,9 +60,8 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     outputs come in canonical order: ascending ``i3``, or descending where
     the output index is ``k - i3``.
     """
-    check_level(k)
-    _check_operand(a, k)
-    _check_operand(b, k)
+    check_label(a, k)
+    check_label(b, k)
     if a.sector > b.sector:
         a, b = b, a  # commutativity; formulas below cover sector(a) <= sector(b)
     (s1, i1, j1), (s2, i2, j2) = a, b
@@ -114,10 +102,8 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
     modulo 3 (one expression covering the three ``i mod 3`` cases); the two
     twisted sectors swap, with ``i`` reflected to ``k - i`` and ``j`` fixed.
     """
-    check_level(k)
+    check_label(label, k)
     sector, i, j = label
-    if not 0 <= i <= k:
-        raise ValueError(f"label {label.token()} invalid at level {k}")
     if sector is Sector.U:
         return make_label(Sector.U, i, i - j, k)
     if sector is Sector.T1:
@@ -127,4 +113,5 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
 
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory."""
+    check_label(c, k)
     return fuse_irreducible(a, b, k).coefficient(c)

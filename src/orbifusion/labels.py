@@ -25,6 +25,7 @@ __all__ = [
     "IrrLabel",
     "LabelSyntaxError",
     "check_level",
+    "check_label",
     "residue3",
     "make_label",
     "vacuum",
@@ -104,6 +105,23 @@ class IrrLabel(NamedTuple):
 
     def __repr__(self) -> str:
         return f"IrrLabel({self.sector.name}, {self.i}, {self.j})"
+
+
+def check_label(label: IrrLabel, k: int) -> None:
+    """Raise ``ValueError`` unless ``label`` is a well-formed label at level ``k``.
+
+    ``k`` must pass :func:`check_level`, and ``label`` must be an
+    :class:`IrrLabel` holding a :class:`Sector`, an int ``0 <= i <= k`` and
+    an int ``j`` in ``{0, 1, 2}``; nothing is reduced.
+    """
+    check_level(k)
+    if not isinstance(label, IrrLabel):
+        raise ValueError(f"not an irreducible label: {label!r}")
+    sector, i, j = label
+    if type(sector) is not Sector or type(i) is not int or type(j) is not int:
+        raise ValueError(f"not an irreducible label: {tuple(label)!r}")
+    if not (0 <= i <= k and 0 <= j <= 2):
+        raise ValueError(f"label {label.token()} invalid at level {k}")
 
 
 def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:

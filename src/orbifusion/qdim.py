@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .labels import IrrLabel, check_level, enumerate_irreducibles
+from .labels import IrrLabel, check_label, check_level, enumerate_irreducibles
 from .chebyshev import ChebPoly, cheb_u, min_poly_two_cos
 
 __all__ = [
@@ -90,6 +90,7 @@ def qdim_index(i: int, k: int) -> QDimElement:
 
 def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
     """Exact quantum dimension of ``label``; depends only on ``label.i``."""
+    check_label(label, k)
     return qdim_index(label.i, k)
 
 
@@ -100,7 +101,7 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     digits).  This route never touches the exact residues, so it doubles as
     an independent cross-check of :func:`qdim_exact`.
     """
-    check_level(k)
+    check_label(label, k)
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     with mpmath.workdps(precision + _GUARD_DIGITS):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .labels import IrrLabel, Rational, Sector, check_level
+from .labels import IrrLabel, Rational, Sector, check_label, check_level
 
 __all__ = ["WeightedLabel", "base_twist_weight", "conformal_weight", "generator_desc", "weighted_label"]
 
@@ -66,10 +66,8 @@ _BOUNDARY_OFFSETS = (0, 48, 24)  # T1 with i = 0; T2 with i = k
 
 def conformal_weight(label: IrrLabel, k: int) -> Rational:
     """Exact conformal weight of ``label`` at level ``k``."""
-    check_level(k)
+    check_label(label, k)
     sector, i, j = label
-    if not 0 <= i <= k:
-        raise ValueError(f"label {label.token()} invalid at level {k}")
     if k == 1:
         return _LEVEL1_WEIGHTS[(sector, i, j)]
     if sector is Sector.U:
@@ -97,7 +95,7 @@ def generator_desc(label: IrrLabel, k: int) -> str:
 
     Documentation only (surfaced in the catalog); never parsed.
     """
-    check_level(k)
+    check_label(label, k)
     sector, i, j = label
     if sector is not Sector.T2:
         # The untwisted and sigma-twisted modules are generated by the same

@@ -18,8 +18,9 @@ from orbifusion.cli import main
 from orbifusion.labels import Sector, enumerate_irreducibles, make_label, vacuum
 from orbifusion.weights import conformal_weight
 from orbifusion.qdim import global_dimension, has_unit_qdim, qdim_exact, qdim_numeric
-from orbifusion.fusion import contragredient
+from orbifusion.fusion import contragredient, fuse_irreducible
 from orbifusion.verify import (
+    _FusionTable,
     verify_associativity,
     verify_commutativity,
     verify_duality,
@@ -89,18 +90,23 @@ def test_criterion_4_level1_lattice_oracle():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_5_ring_axioms():
+def test_criterion_5_ring_axioms(associative_by_sweep):
     """Unit/commutativity/duality exhaustive for k <= 12, associativity for
-    k <= 6; zero failures; the k=6 cubic sweep finishes in < 60 s."""
+    k <= 6 and confirmed there by the cubic sweep; zero failures; the k=6
+    suite finishes in < 60 s."""
     for k in range(1, 13):
-        for suite in (verify_unit, verify_commutativity, verify_duality):
+        labels = enumerate_irreducibles(k)
+        n = len(labels)
+        outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
+        expected = {verify_unit: n, verify_commutativity: n * (n + 1) // 2, verify_duality: 3 * n + n * n + outputs}
+        for suite, checks in expected.items():
             report = suite(k)
             assert report.passed, (suite.__name__, k, [f.render() for f in report.failures[:5]])
-            assert report.note == ""  # exhaustive, not sampled
+            assert report.checks_run == checks  # every label, pair or product output
     for k in range(1, 7):
         report = verify_associativity(k)
         assert report.passed, (k, [f.render() for f in report.failures[:5]])
-        assert report.checks_run == (9 * (k + 1)) ** 3
+        assert associative_by_sweep(_FusionTable(k).products)
         if k == 6:
             assert report.elapsed < 60.0
 

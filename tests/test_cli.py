@@ -121,9 +121,11 @@ def test_verify_all_passes_at_level_one(runner):
 
 
 def test_verify_single_suite_and_seed(runner):
-    result = invoke(runner, "verify", "--level", "9", "--suite", "assoc", "--cap", "3", "--seed", "3")
+    result = invoke(runner, "verify", "--level", "9", "--suite", "assoc")
     assert result.exit_code == 0
-    assert "sampled" in result.output and "seed 3" in result.output
+    assert result.output.startswith("suite=assoc level=9 ") and "sampled" not in result.output
+    assert invoke(runner, "verify", "--level", "9", "--cap", "3").exit_code == 2
+    assert invoke(runner, "verify", "--level", "9", "--seed", "3").exit_code == 2
 
 
 def test_verify_oracle_needs_level_one(runner):

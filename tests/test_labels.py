@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orbifusion.fusion import contragredient, fusion_coefficient
 from orbifusion.labels import (
     FusionVector,
     IrrLabel,
@@ -13,6 +14,8 @@ from orbifusion.labels import (
     residue3,
     vacuum,
 )
+from orbifusion.qdim import qdim_exact, qdim_numeric
+from orbifusion.weights import conformal_weight, generator_desc
 
 
 def test_sector_grades():
@@ -145,3 +148,28 @@ def test_fusion_vector_arithmetic():
     assert v.scaled(0) == FusionVector()
     with pytest.raises(ValueError):
         FusionVector({a: -1})
+
+
+def _coefficient_of(label, k):
+    return fusion_coefficient(vacuum(k), vacuum(k), label, k)
+
+
+_LABEL_ENTRIES = [conformal_weight, generator_desc, contragredient, _coefficient_of, qdim_exact, qdim_numeric]
+
+
+@pytest.mark.parametrize(
+    "entry, label, k",
+    [
+        (conformal_weight, IrrLabel(Sector.U, 2, 5), 3),
+        (conformal_weight, IrrLabel(Sector.U, 1, 5), 1),
+        (contragredient, IrrLabel(Sector.U, 1, 7), 3),
+        (_coefficient_of, IrrLabel(Sector.U, 9, 0), 3),
+        (qdim_numeric, IrrLabel(Sector.U, 99, 0), 3),
+        (qdim_exact, IrrLabel(Sector.U, 1, 9), 3),
+        (generator_desc, IrrLabel(Sector.U, 1, 9), 3),
+    ]
+    + [(entry, (Sector.U, 1, 0), 3) for entry in _LABEL_ENTRIES],
+)
+def test_label_taking_entries_reject_malformed_labels(entry, label, k):
+    with pytest.raises(ValueError, match="not an irreducible label|invalid at level"):
+        entry(label, k)

@@ -1,9 +1,13 @@
+import copy
+import random
+
 import pytest
 
 import orbifusion.verify as verify_mod
-from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label
+from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label, vacuum
 from orbifusion.verify import (
     Z18_CORRESPONDENCE,
+    Failure,
     run_suites,
     verify_associativity,
     verify_catalog,
@@ -47,28 +51,26 @@ def test_commutativity_suite_exhaustive(k):
     assert report.passed
     n = 9 * (k + 1)
     assert report.checks_run == n * (n + 1) // 2
-    assert report.note == ""
 
 
-def test_commutativity_suite_sampled_beyond_cap():
-    report = verify_commutativity(4, cap=3, samples=500, seed=11)
+def test_commutativity_suite_exhaustive_at_level_13():
+    report = verify_commutativity(13)
     assert report.passed
-    assert report.checks_run == 500
-    assert "sampled" in report.note and "seed 11" in report.note
+    assert report.checks_run == 126 * 127 // 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_associativity_suite_exhaustive(k):
     report = verify_associativity(k)
     assert report.passed
-    assert report.checks_run == (9 * (k + 1)) ** 3
+    n = 9 * (k + 1)
+    assert report.checks_run == n + 3 * n * n  # left unit, then three generators
 
 
-def test_associativity_suite_sampled_beyond_cap():
-    report = verify_associativity(9, samples=800, seed=5)
+def test_associativity_suite_exhaustive_at_level_9():
+    report = verify_associativity(9)
     assert report.passed
-    assert report.checks_run == 800
-    assert "sampled" in report.note
+    assert report.checks_run == 90 + 3 * 90 * 90
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -136,10 +138,10 @@ def test_oracle_catches_broken_duality(monkeypatch):
     assert len(report.failures) == 16
 
 
-def test_sampling_is_deterministic_for_fixed_seed():
-    r1 = verify_associativity(9, samples=300, seed=42)
-    r2 = verify_associativity(9, samples=300, seed=42)
-    assert (r1.checks_run, r1.passed) == (r2.checks_run, r2.passed)
+def test_associativity_generators_at_level_9():
+    table = verify_mod._FusionTable(9)
+    gens = verify_mod._generators(table.products, table.index[vacuum(9)])
+    assert [table.labels[g].token() for g in gens] == ["u:0:1", "u:1:0", "t1:0:0"]
 
 
 def test_catalog_suite_counts_simple_current_checks_at_level_one():
@@ -209,3 +211,67 @@ def test_qdim_memo_is_by_value_not_by_index(monkeypatch):
     report = verify_qdim_homomorphism(2)
     assert not report.passed
     assert (wrong, wrong) in [f.labels for f in report.failures]
+
+
+def test_generators_grow_only_through_a_single_new_label():
+    # labels 0..3 with 0 the vacuum and 1 x 1 = 2 + 3: that product proves
+    # neither 2 nor 3, so 2 must become a generator before 3 follows from it
+    identity = [(0,), (1,), (2,), (3,)]
+    assert verify_mod._generators([identity, [(1,), (2, 3), (2,), (3,)], identity, identity], 0) == [1, 2]
+
+
+def test_assoc_reports_a_broken_left_unit(monkeypatch):
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:0:0", "t1:1:2"), lambda v: FusionVector()))
+    report = verify_associativity(2)
+    lab = parse_label("t1:1:2", 2)
+    assert Failure(f"vacuum x {lab.token()} = {{}}, expected {{{lab.token()}: 1}}", (lab,)) in report.failures
+
+
+def _corrupted(table, rng, kind):
+    """A copy of ``table`` with one output of one product dropped, added, doubled or replaced."""
+    n = len(table.labels)
+    bad = copy.copy(table)
+    bad.products = [list(row) for row in table.products]
+    ia, ib = rng.randrange(n), rng.randrange(n)
+    outputs = list(bad.products[ia][ib])
+    pick = rng.randrange(len(outputs))
+    if kind == "drop":
+        del outputs[pick]
+    elif kind == "add":
+        outputs.append(rng.randrange(n))
+    elif kind == "double":
+        outputs.append(outputs[pick])
+    else:
+        outputs[pick] = rng.choice([c for c in range(n) if c != outputs[pick]])
+    bad.products[ia][ib] = tuple(sorted(outputs))  # rows stay in canonical order
+    return bad
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep):
+    table = verify_mod._FusionTable(k)
+    assert verify_mod._associativity(table).passed and associative_by_sweep(table.products)
+    rng = random.Random(k)
+    for r in range(150):
+        bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
+        assert verify_mod._associativity(bad).passed == associative_by_sweep(bad.products)
+
+
+def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
+    from orbifusion.fusion import fuse_irreducible
+
+    k = 23
+    pair = {parse_label("t1:20:0", k), parse_label("u:11:2", k)}
+
+    def shifted(a, b, level):
+        # the first output of the pair's product, in both orders, moves to the next j
+        honest = fuse_irreducible(a, b, level)
+        if {a, b} != pair:
+            return honest
+        first, *rest = honest
+        return FusionVector([(first._replace(j=(first.j + 1) % 3), 1)] + [(lab, 1) for lab in rest])
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", shifted)
+    comm, qdim, assoc = run_suites(["comm", "qdim", "assoc"], k)
+    assert comm.passed and qdim.passed
+    assert len(assoc.failures) == 14
