@@ -88,13 +88,16 @@ def main() -> None:
 def catalog(k: int, fmt: str, out) -> None:
     """List all 9(k+1) irreducible modules with their invariants."""
     rows = []
+    qdims: dict[int, str] = {}  # qdim_numeric reads label.i only
     for lab in enumerate_irreducibles(k):
+        if lab.i not in qdims:
+            qdims[lab.i] = _fixed(qdim_numeric(lab, k, precision=20), 12)
         rows.append(
             {
                 "label": lab.token(),
                 "pretty": lab.pretty(k),
                 "weight": str(conformal_weight(lab, k)),
-                "qdim": _fixed(qdim_numeric(lab, k, precision=20), 12),
+                "qdim": qdims[lab.i],
                 "dual": contragredient(lab, k).token(),
                 "generator": generator_desc(lab, k),
             }

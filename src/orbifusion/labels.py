@@ -127,10 +127,12 @@ def check_label(label: IrrLabel, k: int) -> None:
 def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:
     """Build a validated label at level ``k``; ``j`` is reduced modulo 3.
 
-    Raises ``ValueError`` with a distinct message for each violated bound:
-    bad level, ``i < 0``, or ``i > k``.
+    Raises ``ValueError`` with a distinct message for each violation: bad
+    level, ``i`` or ``j`` not an int, ``i < 0``, or ``i > k``.
     """
     check_level(k)
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"label indices must be ints, got i={i!r}, j={j!r}")
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
     if i > k:
@@ -168,8 +170,10 @@ def parse_label(text: str, k: int) -> IrrLabel:
 
     The grammar is strict: lowercase sector tag, two colon-separated decimal
     integers, no whitespace.  Syntax problems raise
-    :class:`LabelSyntaxError` with the offending position; out-of-range
-    indices raise ``ValueError`` from :func:`make_label`.
+    :class:`LabelSyntaxError` with the offending position.  Out-of-range
+    indices raise ``ValueError``: ``j`` must be 0, 1 or 2 as written (it is
+    not reduced modulo 3, unlike in :func:`make_label`), and ``i`` is
+    checked by :func:`make_label`.
     """
     for tag in ("t1", "t2", "u"):
         if text.startswith(tag):
@@ -184,13 +188,16 @@ def parse_label(text: str, k: int) -> IrrLabel:
             raise LabelSyntaxError(text, pos, "expected ':'")
         rest, pos = rest[1:], pos + 1
         digits = ""
-        while rest and rest[0].isdigit():
+        # ASCII digits only: str.isdigit() also accepts superscripts and other scripts
+        while rest and rest[0] in "0123456789":
             digits, rest, pos = digits + rest[0], rest[1:], pos + 1
         if not digits:
             raise LabelSyntaxError(text, pos, "expected a decimal integer")
         numbers.append(int(digits))
     if rest:
         raise LabelSyntaxError(text, pos, f"unexpected trailing text {rest!r}")
+    if numbers[1] > 2:
+        raise ValueError(f"j out of range: {numbers[1]} not in 0..2")
     return make_label(sector, numbers[0], numbers[1], k)
 
 
@@ -207,6 +214,8 @@ class FusionVector:
         items = entries.items() if isinstance(entries, Mapping) else entries
         store: dict[IrrLabel, int] = {}
         for label, mult in items:
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity must be an int, got {mult!r} for {label.token()}")
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} for {label.token()}")
             if mult:
@@ -246,6 +255,8 @@ class FusionVector:
         return FusionVector(merged)
 
     def scaled(self, factor: int) -> "FusionVector":
+        if type(factor) is not int:
+            raise ValueError(f"factor must be an int, got {factor!r}")
         if factor < 0:
             raise ValueError("multiplicities must stay non-negative")
         return FusionVector({lab: factor * m for lab, m in self._entries.items()})

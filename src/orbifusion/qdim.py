@@ -114,15 +114,32 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     """Global dimension ``9 * sum_{i=0..k} qdim(i)^2``, exact and numeric.
 
     The exact part is a residue (an honest algebraic number — e.g. it is the
-    integer 18 at level 1 but ``45 + 9*sqrt(5)`` at level 3); the numeric
-    part evaluates the same sum of squared sine ratios directly.
+    integer 18 at level 1 but ``45 + 9*sqrt(5)`` at level 3).  It is built
+    without squaring: the sl2 Clebsch–Gordan identity
+    ``S_i^2 = sum_{m=0..i} S_{2m}`` holds in ``Z[x]``, so the sum of squares
+    is ``sum_{m=0..k} (k+1-m) * S_{2m}``.  Indices above ``k`` fold back
+    because ``psi`` divides ``S_{k+1}``: ``S_{k+1} = 0`` and
+    ``S_{k+1+j} = -S_{k+1-j}`` modulo ``psi`` (at ``t = pi/(k+2)``,
+    ``sin((k+2+j)t) = -sin((k+2-j)t)``).  The residues ``S_0 .. S_k`` come
+    from the recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step,
+    so the whole sum costs ``O(k * deg psi)`` integer operations.
+
+    The numeric part evaluates the sum of squared sine ratios directly and
+    shares no arithmetic with the residue, so it is an independent check.
     """
     check_level(k)
     modulus = reduction_modulus(k)
+    x = cheb_u(1)
+    residues = [cheb_u(0), x % modulus]
+    for _ in range(k - 1):
+        residues.append((x * residues[-1] - residues[-2]) % modulus)
     total = ChebPoly()
-    for i in range(k + 1):
-        si = cheb_u(i) % modulus
-        total = total + (si * si) % modulus
+    for m in range(k + 1):
+        n = 2 * m
+        if n <= k:
+            total = total + (k + 1 - m) * residues[n]
+        elif n > k + 1:
+            total = total - (k + 1 - m) * residues[2 * k + 2 - n]
     exact = QDimElement((9 * total) % modulus, k)
     with mpmath.workdps(15 + _GUARD_DIGITS):
         theta = mpmath.pi / (k + 2)

@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from orbifusion.cli import main, run
+from orbifusion.cli import _fixed, main, run
 from orbifusion.labels import parse_label
+from orbifusion.qdim import qdim_numeric
 
 
 @pytest.fixture()
@@ -58,6 +59,13 @@ def test_dual_and_coeff(runner):
     assert invoke(runner, "coeff", "--level", "2", "u:1:0", "u:1:0", "u:1:0").output.strip() == "0"
 
 
+@pytest.mark.parametrize("args", [("dual", "u:1:5"), ("qdim", "t1:2:7"), ("fuse", "u:0:0", "t2:0:3")])
+def test_label_with_j_above_two_is_a_usage_error(runner, args):
+    result = invoke(runner, args[0], "--level", "3", *args[1:])
+    assert result.exit_code == 2
+    assert "j out of range" in result.output
+
+
 def test_glob_document(runner):
     doc = json.loads(invoke(runner, "glob", "--level", "1").output)
     assert doc == {"level": 1, "exact": "18", "numeric": "18.000000000000"}
@@ -76,6 +84,23 @@ def test_catalog_json_round_trips(runner):
         assert parse_label(row["dual"], 2)     # dual column parses too
         assert label.token() == token
         assert "/" in row["weight"] or row["weight"].isdigit()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+def test_catalog_qdim_column_is_each_rows_own_qdim(runner, k):
+    """Every row carries qdim_numeric of its own label, although catalog
+    evaluates it once per weight index."""
+    def expected(token):
+        return _fixed(qdim_numeric(parse_label(token, k), k, precision=20), 12)
+
+    modules = json.loads(invoke(runner, "catalog", "--level", str(k)).output)["modules"]
+    assert len(modules) == 9 * (k + 1)
+    for token, row in modules.items():
+        assert row["qdim"] == expected(token)
+    rows = list(csv.DictReader(io.StringIO(invoke(runner, "catalog", "--level", str(k), "-f", "csv").output)))
+    assert len(rows) == 9 * (k + 1)
+    for row in rows:
+        assert row["qdim"] == expected(row["label"])
 
 
 def test_catalog_level1_weight_column(runner):

@@ -80,6 +80,12 @@ def test_make_label_distinct_diagnostics():
         enumerate_irreducibles("3")
 
 
+@pytest.mark.parametrize("i, j", [(1.5, 0), (True, 0), (1, 0.0), (1, False), ("1", 0)])
+def test_make_label_rejects_non_int_indices(i, j):
+    with pytest.raises(ValueError, match="must be ints"):
+        make_label(Sector.U, i, j, 3)
+
+
 def test_token_and_pretty_forms():
     lab = make_label(Sector.T1, 1, 2, k=3)
     assert lab.token() == "t1:1:2"
@@ -92,8 +98,9 @@ def test_parse_label_accepts_grammar():
     assert parse_label("t1:1:2", 3) == IrrLabel(Sector.T1, 1, 2)
     assert parse_label("u:0:0", 1) == vacuum(1)
     assert parse_label("t2:10:1", 12) == IrrLabel(Sector.T2, 10, 1)
-    # j is a decimal integer reduced mod 3, same as make_label
-    assert parse_label("u:0:5", 1) == IrrLabel(Sector.U, 0, 2)
+    # j is taken as written: unlike make_label, parsing does not reduce it
+    with pytest.raises(ValueError, match="j out of range"):
+        parse_label("u:0:5", 1)
 
 
 def test_parse_label_round_trips_every_token():
@@ -116,6 +123,8 @@ def test_parse_label_round_trips_every_token():
         ("u:1:2 ", 5),
         ("u:1:2:3", 5),
         ("u::2", 2),
+        ("u:1:\u00b2", 4),  # superscript two: str.isdigit is true, int() refuses it
+        ("u:\u0661:0", 2),  # Arabic-Indic one: not an ASCII decimal digit
     ],
 )
 def test_parse_label_syntax_errors_with_position(text, position):
@@ -138,6 +147,14 @@ def test_fusion_vector_drops_zeros_and_sorts():
     assert not FusionVector()
     assert v.coefficient(a) == 1
     assert v.coefficient(make_label(Sector.T2, 0, 0, 2)) == 0
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_fusion_vector_rejects_non_int_multiplicities(bad):
+    with pytest.raises(ValueError, match="multiplicity must be an int"):
+        FusionVector({vacuum(3): bad})
+    with pytest.raises(ValueError, match="factor must be an int"):
+        FusionVector.single(vacuum(3)).scaled(bad)
 
 
 def test_fusion_vector_arithmetic():

@@ -120,6 +120,22 @@ def test_global_dimension_agrees_with_direct_label_sum(k):
     assert abs(numeric - direct) < mpmath.mpf(10) ** -9
 
 
+def _global_dimension_by_squares(k):
+    """Reference for the exact half of ``global_dimension``: the direct sum
+    ``9 * sum_i (S_i mod psi)^2``, one squaring and reduction per index."""
+    modulus = reduction_modulus(k)
+    total = ChebPoly()
+    for i in range(k + 1):
+        si = cheb_u(i) % modulus
+        total = total + (si * si) % modulus
+    return (9 * total) % modulus
+
+
+@pytest.mark.parametrize("k", [*range(1, 41), 99, 200])
+def test_global_dimension_matches_sum_of_squares(k):
+    assert global_dimension(k)[0].residue == _global_dimension_by_squares(k)
+
+
 def test_has_unit_qdim_patterns():
     assert all(has_unit_qdim(lab, 1) for lab in enumerate_irreducibles(1))
     for k in range(2, 13):
