@@ -67,21 +67,21 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     (s1, i1, j1), (s2, i2, j2) = a, b
     s = i1 + i2
     i3s = range(abs(i1 - i2), min(s, 2 * k - s) + 1, 2)
-    label = IrrLabel._make
-    if s1 is Sector.U:
-        if s2 is Sector.U:
-            out = [label((Sector.U, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
-        elif s2 is Sector.T1:
-            out = [label((Sector.T1, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
+    new, U, T1, T2 = tuple.__new__, Sector.U, Sector.T1, Sector.T2
+    if s1 is U:
+        if s2 is U:
+            out = [new(IrrLabel, (U, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
+        elif s2 is T1:
+            out = [new(IrrLabel, (T1, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
         else:
-            out = [label((Sector.T2, i3, ((s - i3) // 2 - j1 + j2) % 3)) for i3 in i3s]
-    elif s1 is Sector.T1:
-        if s2 is Sector.T1:
-            out = [label((Sector.T2, i3, ((s - i3) // 2 - j1 - j2) % 3)) for i3 in i3s]
+            out = [new(IrrLabel, (T2, i3, ((s - i3) // 2 - j1 + j2) % 3)) for i3 in i3s]
+    elif s1 is T1:
+        if s2 is T1:
+            out = [new(IrrLabel, (T2, i3, ((s - i3) // 2 - j1 - j2) % 3)) for i3 in i3s]
         else:
-            out = [label((Sector.U, k - i3, (j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+            out = [new(IrrLabel, (U, k - i3, (j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
     else:  # T2 x T2
-        out = [label((Sector.T1, k - i3, (-j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+        out = [new(IrrLabel, (T1, k - i3, (-j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
     return FusionVector._from_canonical(out)
 
 

@@ -128,16 +128,19 @@ def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:
     """Build a validated label at level ``k``; ``j`` is reduced modulo 3.
 
     Raises ``ValueError`` with a distinct message for each violation: bad
-    level, ``i`` or ``j`` not an int, ``i < 0``, or ``i > k``.
+    level, ``sector`` not a :class:`Sector` (an int or bool is not converted),
+    ``i`` or ``j`` not an int, ``i < 0``, or ``i > k``.
     """
     check_level(k)
+    if type(sector) is not Sector:
+        raise ValueError(f"sector must be a Sector, got {sector!r}")
     if type(i) is not int or type(j) is not int:
         raise ValueError(f"label indices must be ints, got i={i!r}, j={j!r}")
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
     if i > k:
         raise ValueError(f"i out of range: {i} > level {k}")
-    return IrrLabel(Sector(sector), i, residue3(j))
+    return IrrLabel(sector, i, residue3(j))
 
 
 def vacuum(k: int) -> IrrLabel:

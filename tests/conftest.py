@@ -1,4 +1,12 @@
+import itertools
+
 import pytest
+
+from orbifusion.fusion import contragredient
+from orbifusion.labels import enumerate_irreducibles, vacuum
+from orbifusion.qdim import qdim_exact
+from orbifusion.verify import Failure, VerificationReport
+from orbifusion.weights import conformal_weight
 
 
 def _associative_by_sweep(products):
@@ -27,3 +35,119 @@ def _associative_by_sweep(products):
 @pytest.fixture
 def associative_by_sweep():
     return _associative_by_sweep
+
+
+def _products_by_pair(k, fuse):
+    """Reference for ``_FusionTable.products``: one fresh tuple per ordered pair.
+
+    Nothing is shared between pairs; each product's output indices come in
+    its canonical order, repeated by multiplicity.
+    """
+    labels = enumerate_irreducibles(k)
+    index = {lab: t for t, lab in enumerate(labels)}
+    return [
+        [tuple(index[c] for c, m in fuse(a, b, k).items() for _ in range(m)) for b in labels]
+        for a in labels
+    ]
+
+
+def _duality_by_pair(table):
+    """Reference for ``dual``: parts (ii) and (i) checked pair by pair."""
+    k, labels, products = table.k, table.labels, table.products
+    n = len(labels)
+    report = VerificationReport("dual", k)
+    duals = {lab: contragredient(lab, k) for lab in labels}
+    for lab in labels:  # part (iii)
+        report.checks_run += 3
+        d = duals[lab]
+        if contragredient(d, k) != lab:
+            report.failures.append(Failure(f"dual(dual({lab.token()})) = {contragredient(d, k).token()}", (lab,)))
+        if conformal_weight(d, k) != conformal_weight(lab, k):
+            report.failures.append(
+                Failure(
+                    f"weight changes under dual: {lab.token()} has {conformal_weight(lab, k)}, "
+                    f"{d.token()} has {conformal_weight(d, k)}",
+                    (lab, d),
+                )
+            )
+        if qdim_exact(d, k) != qdim_exact(lab, k):
+            report.failures.append(
+                Failure(
+                    f"qdim changes under dual: {lab.token()} -> {qdim_exact(lab, k)}, "
+                    f"{d.token()} -> {qdim_exact(d, k)}",
+                    (lab, d),
+                )
+            )
+    dual = [table.index[duals[lab]] for lab in labels]
+    vac = table.index[vacuum(k)]
+    for ia, ib in itertools.product(range(n), repeat=2):
+        product = products[ia][ib]
+        report.checks_run += 1  # part (ii)
+        vac_mult = product.count(vac)
+        expected = 1 if ib == dual[ia] else 0
+        if vac_mult != expected:
+            a, b = labels[ia], labels[ib]
+            report.failures.append(
+                Failure(f"N_{{{a.token()},{b.token()}}}^vacuum = {vac_mult}, expected {expected}", (a, b))
+            )
+        for ic in dict.fromkeys(product):  # part (i), positive sweep
+            report.checks_run += 1
+            mult = product.count(ic)
+            partner = products[ia][dual[ic]].count(dual[ib])
+            if partner != mult:
+                a, b, c = labels[ia], labels[ib], labels[ic]
+                report.failures.append(
+                    Failure(
+                        f"N_{{{a.token()},{b.token()}}}^{{{c.token()}}} = {mult} but "
+                        f"N_{{{a.token()},{duals[c].token()}}}^{{{duals[b].token()}}} = {partner}",
+                        (a, b, c),
+                    )
+                )
+    return report
+
+
+def _qdim_by_pair(table):
+    """Reference for ``qdim``: one residue comparison per ordered pair, memoised by value."""
+    k, labels, products = table.k, table.labels, table.products
+    n = len(labels)
+    report = VerificationReport("qdim", k)
+    value_id = {}
+    vid = [value_id.setdefault(qdim_exact(lab, k), len(value_id)) for lab in labels]
+    values = list(value_id)
+    lhs_memo = {}
+    rhs_memo = {}
+    for ia, ib in itertools.product(range(n), repeat=2):
+        report.checks_run += 1
+        key = (vid[ia], vid[ib])
+        lhs = lhs_memo.get(key)
+        if lhs is None:
+            lhs = lhs_memo[key] = values[key[0]] * values[key[1]]
+        outputs = tuple(sorted(vid[c] for c in products[ia][ib]))
+        if outputs in rhs_memo:
+            rhs = rhs_memo[outputs]
+        else:
+            rhs = None
+            for v in outputs:
+                rhs = values[v] if rhs is None else rhs + values[v]
+            rhs_memo[outputs] = rhs
+        if rhs is None or lhs != rhs:
+            a, b = labels[ia], labels[ib]
+            report.failures.append(
+                Failure(f"qdim({a.token()}) * qdim({b.token()}) = {lhs} but fusion side sums to {rhs}", (a, b))
+            )
+    return report
+
+
+@pytest.fixture
+def products_by_pair():
+    return _products_by_pair
+
+
+@pytest.fixture
+def duality_by_pair():
+    return _duality_by_pair
+
+
+@pytest.fixture
+def qdim_by_pair():
+    return _qdim_by_pair

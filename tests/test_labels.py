@@ -86,6 +86,12 @@ def test_make_label_rejects_non_int_indices(i, j):
         make_label(Sector.U, i, j, 3)
 
 
+@pytest.mark.parametrize("sector", [True, 1, 0])
+def test_make_label_rejects_non_sector(sector):
+    with pytest.raises(ValueError, match="sector must be a Sector"):
+        make_label(sector, 0, 0, 3)
+
+
 def test_token_and_pretty_forms():
     lab = make_label(Sector.T1, 1, 2, k=3)
     assert lab.token() == "t1:1:2"

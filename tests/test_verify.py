@@ -275,3 +275,44 @@ def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
     comm, qdim, assoc = run_suites(["comm", "qdim", "assoc"], k)
     assert comm.passed and qdim.passed
     assert len(assoc.failures) == 14
+
+
+@pytest.mark.parametrize("k", [*range(1, 11), 20])
+def test_table_matches_the_pair_by_pair_construction(k, products_by_pair):
+    table = verify_mod._FusionTable(k)
+    assert table.products == products_by_pair(k, verify_mod.fuse_irreducible)
+
+
+def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair):
+    from orbifusion.fusion import fuse_irreducible
+
+    k = 3
+    honest = products_by_pair(k, fuse_irreducible)
+    pair = ("u:1:0", "t1:2:0")
+    ia, ib = (verify_mod._FusionTable(k).index[parse_label(tok, k)] for tok in pair)
+    sharers = [(x, y) for x, row in enumerate(honest) for y, out in enumerate(row) if out == honest[ia][ib]]
+    assert len(sharers) > 1  # the honest row is shared, so a merge would show
+
+    def double_first(v):
+        first = next(iter(v))
+        return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, double_first))
+    products = verify_mod._FusionTable(k).products
+    first, *rest = honest[ia][ib]
+    assert products[ia][ib] == (first, first, *rest)
+    assert all(products[x][y] == honest[x][y] for x, y in sharers if (x, y) != (ia, ib))
+    assert products == products_by_pair(k, verify_mod.fuse_irreducible)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dual_and_qdim_report_as_the_pair_by_pair_sweeps_do(k, duality_by_pair, qdim_by_pair):
+    table = verify_mod._FusionTable(k)
+    rng = random.Random(k)
+    for r in range(150):
+        bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
+        for suite, reference in ((verify_mod._duality, duality_by_pair), (verify_mod._qdim_homomorphism, qdim_by_pair)):
+            got, want = suite(bad), reference(bad)
+            assert [f.labels for f in got.failures] == [f.labels for f in want.failures]
+            assert got.failures == want.failures
+            assert got.checks_run == want.checks_run
