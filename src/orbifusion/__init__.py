@@ -10,15 +10,16 @@ from .labels import (
     FusionVector,
     IrrLabel,
     LabelSyntaxError,
-    Rational,
     Sector,
+    check_index,
+    check_label,
+    check_level,
     enumerate_irreducibles,
     make_label,
     parse_label,
-    residue3,
     vacuum,
 )
-from .weights import WeightedLabel, base_twist_weight, conformal_weight, generator_desc, weighted_label
+from .weights import base_twist_weight, conformal_weight, generator_desc
 from .chebyshev import ChebPoly, cheb_u, cyclotomic, min_poly_two_cos
 from .qdim import (
     QDimElement,
@@ -29,14 +30,7 @@ from .qdim import (
     qdim_numeric,
     reduction_modulus,
 )
-from .fusion import (
-    contragredient,
-    fuse,
-    fuse_irreducible,
-    fusion_coefficient,
-    sign_value,
-    sl2_fusion_range,
-)
+from .fusion import contragredient, fuse_irreducible, fusion_coefficient
 from .verify import (
     Failure,
     VerificationReport,
@@ -56,18 +50,17 @@ __all__ = [
     "FusionVector",
     "IrrLabel",
     "LabelSyntaxError",
-    "Rational",
     "Sector",
+    "check_index",
+    "check_label",
+    "check_level",
     "enumerate_irreducibles",
     "make_label",
     "parse_label",
-    "residue3",
     "vacuum",
-    "WeightedLabel",
     "base_twist_weight",
     "conformal_weight",
     "generator_desc",
-    "weighted_label",
     "ChebPoly",
     "cheb_u",
     "cyclotomic",
@@ -80,11 +73,8 @@ __all__ = [
     "qdim_numeric",
     "reduction_modulus",
     "contragredient",
-    "fuse",
     "fuse_irreducible",
     "fusion_coefficient",
-    "sign_value",
-    "sl2_fusion_range",
     "Failure",
     "VerificationReport",
     "run_suites",

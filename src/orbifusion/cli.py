@@ -26,21 +26,13 @@ from .labels import IrrLabel, enumerate_irreducibles, parse_label
 from .weights import conformal_weight, generator_desc
 from .qdim import global_dimension, qdim_numeric
 from .fusion import contragredient, fuse_irreducible, fusion_coefficient
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 FORMATS = click.Choice(["json", "csv", "markdown"])
-SUITE_NAMES = ["unit", "comm", "assoc", "dual", "qdim", "oracle", "catalog", "all"]
-
-
-def _check_level(ctx, param, value: int) -> int:
-    if value < 1:
-        raise click.BadParameter(f"level must be >= 1, got {value}")
-    return value
-
+SUITE_NAMES = [*SUITES, "all"]
 
 _level_option = click.option(
-    "--level", "-k", "k", type=int, required=True, callback=_check_level,
-    help="Level k of the catalog (k >= 1).",
+    "--level", "-k", "k", type=click.IntRange(min=1), required=True, help="Level k of the catalog."
 )
 
 
@@ -176,12 +168,7 @@ def glob(k: int) -> None:
 @click.option("--suite", type=click.Choice(SUITE_NAMES), default="all", show_default=True)
 def verify(k: int, suite: str) -> None:
     """Run verification suites; exit 1 if any identity fails."""
-    if suite == "all":
-        names = ["catalog", "unit", "comm", "assoc", "dual", "qdim"]
-        if k == 1:
-            names.append("oracle")
-    else:
-        names = [suite]
+    names = [name for name in SUITES if name != "oracle" or k == 1] if suite == "all" else [suite]
     try:
         reports = run_suites(names, k)
     except ValueError as err:

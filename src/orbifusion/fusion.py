@@ -2,11 +2,12 @@
 
 The fusion ring is built from the affine sl2 level-``k`` rule on the weight
 indices together with a Z3 bookkeeping function on the eigenspace indices.
-For each admissible output index ``i3`` define
+For each admissible sl2 output index ``i3``, that is
+``|i1 - i2| <= i3 <= min(i1 + i2, 2k - i1 - i2)`` with ``i1 + i2 + i3`` even,
+define
 
-    sign(i1, i2, i3, j1, j2) = j1 + j2 - t,   t = ((i1 + i2 - i3) / 2) mod 3,
+    sign(i1, i2, i3, j1, j2) = j1 + j2 - t,   t = ((i1 + i2 - i3) / 2) mod 3.
 
-which requires ``i1 + i2 + i3`` to be even (always true on the sl2 range).
 There is one product formula per ordered sector pair (U,U), (U,T1), (U,T2),
 (T1,T1), (T1,T2), (T2,T2); the remaining orders follow by commutativity of
 the fusion product.  In every product each output label occurs with
@@ -15,50 +16,20 @@ multiplicity exactly 1.
 
 from __future__ import annotations
 
-from .labels import FusionVector, IrrLabel, Sector, check_label, check_level, make_label, residue3
+from .labels import FusionVector, IrrLabel, Sector, check_label, make_label
 
-__all__ = [
-    "sl2_fusion_range",
-    "sign_value",
-    "fuse_irreducible",
-    "fuse",
-    "contragredient",
-    "fusion_coefficient",
-]
-
-
-def sl2_fusion_range(k: int, i1: int, i2: int) -> list[int]:
-    """Admissible sl2 level-``k`` fusion outputs of indices ``i1`` and ``i2``.
-
-    All ``i3`` with ``|i1-i2| <= i3 <= min(i1+i2, 2k-i1-i2)`` and
-    ``i1+i2+i3`` even, ascending.
-    """
-    check_level(k)
-    for i in (i1, i2):
-        if not 0 <= i <= k:
-            raise ValueError(f"i out of range: {i} not in 0..{k}")
-    return list(range(abs(i1 - i2), min(i1 + i2, 2 * k - i1 - i2) + 1, 2))
-
-
-def sign_value(i1: int, i2: int, i3: int, j1: int, j2: int) -> int:
-    """The integer ``j1 + j2 - t`` with ``t = ((i1+i2-i3)/2) mod 3``.
-
-    Deliberately *not* reduced modulo 3; reduction happens exactly once when
-    the output label is built.  Raises ``ValueError`` if ``i1+i2+i3`` is odd.
-    """
-    if (i1 + i2 + i3) % 2:
-        raise ValueError(f"parity violation: i1+i2+i3 = {i1 + i2 + i3} is odd")
-    return j1 + j2 - residue3((i1 + i2 - i3) // 2)
+__all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
 
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
-    Each branch is one sector-pair formula with ``sign_value`` written out:
+    Each branch is one sector-pair formula with ``sign`` written out:
     ``(s - i3) // 2`` is ``t`` before its reduction, and every ``j`` is
-    reduced modulo 3 once.  The output sector is fixed per branch, so the
-    outputs come in canonical order: ascending ``i3``, or descending where
-    the output index is ``k - i3``.
+    reduced modulo 3 once; ``i3s`` is the admissible range, ascending.  The
+    output sector is fixed per branch, so the outputs come in canonical
+    order: ascending ``i3``, or descending where the output index is
+    ``k - i3``.
     """
     check_label(a, k)
     check_label(b, k)
@@ -83,16 +54,6 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     else:  # T2 x T2
         out = [new(IrrLabel, (T1, k - i3, (-j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
     return FusionVector._from_canonical(out)
-
-
-def fuse(v1: FusionVector, v2: FusionVector, k: int) -> FusionVector:
-    """Bilinear extension of :func:`fuse_irreducible` to FusionVectors."""
-    total: dict[IrrLabel, int] = {}
-    for lab1, m1 in v1.items():
-        for lab2, m2 in v2.items():
-            for lab3, m3 in fuse_irreducible(lab1, lab2, k).items():
-                total[lab3] = total.get(lab3, 0) + m1 * m2 * m3
-    return FusionVector(total)
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:

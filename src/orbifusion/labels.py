@@ -16,28 +16,21 @@ plus their validity invariants.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
-    "Rational",
     "Sector",
     "IrrLabel",
     "LabelSyntaxError",
     "check_level",
     "check_label",
-    "residue3",
+    "check_index",
     "make_label",
     "vacuum",
     "enumerate_irreducibles",
     "parse_label",
     "FusionVector",
 ]
-
-#: Exact rational scalar used for conformal weights.  ``fractions.Fraction``
-#: already guarantees lowest terms and a positive denominator.
-Rational = Fraction
-
 
 class Sector(enum.IntEnum):
     """Origin sector of a module; the integer value is its Z/3 grade."""
@@ -73,12 +66,17 @@ def check_level(k: int) -> int:
     return k
 
 
-def residue3(n: int) -> int:
-    """Residue of the integer ``n`` modulo 3, in ``{0, 1, 2}``.
+def check_index(i: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``i`` is a weight index at level ``k``.
 
-    Correct for negative ``n`` as well: ``residue3(-1) == 2``.
+    ``k`` must pass :func:`check_level`, and ``i`` must be an int (not a
+    bool) with ``0 <= i <= k``.
     """
-    return n % 3
+    check_level(k)
+    if type(i) is not int:
+        raise ValueError(f"weight index must be an int, got {i!r}")
+    if not 0 <= i <= k:
+        raise ValueError(f"i out of range: {i} not in 0..{k}")
 
 
 class IrrLabel(NamedTuple):
@@ -140,7 +138,7 @@ def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:
         raise ValueError(f"i must be >= 0, got {i}")
     if i > k:
         raise ValueError(f"i out of range: {i} > level {k}")
-    return IrrLabel(sector, i, residue3(j))
+    return IrrLabel(sector, i, j % 3)
 
 
 def vacuum(k: int) -> IrrLabel:
@@ -176,8 +174,11 @@ def parse_label(text: str, k: int) -> IrrLabel:
     :class:`LabelSyntaxError` with the offending position.  Out-of-range
     indices raise ``ValueError``: ``j`` must be 0, 1 or 2 as written (it is
     not reduced modulo 3, unlike in :func:`make_label`), and ``i`` is
-    checked by :func:`make_label`.
+    checked by :func:`make_label`.  A ``text`` that is not a string is a
+    syntax error at position 0.
     """
+    if not isinstance(text, str):
+        raise LabelSyntaxError(text, 0, "expected a string")
     for tag in ("t1", "t2", "u"):
         if text.startswith(tag):
             sector = _TAG_SECTORS[tag]
@@ -217,6 +218,8 @@ class FusionVector:
         items = entries.items() if isinstance(entries, Mapping) else entries
         store: dict[IrrLabel, int] = {}
         for label, mult in items:
+            if not isinstance(label, IrrLabel):
+                raise ValueError(f"not an irreducible label: {label!r}")
             if type(mult) is not int:
                 raise ValueError(f"multiplicity must be an int, got {mult!r} for {label.token()}")
             if mult < 0:
@@ -247,22 +250,6 @@ class FusionVector:
     def items(self) -> Iterator[tuple[IrrLabel, int]]:
         """Entries in canonical label order."""
         return iter(self._entries.items())
-
-    def labels(self) -> Iterator[IrrLabel]:
-        return iter(self._entries)
-
-    def __add__(self, other: "FusionVector") -> "FusionVector":
-        merged = dict(self._entries)
-        for label, mult in other._entries.items():
-            merged[label] = merged.get(label, 0) + mult
-        return FusionVector(merged)
-
-    def scaled(self, factor: int) -> "FusionVector":
-        if type(factor) is not int:
-            raise ValueError(f"factor must be an int, got {factor!r}")
-        if factor < 0:
-            raise ValueError("multiplicities must stay non-negative")
-        return FusionVector({lab: factor * m for lab, m in self._entries.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FusionVector):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .labels import IrrLabel, check_label, check_level, enumerate_irreducibles
+from .labels import IrrLabel, check_index, check_label, check_level
 from .chebyshev import ChebPoly, cheb_u, min_poly_two_cos
 
 __all__ = [
@@ -82,9 +82,7 @@ class QDimElement:
 
 def qdim_index(i: int, k: int) -> QDimElement:
     """Exact quantum dimension attached to affine weight index ``i``."""
-    check_level(k)
-    if not 0 <= i <= k:
-        raise ValueError(f"i out of range: {i} not in 0..{k}")
+    check_index(i, k)
     return QDimElement(cheb_u(i) % reduction_modulus(k), k)
 
 
@@ -102,8 +100,8 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     an independent cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    if type(precision) is not int or precision < 1:
+        raise ValueError(f"precision must be an int >= 1, got {precision!r}")
     with mpmath.workdps(precision + _GUARD_DIGITS):
         theta = mpmath.pi / (k + 2)
         value = mpmath.sin((label.i + 1) * theta) / mpmath.sin(theta)

@@ -17,15 +17,19 @@ vacuum, adding the smallest label still outside to the generators whenever S
 stops growing.  When S holds every label, all n^3 triples associate.  The
 honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 
-The fusion suites (``comm``, ``assoc``, ``dual``, ``qdim``) read one integer
-table of all n^2 products, multiplicities kept.  :func:`run_suites` builds it
-once and shares it, so each ordered pair is fused exactly once per run; a
-suite called on its own builds its own.  Equal products share one row tuple,
-so the table holds far fewer rows than pairs (1089 for 35,721 at k=20), and
-``dual`` and ``qdim`` check a row at a time, going pair by pair only to
-report the failures of a row that fails.  No table outlives the call that
-built it, so a substituted ``fuse_irreducible`` is always what is verified.
-A report's ``elapsed`` times the checks only, not the table build.
+Every suite reads one integer table of all n^2 products, multiplicities
+kept; ``catalog`` reads only its labels.  Its rows are built lazily, one row
+at a time with one ``fuse_irreducible`` call per pair, and kept, so a suite
+fuses only the rows it reads (``unit`` the vacuum row, ``catalog`` none) and
+:func:`run_suites`, which shares one table among the suites it runs, fuses
+each ordered pair exactly once.  A public ``verify_*`` function builds a
+table of its own.  Equal products share one row tuple, so the table holds
+far fewer distinct rows than pairs (1089 for 35,721 at k=20), and ``dual``
+and ``qdim`` check a row at a time, going pair by pair only to report the
+failures of a row that fails.  No table outlives the call that built it, so
+a substituted ``fuse_irreducible`` is always what is verified.  A report's
+``elapsed`` times the checks only: a suite builds the rows it reads before
+its clock starts.
 """
 
 from __future__ import annotations
@@ -34,19 +38,12 @@ import functools
 import itertools
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .labels import (
-    FusionVector,
-    IrrLabel,
-    Sector,
-    check_level,
-    enumerate_irreducibles,
-    make_label,
-    vacuum,
-)
+from .labels import IrrLabel, Sector, check_level, enumerate_irreducibles, make_label, vacuum
 from .weights import base_twist_weight, conformal_weight
 from .qdim import QDimElement, has_unit_qdim, qdim_exact
 from .fusion import contragredient, fuse_irreducible
@@ -98,12 +95,6 @@ class VerificationReport:
         )
 
 
-def _render_vector(v: FusionVector) -> str:
-    if not v:
-        return "{}"
-    return "{" + ", ".join(f"{lab.token()}: {m}" for lab, m in v.items()) + "}"
-
-
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)`` and keeps it."""
 
@@ -117,17 +108,35 @@ class _Memo(dict):
         return value
 
 
+class _Rows(Sequence):
+    """The rows of a fusion table: row ``a`` is built by ``build(a)`` on first use and kept."""
+
+    def __init__(self, build: Callable[[int], list[tuple[int, ...]]], n: int):
+        self.build, self.rows = build, [None] * n
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, a: int) -> list[tuple[int, ...]]:
+        row = self.rows[a]
+        if row is None:
+            row = self.rows[a] = self.build(a)
+            if None not in self.rows:
+                self.build = None  # every row is built: let go of the memo ``build`` holds
+        return row
+
+
 class _FusionTable:
     """Integer-indexed fusion products of all irreducibles at one level.
 
     ``products[a][b]`` holds the indices (into ``labels``) of the outputs of
     ``labels[a] x labels[b]`` in canonical order, each repeated as often as
     its multiplicity, so sums over a product are plain iteration and a wrong
-    multiplicity is seen by every suite.  Built with one call of this
-    module's ``fuse_irreducible`` per ordered pair.  Equal products share
-    one row tuple (1089 distinct rows for 35,721 pairs at k=20), keyed by
-    their ``(label, multiplicity)`` items, so products that differ in a
-    multiplicity never share.
+    multiplicity is seen by every suite.  Row ``a`` is built on first use,
+    with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
+    and kept.  Equal products share one row tuple (1089 distinct rows for
+    35,721 pairs at k=20), keyed by their ``(label, multiplicity)`` items,
+    so products that differ in a multiplicity never share.
     """
 
     def __init__(self, k: int):
@@ -135,12 +144,14 @@ class _FusionTable:
         self.k = k
         self.labels = labels = enumerate_irreducibles(k)
         self.index = index = {lab: t for t, lab in enumerate(labels)}
-        rows = _Memo(lambda items: tuple([index[c] for c, m in items for _ in range(m)]))
-        self.products = [[rows[tuple(fuse_irreducible(a, b, k).items())] for b in labels] for a in labels]
+        shared = _Memo(lambda items: tuple([index[c] for c, m in items for _ in range(m)]))
+        self.products = _Rows(
+            lambda a: [shared[tuple(fuse_irreducible(labels[a], b, k).items())] for b in labels], len(labels)
+        )
 
-    def vector(self, row: tuple[int, ...]) -> FusionVector:
-        """A table row as a FusionVector, for failure messages."""
-        return FusionVector((self.labels[c], 1) for c in row)
+    def render(self, row: tuple[int, ...]) -> str:
+        """A product as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""
+        return "{" + ", ".join(f"{self.labels[c].token()}: {m}" for c, m in sorted(Counter(row).items())) + "}"
 
 
 def _finish(report: VerificationReport, start: float) -> VerificationReport:
@@ -150,20 +161,25 @@ def _finish(report: VerificationReport, start: float) -> VerificationReport:
 
 def verify_unit(k: int) -> VerificationReport:
     """Vacuum acts as the fusion unit on every label."""
+    return _unit(_FusionTable(k))
+
+
+def _unit(table: _FusionTable) -> VerificationReport:
+    vac_row = table.products[table.index[vacuum(table.k)]]
     start = time.perf_counter()
-    report = VerificationReport("unit", k)
-    vac = vacuum(k)
-    for lab in enumerate_irreducibles(k):
-        report.checks_run += 1
-        got = fuse_irreducible(vac, lab, k)
-        if got != FusionVector.single(lab):
-            report.failures.append(
-                Failure(
-                    f"vacuum x {lab.token()} = {_render_vector(got)}, expected {{{lab.token()}: 1}}",
-                    (lab,),
-                )
-            )
+    report = VerificationReport("unit", table.k)
+    _check_left_unit(table, vac_row, report)
     return _finish(report, start)
+
+
+def _check_left_unit(table: _FusionTable, vac_row: list[tuple[int, ...]], report: VerificationReport) -> None:
+    """Vacuum x b = b for every label b, read from the vacuum's row; ``unit`` and ``assoc`` share it."""
+    for ib, lab in enumerate(table.labels):
+        report.checks_run += 1
+        if vac_row[ib] != (ib,):
+            report.failures.append(
+                Failure(f"vacuum x {lab.token()} = {table.render(vac_row[ib])}, expected {{{lab.token()}: 1}}", (lab,))
+            )
 
 
 def verify_commutativity(k: int) -> VerificationReport:
@@ -172,8 +188,8 @@ def verify_commutativity(k: int) -> VerificationReport:
 
 
 def _commutativity(table: _FusionTable) -> VerificationReport:
+    k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
-    k, labels, products = table.k, table.labels, table.products
     n = len(labels)
     report = VerificationReport("comm", k)
     for ia, ib in itertools.combinations_with_replacement(range(n), 2):
@@ -183,8 +199,7 @@ def _commutativity(table: _FusionTable) -> VerificationReport:
             a, b = labels[ia], labels[ib]
             report.failures.append(
                 Failure(
-                    f"{a.token()} x {b.token()} = {_render_vector(table.vector(ab))} "
-                    f"but reversed gives {_render_vector(table.vector(ba))}",
+                    f"{a.token()} x {b.token()} = {table.render(ab)} but reversed gives {table.render(ba)}",
                     (a, b),
                 )
             )
@@ -222,22 +237,14 @@ def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
 
 
 def _associativity(table: _FusionTable) -> VerificationReport:
+    k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
-    k, labels, products = table.k, table.labels, table.products
     n = len(labels)
     report = VerificationReport("assoc", k)
     vac = table.index[vacuum(k)]
-    for ib, lab in enumerate(labels):
-        if products[vac][ib] != (ib,):
-            report.failures.append(
-                Failure(
-                    f"vacuum x {lab.token()} = {_render_vector(table.vector(products[vac][ib]))}, "
-                    f"expected {{{lab.token()}: 1}}",
-                    (lab,),
-                )
-            )
+    _check_left_unit(table, products[vac], report)
     gens = _generators(products, vac)
-    report.checks_run = n + len(gens) * n * n
+    report.checks_run += len(gens) * n * n
     for ia in gens:
         a_row = products[ia]
 
@@ -260,9 +267,8 @@ def _associativity(table: _FusionTable) -> VerificationReport:
                     a, b, c = labels[ia], labels[ib], labels[ic]
                     report.failures.append(
                         Failure(
-                            f"({a.token()} x {b.token()}) x {c.token()} = {_render_vector(table.vector(lefts[ic]))} "
-                            f"but {a.token()} x ({b.token()} x {c.token()}) = "
-                            f"{_render_vector(table.vector(rights[ic]))}",
+                            f"({a.token()} x {b.token()}) x {c.token()} = {table.render(lefts[ic])} "
+                            f"but {a.token()} x ({b.token()} x {c.token()}) = {table.render(rights[ic])}",
                             (a, b, c),
                         )
                     )
@@ -284,8 +290,8 @@ def verify_duality(k: int) -> VerificationReport:
 
 
 def _duality(table: _FusionTable) -> VerificationReport:
+    k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
-    k, labels, products = table.k, table.labels, table.products
     n = len(labels)
     report = VerificationReport("dual", k)
     duals = {lab: contragredient(lab, k) for lab in labels}
@@ -367,8 +373,8 @@ def verify_qdim_homomorphism(k: int) -> VerificationReport:
 
 
 def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
+    k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
-    k, labels, products = table.k, table.labels, table.products
     n = len(labels)
     report = VerificationReport("qdim", k)
     # Residue arithmetic is memoised by value, never by label, so a qdim
@@ -424,27 +430,27 @@ Z18_CORRESPONDENCE: dict[str, int] = {
 
 def verify_k1_lattice_oracle() -> VerificationReport:
     """Level-1 catalog against the independent Z/18 lattice model."""
+    return _lattice_oracle(_FusionTable(1))
+
+
+def _lattice_oracle(table: _FusionTable) -> VerificationReport:
+    labels, products = table.labels, list(table.products)
     start = time.perf_counter()
     report = VerificationReport("oracle", 1)
-    cosets = {lab: Z18_CORRESPONDENCE[lab.token()] for lab in enumerate_irreducibles(1)}
-    for a, s_a in cosets.items():
-        for b, s_b in cosets.items():
+    cosets = {lab: Z18_CORRESPONDENCE[lab.token()] for lab in labels}
+    for a, s_a, row in zip(labels, cosets.values(), products):
+        for b, s_b, product in zip(labels, cosets.values(), row):
             report.checks_run += 1
-            product = fuse_irreducible(a, b, 1)
-            entries = list(product.items())
-            if len(entries) != 1 or entries[0][1] != 1:
+            if len(product) != 1:
                 report.failures.append(
-                    Failure(f"{a.token()} x {b.token()} is not a single simple module: {_render_vector(product)}", (a, b))
+                    Failure(f"{a.token()} x {b.token()} is not a single simple module: {table.render(product)}", (a, b))
                 )
                 continue
-            got = cosets[entries[0][0]]
-            want = (s_a + s_b) % 18
+            c = labels[product[0]]
+            got, want = cosets[c], (s_a + s_b) % 18
             if got != want:
                 report.failures.append(
-                    Failure(
-                        f"{a.token()} x {b.token()} lands on coset {got}, lattice model says {want}",
-                        (a, b, entries[0][0]),
-                    )
+                    Failure(f"{a.token()} x {b.token()} lands on coset {got}, lattice model says {want}", (a, b, c))
                 )
     for lab, s in cosets.items():
         report.checks_run += 1
@@ -465,9 +471,13 @@ def verify_k1_lattice_oracle() -> VerificationReport:
 
 def verify_catalog(k: int) -> VerificationReport:
     """Catalog size and weight-table invariants at level ``k``."""
+    return _catalog(_FusionTable(k))
+
+
+def _catalog(table: _FusionTable) -> VerificationReport:
     start = time.perf_counter()
+    k, labels = table.k, table.labels
     report = VerificationReport("catalog", k)
-    labels = enumerate_irreducibles(k)
     report.checks_run += 2
     if len(labels) != 9 * (k + 1):
         report.failures.append(Failure(f"catalog has {len(labels)} labels, expected {9 * (k + 1)}", ()))
@@ -510,41 +520,28 @@ def verify_catalog(k: int) -> VerificationReport:
     return _finish(report, start)
 
 
-SUITES: dict[str, Callable[..., VerificationReport]] = {
-    "catalog": verify_catalog,
-    "unit": verify_unit,
-    "comm": verify_commutativity,
-    "assoc": verify_associativity,
-    "dual": verify_duality,
-    "qdim": verify_qdim_homomorphism,
-    "oracle": lambda k: verify_k1_lattice_oracle(),
-}
-
-#: Suites that read the shared fusion table, keyed to their table-taking bodies.
-_TABLE_SUITES: dict[str, Callable[..., VerificationReport]] = {
+#: Every suite, in ``verify --suite all`` order, keyed to its body, which takes a table.
+SUITES: dict[str, Callable[[_FusionTable], VerificationReport]] = {
+    "catalog": _catalog,
+    "unit": _unit,
     "comm": _commutativity,
     "assoc": _associativity,
     "dual": _duality,
     "qdim": _qdim_homomorphism,
+    "oracle": _lattice_oracle,
 }
 
 
 def run_suites(names: list[str], k: int) -> list[VerificationReport]:
-    """Run the named suites at level ``k`` in catalog order.
+    """Run the named suites at level ``k``, in the order given, on one shared table.
 
-    The oracle suite only exists at level 1.  The fusion suites share one
-    table, built when the first of them runs.
+    Raises ``ValueError``, before any suite runs, for a name not in
+    :data:`SUITES` (a string is not a list of names) and for ``oracle`` at a
+    level other than 1.
     """
-    check_level(k)
-    table = None
-    reports = []
-    for name in names:
-        if name == "oracle" and k != 1:
-            raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")
-        if name in _TABLE_SUITES:
-            if table is None:
-                table = _FusionTable(k)
-            reports.append(_TABLE_SUITES[name](table))
-        else:
-            reports.append(SUITES[name](k))
-    return reports
+    if isinstance(names, str) or not set(names) <= SUITES.keys():
+        raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
+    if "oracle" in names and k != 1:
+        raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")
+    table = _FusionTable(k)
+    return [SUITES[name](table) for name in names]

@@ -15,30 +15,27 @@ one table row each, so every value can be audited against its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .labels import IrrLabel, Rational, Sector, check_label, check_level
+from .labels import IrrLabel, Sector, check_index, check_label
 
-__all__ = ["WeightedLabel", "base_twist_weight", "conformal_weight", "generator_desc", "weighted_label"]
+__all__ = ["base_twist_weight", "conformal_weight", "generator_desc"]
 
 
-def base_twist_weight(k: int, i: int, r: int) -> Rational:
+def base_twist_weight(k: int, i: int, r: int) -> Fraction:
     """Lowest conformal weight of the sigma^r-twisted module with index ``i``.
 
     Exact value of ``i*(i+2)/(4*(k+2)) + (r^2*k - 6*i*r)/36`` for
     ``r in {0, 1, 2}``; ``r = 0`` is the untwisted lowest weight.
     """
-    check_level(k)
-    if not 0 <= i <= k:
-        raise ValueError(f"i out of range: {i} not in 0..{k}")
-    if r not in (0, 1, 2):
+    check_index(i, k)
+    if type(r) is not int or r not in (0, 1, 2):
         raise ValueError(f"twist exponent must be 0, 1 or 2, got {r}")
     return Fraction(i * (i + 2), 4 * (k + 2)) + Fraction(r * r * k - 6 * i * r, 36)
 
 
 # Level 1, transcribed verbatim (canonical order: u, t1, t2 major; i; j).
-_LEVEL1_WEIGHTS: dict[tuple[Sector, int, int], Rational] = {
+_LEVEL1_WEIGHTS: dict[tuple[Sector, int, int], Fraction] = {
     (Sector.U, 0, 0): Fraction(0),
     (Sector.U, 0, 1): Fraction(1),
     (Sector.U, 0, 2): Fraction(1),
@@ -64,7 +61,7 @@ _GENERIC_OFFSETS = (0, 12, 24)   # T1 with i > 0; T2 with i < k
 _BOUNDARY_OFFSETS = (0, 48, 24)  # T1 with i = 0; T2 with i = k
 
 
-def conformal_weight(label: IrrLabel, k: int) -> Rational:
+def conformal_weight(label: IrrLabel, k: int) -> Fraction:
     """Exact conformal weight of ``label`` at level ``k``."""
     check_label(label, k)
     sector, i, j = label
@@ -113,17 +110,3 @@ def generator_desc(label: IrrLabel, k: int) -> str:
     if i == 0:
         return "e(-1)1" if k == 1 else "f(-1)^2 1"
     return _vec(i, i - 1)
-
-
-@dataclass(frozen=True)
-class WeightedLabel:
-    """A label together with its weight and generating vector description."""
-
-    label: IrrLabel
-    weight: Rational
-    generator_desc: str
-
-
-def weighted_label(label: IrrLabel, k: int) -> WeightedLabel:
-    """Bundle ``label`` with its exact weight and generator description."""
-    return WeightedLabel(label, conformal_weight(label, k), generator_desc(label, k))

@@ -11,7 +11,6 @@ from orbifusion.labels import (
     enumerate_irreducibles,
     make_label,
     parse_label,
-    residue3,
     vacuum,
 )
 from orbifusion.qdim import qdim_exact, qdim_numeric
@@ -23,11 +22,14 @@ def test_sector_grades():
     assert [s.tag for s in Sector] == ["u", "t1", "t2"]
 
 
+def _residue3(j):
+    """The residue of j mod 3, as make_label stores it."""
+    return make_label(Sector.U, 1, j, 2).j
+
+
 def test_residue3_basics():
-    assert residue3(4) == 1
-    assert residue3(-1) == 2
-    assert residue3(0) == 0
-    assert residue3(-7) == 2
+    for j, reduced in ((4, 1), (-1, 2), (0, 0), (-7, 2), (3, 0)):
+        assert _residue3(j) == reduced
 
 
 def test_residue3_homomorphism_property():
@@ -35,8 +37,11 @@ def test_residue3_homomorphism_property():
     for _ in range(500):
         a = rng.randint(-10**6, 10**6)
         b = rng.randint(-10**6, 10**6)
-        assert residue3(a + b) == residue3(residue3(a) + residue3(b))
-        assert residue3(a * b) == residue3(residue3(a) * residue3(b))
+        assert _residue3(a) in (0, 1, 2) and (a - _residue3(a)) % 3 == 0
+        assert _residue3(a + b) == _residue3(_residue3(a) + _residue3(b))
+        assert _residue3(a * b) == _residue3(_residue3(a) * _residue3(b))
+        lab = make_label(rng.choice(list(Sector)), rng.randint(0, 4), a, 4)
+        assert lab.j == _residue3(a)
 
 
 @pytest.mark.parametrize("k", range(1, 21))
@@ -131,6 +136,9 @@ def test_parse_label_round_trips_every_token():
         ("u::2", 2),
         ("u:1:\u00b2", 4),  # superscript two: str.isdigit is true, int() refuses it
         ("u:\u0661:0", 2),  # Arabic-Indic one: not an ASCII decimal digit
+        (5, 0),              # not a string at all
+        (None, 0),
+        (b"u:0:0", 0),
     ],
 )
 def test_parse_label_syntax_errors_with_position(text, position):
@@ -159,18 +167,17 @@ def test_fusion_vector_drops_zeros_and_sorts():
 def test_fusion_vector_rejects_non_int_multiplicities(bad):
     with pytest.raises(ValueError, match="multiplicity must be an int"):
         FusionVector({vacuum(3): bad})
-    with pytest.raises(ValueError, match="factor must be an int"):
-        FusionVector.single(vacuum(3)).scaled(bad)
 
 
-def test_fusion_vector_arithmetic():
-    a, b = make_label(Sector.U, 1, 0, 2), make_label(Sector.T1, 0, 2, 2)
-    v = FusionVector({a: 1, b: 1})
-    assert v + v == v.scaled(2)
-    assert (v + FusionVector({a: 2})).coefficient(a) == 3
-    assert v.scaled(0) == FusionVector()
-    with pytest.raises(ValueError):
-        FusionVector({a: -1})
+@pytest.mark.parametrize("entries", [{"x": 1}, {"x": -1}, {(Sector.U, 0, 0): 1}, [(None, 1)]])
+def test_fusion_vector_rejects_non_label_keys(entries):
+    with pytest.raises(ValueError, match="not an irreducible label"):
+        FusionVector(entries)
+
+
+def test_fusion_vector_rejects_negative_multiplicities():
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        FusionVector({make_label(Sector.U, 1, 0, 2): -1})
 
 
 def _coefficient_of(label, k):

@@ -61,8 +61,15 @@ def test_qdim_numeric_examples():
     assert qdim_numeric(parse_label("u:2:0", 2), 2, 10) == pytest.approx(1.0, abs=1e-10)
     # golden ratio at level 3
     assert qdim_numeric(parse_label("t1:1:0", 3), 3, 12) == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-12)
-    with pytest.raises(ValueError, match="precision"):
-        qdim_numeric(parse_label("u:0:0", 1), 1, 0)
+    for precision in (0, 1.5, True, "5", None):
+        with pytest.raises(ValueError, match="precision must be an int"):
+            qdim_numeric(parse_label("u:0:0", 1), 1, precision)
+
+
+@pytest.mark.parametrize("i", [1.0, True, "1", None, -1, 4])
+def test_qdim_index_rejects_malformed_index(i):
+    with pytest.raises(ValueError, match="weight index must be an int|i out of range"):
+        qdim_index(i, 3)
 
 
 @pytest.mark.parametrize("k", range(1, 13))

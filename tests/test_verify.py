@@ -6,6 +6,7 @@ import pytest
 import orbifusion.verify as verify_mod
 from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label, vacuum
 from orbifusion.verify import (
+    SUITES,
     Z18_CORRESPONDENCE,
     Failure,
     run_suites,
@@ -100,9 +101,12 @@ def test_run_suites_all_order_and_levels():
     assert all(r.passed for r in reports)
 
 
-def test_run_suites_rejects_oracle_off_level_one():
+def test_run_suites_rejects_oracle_off_level_one(fuse_calls):
     with pytest.raises(ValueError, match="level-1"):
         run_suites(["oracle"], 2)
+    with pytest.raises(ValueError, match="level-1"):
+        run_suites(["comm", "oracle"], 2)
+    assert fuse_calls == []  # refused before any suite ran
 
 
 def test_summary_line_shape():
@@ -173,7 +177,15 @@ def test_doubled_multiplicity_fails_assoc_and_qdim(monkeypatch):
     assert [r.passed for r in reports] == [False, False]
 
 
-def test_run_suites_fuses_each_pair_once(monkeypatch):
+def test_run_suites_rejects_unknown_suites():
+    for names in (["nope"], "unit", ["unit", "nope"]):
+        with pytest.raises(ValueError, match="the suites are catalog, unit, comm, assoc, dual, qdim, oracle"):
+            run_suites(names, 2)
+
+
+@pytest.fixture
+def fuse_calls(monkeypatch):
+    """Every pair that ``verify`` fuses, in call order."""
     from orbifusion.fusion import fuse_irreducible
 
     calls = []
@@ -183,11 +195,43 @@ def test_run_suites_fuses_each_pair_once(monkeypatch):
         return fuse_irreducible(a, b, k)
 
     monkeypatch.setattr(verify_mod, "fuse_irreducible", counting)
+    return calls
+
+
+def test_run_suites_fuses_each_pair_once(fuse_calls):
     reports = run_suites(["catalog", "unit", "comm", "assoc", "dual", "qdim"], 20)
     assert all(r.passed for r in reports)
     n = 9 * 21
-    assert len(calls) == n * n + n  # the shared table, then the unit suite
-    assert len(set(calls)) == n * n
+    assert len(fuse_calls) == n * n  # one shared table, unit's vacuum row included
+    assert len(set(fuse_calls)) == n * n
+
+
+def test_every_suite_at_level_one_fuses_each_pair_once(fuse_calls):
+    assert all(r.passed for r in run_suites(list(SUITES), 1))
+    assert len(fuse_calls) == len(set(fuse_calls)) == 18 * 18
+    fuse_calls.clear()
+    assert verify_k1_lattice_oracle().passed
+    assert len(fuse_calls) == 18 * 18
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_unit_fuses_only_the_vacuum_row(k, fuse_calls):
+    assert verify_unit(k).passed
+    assert fuse_calls == [(vacuum(k), b) for b in enumerate_irreducibles(k)]
+
+
+def test_catalog_fuses_nothing(fuse_calls):
+    assert verify_catalog(3).passed and run_suites(["catalog"], 3)[0].passed
+    assert fuse_calls == []
+
+
+def test_corrupted_vacuum_row_fails_unit_assoc_and_oracle(monkeypatch):
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(1, ("u:0:0", "t1:1:2"), lambda v: FusionVector()))
+    lab = parse_label("t1:1:2", 1)
+    unit, assoc, oracle = run_suites(["unit", "assoc", "oracle"], 1)
+    broken = Failure(f"vacuum x {lab.token()} = {{}}, expected {{{lab.token()}: 1}}", (lab,))
+    assert unit.failures == [broken] and broken in assoc.failures
+    assert [f.labels for f in oracle.failures] == [(vacuum(1), lab)]
 
 
 def test_corruption_after_honest_run_is_caught(monkeypatch):
@@ -280,7 +324,7 @@ def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
 @pytest.mark.parametrize("k", [*range(1, 11), 20])
 def test_table_matches_the_pair_by_pair_construction(k, products_by_pair):
     table = verify_mod._FusionTable(k)
-    assert table.products == products_by_pair(k, verify_mod.fuse_irreducible)
+    assert list(table.products) == products_by_pair(k, verify_mod.fuse_irreducible)
 
 
 def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair):
@@ -302,7 +346,7 @@ def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair
     first, *rest = honest[ia][ib]
     assert products[ia][ib] == (first, first, *rest)
     assert all(products[x][y] == honest[x][y] for x, y in sharers if (x, y) != (ia, ib))
-    assert products == products_by_pair(k, verify_mod.fuse_irreducible)
+    assert list(products) == products_by_pair(k, verify_mod.fuse_irreducible)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbifusion.labels import Sector, enumerate_irreducibles, make_label, parse_label, vacuum
-from orbifusion.weights import base_twist_weight, conformal_weight, generator_desc, weighted_label
+from orbifusion.weights import base_twist_weight, conformal_weight, generator_desc
 
 # Frozen level-1 weight table, canonical order (u, t1, t2; i ascending; j ascending).
 LEVEL1_TABLE = {
@@ -41,6 +41,13 @@ def test_base_twist_weight_rejects_bad_input():
         base_twist_weight(2, 3, 1)
     with pytest.raises(ValueError, match="twist exponent"):
         base_twist_weight(2, 1, 3)
+    with pytest.raises(ValueError, match="weight index must be an int"):
+        base_twist_weight(2, 1.5, 1)
+    with pytest.raises(ValueError, match="weight index must be an int"):
+        base_twist_weight(2, True, 1)
+    for r in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="twist exponent"):
+            base_twist_weight(2, 1, r)
 
 
 # Literal k > 1 table rows, one lambda per row, so each branch of the
@@ -138,8 +145,7 @@ def test_generator_descriptions():
     assert generator_desc(parse_label("t2:2:2", 3), 3) == "v^{2,1}"
 
 
-def test_weighted_label_bundle():
-    wl = weighted_label(parse_label("t1:1:1", 1), 1)
-    assert wl.weight == F(4, 9)
-    assert wl.generator_desc == "v^{1,0}"
-    assert wl.label.token() == "t1:1:1"
+def test_weight_and_generator_of_one_label():
+    lab = parse_label("t1:1:1", 1)
+    assert conformal_weight(lab, 1) == F(4, 9)
+    assert generator_desc(lab, 1) == "v^{1,0}"
