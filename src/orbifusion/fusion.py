@@ -12,48 +12,96 @@ There is one product formula per ordered sector pair (U,U), (U,T1), (U,T2),
 (T1,T1), (T1,T2), (T2,T2); the remaining orders follow by commutativity of
 the fusion product.  In every product each output label occurs with
 multiplicity exactly 1.
+
+Each formula reads ``j1`` and ``j2`` only through one residue ``r`` modulo 3:
+``j1 + j2`` for equal sectors and for U x T1, ``j2 - j1`` for U x T2 and
+``j1 - j2`` for T1 x T2.  So :func:`fuse_irreducible` remembers the products
+of one level at a time, keyed by ``(s1, s2, i1, i2, r)`` in sector order
+(7,938 products for the 35,721 ordered pairs at k=20).  Every call validates
+``k`` and both labels before any lookup.  A call at a level other than the
+remembered one starts a fresh, empty memo for its level and computes its
+product directly, so the memo fills from the second call in a row at one
+level on and a stream of calls that keeps changing level stores nothing.
+The memo interns its output labels and equal output tuples, so a level holds
+at most ``9(k+1)`` label objects, and every call returns a fresh
+:class:`FusionVector` that a caller may change without touching the memo.
 """
 
 from __future__ import annotations
 
-from .labels import FusionVector, IrrLabel, Sector, check_label, make_label
+from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, check_level, make_label
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
+
+# (k, memo, seen) for the current level: ``memo`` maps the key
+# (s1, s2, i1, i2, r), packed into one int, to a tuple of output labels, and
+# ``seen`` interns those labels and tuples.  ``_fuse`` reads the binding once
+# and only ever replaces it whole, so a concurrent switch of levels can never
+# serve a product from another level.
+_level_memo: tuple = (0, {}, {})
+_U, _T2 = Sector.U, Sector.T2  # a module global is read faster than an enum attribute
 
 
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
-    Each branch is one sector-pair formula with ``sign`` written out:
-    ``(s - i3) // 2`` is ``t`` before its reduction, and every ``j`` is
-    reduced modulo 3 once; ``i3s`` is the admissible range, ascending.  The
-    output sector is fixed per branch, so the outputs come in canonical
-    order: ascending ``i3``, or descending where the output index is
-    ``k - i3``.
+    ``k``, ``a`` and ``b`` are validated on every call, before the current
+    level's memo (see the module docstring) is read; the result is a fresh
+    vector.
     """
-    check_label(a, k)
-    check_label(b, k)
+    check_level(k)
+    _check_fields(a, k)
+    _check_fields(b, k)
+    return _fuse(a, b, k)
+
+
+def _fuse(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
+    """:func:`fuse_irreducible` on a checked level and checked labels."""
+    global _level_memo
     if a.sector > b.sector:
         a, b = b, a  # commutativity; formulas below cover sector(a) <= sector(b)
     (s1, i1, j1), (s2, i2, j2) = a, b
+    if s2 is _T2 and s1 is not _T2:
+        r = (j2 - j1 if s1 is _U else j1 - j2) % 3
+    else:
+        r = (j1 + j2) % 3
+    level, memo, seen = _level_memo
+    if level != k:
+        _level_memo = (k, {}, {})
+        return FusionVector._from_canonical(_outputs(s1, s2, i1, i2, r, k))
+    key = (((s1 * 3 + s2) * (k + 1) + i1) * (k + 1) + i2) * 3 + r
+    out = memo.get(key)
+    if out is None:
+        out = tuple([seen.setdefault(c, c) for c in _outputs(s1, s2, i1, i2, r, k)])
+        out = memo[key] = seen.setdefault(out, out)
+    return FusionVector._from_canonical(out)
+
+
+def _outputs(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> list[IrrLabel]:
+    """The outputs of one sector-pair formula, ``sector(a) <= sector(b)``, in canonical order.
+
+    ``r`` is the one residue through which the formula reads ``j1`` and
+    ``j2``: ``j1 + j2``, except ``j2 - j1`` for U x T2 and ``j1 - j2`` for
+    T1 x T2.  Each branch has ``sign`` written out: ``(s - i3) // 2`` is
+    ``t`` before its reduction, and every ``j`` is reduced modulo 3 once;
+    ``i3s`` is the admissible range, ascending.  The output sector is fixed
+    per branch, so the outputs come in canonical order: ascending ``i3``, or
+    descending where the output index is ``k - i3``.
+    """
     s = i1 + i2
     i3s = range(abs(i1 - i2), min(s, 2 * k - s) + 1, 2)
     new, U, T1, T2 = tuple.__new__, Sector.U, Sector.T1, Sector.T2
     if s1 is U:
         if s2 is U:
-            out = [new(IrrLabel, (U, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
-        elif s2 is T1:
-            out = [new(IrrLabel, (T1, i3, (j1 + j2 - (s - i3) // 2) % 3)) for i3 in i3s]
-        else:
-            out = [new(IrrLabel, (T2, i3, ((s - i3) // 2 - j1 + j2) % 3)) for i3 in i3s]
-    elif s1 is T1:
+            return [new(IrrLabel, (U, i3, (r - (s - i3) // 2) % 3)) for i3 in i3s]
         if s2 is T1:
-            out = [new(IrrLabel, (T2, i3, ((s - i3) // 2 - j1 - j2) % 3)) for i3 in i3s]
-        else:
-            out = [new(IrrLabel, (U, k - i3, (j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
-    else:  # T2 x T2
-        out = [new(IrrLabel, (T1, k - i3, (-j1 - j2 - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
-    return FusionVector._from_canonical(out)
+            return [new(IrrLabel, (T1, i3, (r - (s - i3) // 2) % 3)) for i3 in i3s]
+        return [new(IrrLabel, (T2, i3, ((s - i3) // 2 + r) % 3)) for i3 in i3s]
+    if s1 is T1:
+        if s2 is T1:
+            return [new(IrrLabel, (T2, i3, ((s - i3) // 2 - r) % 3)) for i3 in i3s]
+        return [new(IrrLabel, (U, k - i3, (r - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+    return [new(IrrLabel, (T1, k - i3, (-r - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:
@@ -74,5 +122,8 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
 
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory."""
-    check_label(c, k)
-    return fuse_irreducible(a, b, k).coefficient(c)
+    check_level(k)
+    _check_fields(c, k)
+    _check_fields(a, k)
+    _check_fields(b, k)
+    return _fuse(a, b, k).coefficient(c)

@@ -113,6 +113,11 @@ def check_label(label: IrrLabel, k: int) -> None:
     an int ``j`` in ``{0, 1, 2}``; nothing is reduced.
     """
     check_level(k)
+    _check_fields(label, k)
+
+
+def _check_fields(label: IrrLabel, k: int) -> None:
+    """:func:`check_label` without its level check: ``k`` must already be a valid level."""
     if not isinstance(label, IrrLabel):
         raise ValueError(f"not an irreducible label: {label!r}")
     sector, i, j = label
@@ -209,7 +214,10 @@ class FusionVector:
     """Finitely supported map ``IrrLabel -> positive multiplicity``.
 
     Zero entries are never stored, so equality is structural.  Instances are
-    treated as immutable once constructed.
+    treated as immutable once constructed.  Each key must be an
+    :class:`IrrLabel` holding a :class:`Sector`, an int ``i >= 0`` and an int
+    ``j`` in ``{0, 1, 2}``; a vector has no level, so ``i <= k`` is left to
+    the functions that take one.
     """
 
     __slots__ = ("_entries",)
@@ -220,6 +228,9 @@ class FusionVector:
         for label, mult in items:
             if not isinstance(label, IrrLabel):
                 raise ValueError(f"not an irreducible label: {label!r}")
+            sector, i, j = label
+            if type(sector) is not Sector or type(i) is not int or type(j) is not int or i < 0 or not 0 <= j <= 2:
+                raise ValueError(f"not an irreducible label: {tuple(label)!r}")
             if type(mult) is not int:
                 raise ValueError(f"multiplicity must be an int, got {mult!r} for {label.token()}")
             if mult < 0:

@@ -1,4 +1,8 @@
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -258,3 +262,67 @@ def test_out_of_range_j_rejected():
 def test_plain_tuple_rejected():
     with pytest.raises(ValueError, match="not an irreducible label"):
         fuse_irreducible((Sector.U, 1, 0), parse_label("u:1:0", 3), 3)
+
+
+@pytest.mark.parametrize("k", [*range(1, 11), 20])
+def test_fuse_irreducible_memo_matches_reference_across_levels(k):
+    # Row by row at levels k, k+1, k: each row fills a fresh memo for its
+    # level and reads it back for later pairs with the same j residue, so an
+    # entry kept from the other level, or one shared by a wrong key, shows.
+    labels = enumerate_irreducibles(k)
+    for a in labels:
+        want = {level: [list(_reference_fuse(a, b, level).items()) for b in labels] for level in (k, k + 1)}
+        for level in (k, k + 1, k):
+            assert [list(fuse_irreducible(a, b, level).items()) for b in labels] == want[level]
+
+
+def test_fuse_irreducible_returns_a_fresh_vector():
+    k = 4
+    a, b = parse_label("u:2:1", k), parse_label("t1:3:2", k)
+    want = _reference_fuse(a, b, k)
+    first = fuse_irreducible(a, b, k)
+    second = fuse_irreducible(a, b, k)  # served by the memo
+    assert first == second == want and first is not second
+    second._entries.clear()
+    second._entries[vacuum(k)] = 5
+    third = fuse_irreducible(a, b, k)
+    assert third == want and list(third.items()) == list(want.items())
+
+
+def test_fuse_irreducible_threads_on_distinct_levels():
+    # More threads than cores, each fusing at its own level, so the shared
+    # memo keeps switching levels under a short switch interval; every
+    # product must still be its own level's.
+    count = (os.cpu_count() or 2) + 2
+    rng = random.Random(7)
+    work = {}
+    for k in range(1, count + 1):
+        labels = enumerate_irreducibles(k)
+        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(60)]
+        work[k] = [(a, b, list(_reference_fuse(a, b, k).items())) for a, b in pairs]
+    errors, done = [], []
+    deadline = time.monotonic() + 1.0
+
+    def worker(k):
+        try:
+            while time.monotonic() < deadline:
+                for a, b, want in work[k]:
+                    if list(fuse_irreducible(a, b, k).items()) != want:
+                        errors.append((k, a, b))
+            done.append(k)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append((k, exc))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in work]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert sorted(done) == sorted(work)

@@ -169,7 +169,21 @@ def test_fusion_vector_rejects_non_int_multiplicities(bad):
         FusionVector({vacuum(3): bad})
 
 
-@pytest.mark.parametrize("entries", [{"x": 1}, {"x": -1}, {(Sector.U, 0, 0): 1}, [(None, 1)]])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"x": 1},
+        {"x": -1},
+        {(Sector.U, 0, 0): 1},
+        [(None, 1)],
+        {IrrLabel(Sector.U, 1.5, 7): 1},
+        {IrrLabel(0, 1, 0): 1},
+        {IrrLabel(Sector.U, True, 0): 1},
+        {IrrLabel(Sector.U, -1, 0): 1},
+        {IrrLabel(Sector.T1, 1, 3): 1},
+        {IrrLabel(Sector.T2, 1, -1): 1},
+    ],
+)
 def test_fusion_vector_rejects_non_label_keys(entries):
     with pytest.raises(ValueError, match="not an irreducible label"):
         FusionVector(entries)
