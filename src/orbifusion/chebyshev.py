@@ -13,6 +13,13 @@ equality there is equivalent to equality of the real numbers.  This module
 supplies the polynomial ring, the ``S_n`` family, cyclotomic polynomials and
 the minimal polynomial of ``2*cos(pi/n)``; everything is exact integer
 arithmetic.
+
+Cyclotomic polynomials are Moebius products of binomials,
+``Phi_n = prod_{d | n} (z^d - 1)^mu(n/d)``, computed on plain int lists in
+``O(phi(n) * 2^omega(n))`` integer operations with no smaller ``Phi_d``.
+The minimal polynomial folds the lower half of ``Phi_{2n}`` into the
+variable ``x = z + 1/z`` in ``O(phi(2n)^2)`` operations and builds one
+:class:`ChebPoly` at the end.
 """
 
 from __future__ import annotations
@@ -140,13 +147,21 @@ class ChebPoly:
 _X = ChebPoly((0, 1))
 
 
-@lru_cache(maxsize=None)
+def _require_int(n: int, what: str) -> None:
+    """Raise ``ValueError`` unless ``n`` is an int (a bool is not)."""
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an int, got {n!r}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def cheb_u(n: int) -> ChebPoly:
     """The rescaled second-kind Chebyshev polynomial ``S_n``.
 
     ``S_0 = 1``, ``S_1 = x``, ``S_{n+1} = x*S_n - S_{n-1}``; then
-    ``S_n(2*cos t) = sin((n+1)*t)/sin(t)``.
+    ``S_n(2*cos t) = sin((n+1)*t)/sin(t)``.  ``n`` must be an int (not a
+    bool) with ``n >= 0``.
     """
+    _require_int(n, "Chebyshev index")
     if n < 0:
         raise ValueError(f"Chebyshev index must be >= 0, got {n}")
     if n == 0:
@@ -156,41 +171,102 @@ def cheb_u(n: int) -> ChebPoly:
     return _X * cheb_u(n - 1) - cheb_u(n - 2)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _distinct_primes(n: int) -> list[int]:
+    """The primes dividing ``n >= 1``, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-@lru_cache(maxsize=None)
+def _totient(n: int) -> int:
+    phi = n
+    for p in _distinct_primes(n):
+        phi -= phi // p
+    return phi
+
+
+def _cyclotomic_head(n: int, length: int) -> list[int]:
+    """The first ``length`` coefficients of ``Phi_n``, ascending, for ``n >= 2``.
+
+    ``Phi_n(z) = prod_{e | n} (1 - z^(n/e))^mu(e)``; only the squarefree
+    ``e`` contribute, and the signs of ``z^d - 1`` against ``1 - z^d``
+    cancel because ``sum_{e | n} mu(e) = 0`` for ``n >= 2``.  Each binomial
+    is a unit of the power series ring, so the product is taken modulo
+    ``z^length`` in any order: multiplying by ``1 - z^d`` subtracts the
+    series shifted by ``d``, and dividing by it adds the already divided
+    series back, ``d`` coefficients at a time in ascending order.  Each of
+    the ``2^omega(n)`` binomials costs about ``length`` integer operations.
+    """
+    factors = [(1, 1)]  # (e, mu(e)) for every squarefree divisor e of n
+    for p in _distinct_primes(n):
+        factors += [(e * p, -mu) for e, mu in factors]
+    coeffs = [1] + [0] * (length - 1)
+    # multiplications first, so the series stays a polynomial until the divisions
+    for e, mu in sorted(factors, key=lambda f: -f[1]):
+        d = n // e
+        if d >= length:
+            continue
+        if mu > 0:
+            coeffs[d:] = [c - s for c, s in zip(coeffs[d:], coeffs)]
+        else:
+            for lo in range(d, length, d):
+                coeffs[lo:lo + d] = [c + s for c, s in zip(coeffs[lo:lo + d], coeffs[lo - d:lo])]
+    return coeffs
+
+
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(n: int) -> ChebPoly:
-    """The n-th cyclotomic polynomial, by dividing ``z^n - 1`` down."""
+    """The n-th cyclotomic polynomial, as a Moebius product of binomials.
+
+    ``Phi_n = prod_{d | n} (z^d - 1)^mu(n/d)``: only the squarefree ``n/d``
+    contribute, so ``Phi_n`` comes from multiplying by and exactly dividing
+    by ``2^omega(n)`` binomials on an int list of ``phi(n) + 1``
+    coefficients.  That costs ``O(phi(n) * 2^omega(n))`` small-int
+    operations and needs no smaller cyclotomic polynomial (Arnold and
+    Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80, 2011).
+    ``n`` must be an int (not a bool) with ``n >= 1``.
+    """
+    _require_int(n, "cyclotomic index")
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    poly = ChebPoly([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n):
-        if d < n:
-            poly //= cyclotomic(d)
-    return poly
+    if n == 1:
+        return ChebPoly((-1, 1))
+    return ChebPoly(_cyclotomic_head(n, _totient(n) + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def min_poly_two_cos(n: int) -> ChebPoly:
     """Minimal polynomial over the integers of ``2*cos(pi/n)``, for ``n >= 2``.
 
     ``2*cos(pi/n) = z + 1/z`` for the primitive 2n-th root of unity
-    ``z = exp(i*pi/n)``, so the minimal polynomial is obtained by folding the
-    palindromic cyclotomic polynomial ``Phi_{2n}(z)`` through the basis
-    ``V_t(x) = z^t + z^{-t}`` (``V_0 = 2``, ``V_1 = x``,
-    ``V_{t+1} = x*V_t - V_{t-1}``).  The result is monic of degree
-    ``phi(2n)/2`` and divides ``S_{n-1}``.
+    ``z = exp(i*pi/n)``.  The cyclotomic polynomial ``Phi_{2n}`` is
+    palindromic of degree ``2h``, ``h = phi(2n)/2``, so
+    ``z^(-h) * Phi_{2n}(z) = c_h + sum_{t=1..h} c_{h-t} * V_t(x)`` in the
+    basis ``V_t(x) = z^t + z^{-t}`` (``V_0 = 2``, ``V_1 = x``,
+    ``V_{t+1} = x*V_t - V_{t-1}``), and that fold is the minimal polynomial.
+    Only ``c_0 .. c_h`` are built, by the truncated Moebius product of
+    :func:`cyclotomic`.  The fold runs Clenshaw's recurrence
+    ``b_t = c_{h-t} + x*b_{t+1} - b_{t+2}`` down from ``t = h`` on int lists
+    and ends with ``c_h + x*b_1 - 2*b_2``: ``O(h^2)`` integer operations,
+    and one :class:`ChebPoly` at the end.  The result is monic of degree
+    ``h`` and divides ``S_{n-1}``.  ``n`` must be an int (not a bool).
     """
+    _require_int(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    phi = cyclotomic(2 * n)
-    half = phi.degree // 2
-    c = phi.coeffs
-    folded = ChebPoly((c[half],))
-    v_prev, v_cur = ChebPoly((2,)), _X
-    for t in range(1, half + 1):
-        folded = folded + c[half + t] * v_cur
-        v_prev, v_cur = v_cur, _X * v_cur - v_prev
-    return folded
+    h = _totient(2 * n) // 2
+    c = _cyclotomic_head(2 * n, h + 1)
+    b1: list[int] = []  # b_{t+1}
+    b2: list[int] = []  # b_{t+2}, one coefficient shorter
+    for t in range(h, 0, -1):
+        below = b2 + [0, 0]  # b_{t+2}, padded to line up with x*b_{t+1}
+        b1, b2 = [c[h - t] - below[0]] + [u - w for u, w in zip(b1, below[1:])], b1
+    below = b2 + [0, 0]
+    return ChebPoly([c[h] - 2 * below[0]] + [u - 2 * w for u, w in zip(b1, below[1:])])

@@ -16,6 +16,7 @@ plus their validity invariants.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -171,43 +172,49 @@ class LabelSyntaxError(ValueError):
         super().__init__(f"bad label {text!r}: {message} at position {position}")
 
 
+# One pattern both parses a label and, when it stops short, says where.
+# Each group can match only after the one before it, so the last group
+# matched (``lastindex``: tag, ':', i, ':', j) tells what was expected at
+# ``end()``.  A number is ``0`` or starts with 1-9: ``0`` followed by a digit
+# matches nothing, so a leading zero stops the match just before it.  Digits
+# are ``[0-9]``, not ``\d``, which also matches superscripts and other scripts.
+_LABEL = re.compile(r"(?:(t1|t2|u)(?:(:)(?:(0(?![0-9])|[1-9][0-9]*)(?:(:)(0(?![0-9])|[1-9][0-9]*)?)?)?)?)?")
+_EXPECTED = {
+    None: "expected sector tag 'u', 't1' or 't2'",
+    1: "expected ':'",
+    2: "expected a decimal integer",
+    3: "expected ':'",
+    4: "expected a decimal integer",
+}
+
+
 def parse_label(text: str, k: int) -> IrrLabel:
     """Parse ``u:<i>:<j>`` / ``t1:<i>:<j>`` / ``t2:<i>:<j>`` at level ``k``.
 
-    The grammar is strict: lowercase sector tag, two colon-separated decimal
-    integers, no whitespace.  Syntax problems raise
-    :class:`LabelSyntaxError` with the offending position.  Out-of-range
-    indices raise ``ValueError``: ``j`` must be 0, 1 or 2 as written (it is
-    not reduced modulo 3, unlike in :func:`make_label`), and ``i`` is
-    checked by :func:`make_label`.  A ``text`` that is not a string is a
-    syntax error at position 0.
+    The grammar is strict: lowercase sector tag, two colon-separated ASCII
+    decimal integers without leading zeros (``0`` itself is fine), no
+    whitespace, so every accepted text is the label's own
+    :meth:`IrrLabel.token`.  Syntax problems raise :class:`LabelSyntaxError`
+    with the offending position; for a leading zero that is the position of
+    the zero.  Out-of-range indices raise ``ValueError``: ``j`` must be 0, 1
+    or 2 as written (it is not reduced modulo 3, unlike in
+    :func:`make_label`), and ``i`` is checked by :func:`make_label`.  A
+    ``text`` that is not a string is a syntax error at position 0.
     """
     if not isinstance(text, str):
         raise LabelSyntaxError(text, 0, "expected a string")
-    for tag in ("t1", "t2", "u"):
-        if text.startswith(tag):
-            sector = _TAG_SECTORS[tag]
-            rest, pos = text[len(tag):], len(tag)
-            break
-    else:
-        raise LabelSyntaxError(text, 0, "expected sector tag 'u', 't1' or 't2'")
-    numbers = []
-    for _ in range(2):
-        if not rest.startswith(":"):
-            raise LabelSyntaxError(text, pos, "expected ':'")
-        rest, pos = rest[1:], pos + 1
-        digits = ""
-        # ASCII digits only: str.isdigit() also accepts superscripts and other scripts
-        while rest and rest[0] in "0123456789":
-            digits, rest, pos = digits + rest[0], rest[1:], pos + 1
-        if not digits:
-            raise LabelSyntaxError(text, pos, "expected a decimal integer")
-        numbers.append(int(digits))
-    if rest:
-        raise LabelSyntaxError(text, pos, f"unexpected trailing text {rest!r}")
-    if numbers[1] > 2:
-        raise ValueError(f"j out of range: {numbers[1]} not in 0..2")
-    return make_label(sector, numbers[0], numbers[1], k)
+    match = _LABEL.match(text)
+    end, last = match.end(), match.lastindex
+    if last == 5:
+        if end < len(text):
+            raise LabelSyntaxError(text, end, f"unexpected trailing text {text[end:]!r}")
+        j = int(match[5])
+        if j > 2:
+            raise ValueError(f"j out of range: {j} not in 0..2")
+        return make_label(_TAG_SECTORS[match[1]], int(match[3]), j, k)
+    if last in (2, 4) and text.startswith("0", end):
+        raise LabelSyntaxError(text, end, "unexpected leading zero")
+    raise LabelSyntaxError(text, end, _EXPECTED[last])
 
 
 class FusionVector:

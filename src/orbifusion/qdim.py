@@ -13,6 +13,7 @@ property can be verified with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 
@@ -31,6 +32,18 @@ __all__ = [
 
 #: Extra working digits used internally by all numeric evaluations.
 _GUARD_DIGITS = 10
+
+
+@lru_cache(maxsize=1024)
+def _angle(k: int, dps: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """``theta = pi/(k+2)`` and ``sin(theta)``, rounded at ``dps`` working digits.
+
+    Callers read them inside ``mpmath.workdps(dps)``, so the values are the
+    ones they would compute themselves; mpf values are immutable.
+    """
+    with mpmath.workdps(dps):
+        theta = mpmath.pi / (k + 2)
+        return theta, mpmath.sin(theta)
 
 
 def reduction_modulus(k: int) -> ChebPoly:
@@ -71,8 +84,9 @@ class QDimElement:
 
     def numeric(self, precision: int = 15) -> mpmath.mpf:
         """Evaluate the residue at ``x = 2*cos(pi/(k+2))`` to ``precision`` digits."""
-        with mpmath.workdps(precision + _GUARD_DIGITS):
-            x = 2 * mpmath.cos(mpmath.pi / (self.level + 2))
+        dps = precision + _GUARD_DIGITS
+        with mpmath.workdps(dps):
+            x = 2 * mpmath.cos(_angle(self.level, dps)[0])
             value = self.residue(x)
             return +value
 
@@ -96,15 +110,18 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     """Numeric quantum dimension ``sin((i+1)*pi/(k+2))/sin(pi/(k+2))``.
 
     Accurate to ``precision`` decimal digits (evaluation carries guard
-    digits).  This route never touches the exact residues, so it doubles as
-    an independent cross-check of :func:`qdim_exact`.
+    digits).  ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per
+    level and precision and kept, so each call evaluates one sine.  This
+    route never touches the exact residues, so it doubles as an independent
+    cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
     if type(precision) is not int or precision < 1:
         raise ValueError(f"precision must be an int >= 1, got {precision!r}")
-    with mpmath.workdps(precision + _GUARD_DIGITS):
-        theta = mpmath.pi / (k + 2)
-        value = mpmath.sin((label.i + 1) * theta) / mpmath.sin(theta)
+    dps = precision + _GUARD_DIGITS
+    with mpmath.workdps(dps):
+        theta, sin1 = _angle(k, dps)
+        value = mpmath.sin((label.i + 1) * theta) / sin1
         return +value
 
 
@@ -140,8 +157,7 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
             total = total - (k + 1 - m) * residues[2 * k + 2 - n]
     exact = QDimElement((9 * total) % modulus, k)
     with mpmath.workdps(15 + _GUARD_DIGITS):
-        theta = mpmath.pi / (k + 2)
-        sin1 = mpmath.sin(theta)
+        theta, sin1 = _angle(k, 15 + _GUARD_DIGITS)
         numeric = 9 * mpmath.fsum(
             (mpmath.sin((i + 1) * theta) / sin1) ** 2 for i in range(k + 1)
         )

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 from math import gcd
 
 import mpmath
@@ -93,6 +94,63 @@ def test_cyclotomic_known_values():
         assert prod == ChebPoly([-1] + [0] * (n - 1) + [1])
 
 
+def _binomial(n):
+    """z^n - 1."""
+    return ChebPoly([-1] + [0] * (n - 1) + [1])
+
+
+@lru_cache(maxsize=None)
+def _dense_cyclotomic(n):
+    """Reference: z^n - 1 divided densely by every smaller Phi_d, d | n."""
+    poly = _binomial(n)
+    for d in range(1, n):
+        if n % d == 0:
+            poly //= _dense_cyclotomic(d)
+    return poly
+
+
+def test_cyclotomic_products_rebuild_every_binomial():
+    for n in range(1, 421):
+        prod = poly(1)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = cyclotomic(d) * prod
+        assert prod == _binomial(n), n
+
+
+def test_cyclotomic_matches_dense_division():
+    for n in range(1, 421):
+        assert cyclotomic(n) == _dense_cyclotomic(n), n
+
+
+def _folded_min_poly(n):
+    """Reference: fold Phi_2n through V_t = z^t + z^-t one ChebPoly at a time."""
+    c = _dense_cyclotomic(2 * n).coeffs
+    half = len(c) // 2
+    folded = poly(c[half])
+    v_prev, v_cur = poly(2), poly(0, 1)
+    for t in range(1, half + 1):
+        folded = folded + c[half + t] * v_cur
+        v_prev, v_cur = v_cur, poly(0, 1) * v_cur - v_prev
+    return folded
+
+
+def test_min_poly_matches_the_chebpoly_fold():
+    for n in range(2, 211):
+        assert min_poly_two_cos(n) == _folded_min_poly(n), n
+
+
+@pytest.mark.parametrize("fn, least", [(cheb_u, 0), (cyclotomic, 1), (min_poly_two_cos, 2)])
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, False, "3", None])
+def test_malformed_indices_are_refused(fn, least, bad):
+    fn(3)
+    fn(least)  # an equal int already cached must not answer for a float or bool
+    with pytest.raises(ValueError, match="must be an int"):
+        fn(bad)
+    with pytest.raises(ValueError, match=f">= {least}, got {least - 1}"):
+        fn(least - 1)
+
+
 # Frozen minimal polynomials of 2 cos(pi/n).
 KNOWN_MIN_POLYS = {
     3: poly(-1, 1),            # x - 1
@@ -115,13 +173,14 @@ def test_min_poly_frozen_values(n, expected):
     assert min_poly_two_cos(n) == expected
 
 
-@pytest.mark.parametrize("n", range(2, 16))
+@pytest.mark.parametrize("n", range(2, 203))
 def test_min_poly_structure(n):
     psi = min_poly_two_cos(n)
     assert psi.coeffs[-1] == 1                    # monic
     assert psi.degree == _totient(2 * n) // 2     # degree phi(2n)/2
     assert (cheb_u(n - 1) % psi).is_zero()        # divides S_{n-1}
-    with mpmath.workdps(40):
+    # |coefficients| * 2^power sum to below 4^degree, so carry that many more digits
+    with mpmath.workdps(40 + psi.degree):
         root = 2 * mpmath.cos(mpmath.pi / n)
         assert abs(psi(root)) < mpmath.mpf(10) ** -30
 

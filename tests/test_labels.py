@@ -139,6 +139,10 @@ def test_parse_label_round_trips_every_token():
         (5, 0),              # not a string at all
         (None, 0),
         (b"u:0:0", 0),
+        ("u:01:0", 2),       # leading zeros: the position of the zero
+        ("u:1:00", 4),
+        ("t2:007:1", 3),
+        ("u:00", 2),
     ],
 )
 def test_parse_label_syntax_errors_with_position(text, position):
@@ -146,6 +150,15 @@ def test_parse_label_syntax_errors_with_position(text, position):
         parse_label(text, 3)
     assert err.value.position == position
     assert str(position) in str(err.value)
+
+
+def test_parse_label_refuses_leading_zeros():
+    # each accepted text is its label's token; a lone 0 stays valid
+    assert parse_label("u:0:0", 3).token() == "u:0:0"
+    assert parse_label("t1:10:0", 12).token() == "t1:10:0"
+    for text in ("u:01:0", "u:1:00", "t1:00:1"):
+        with pytest.raises(LabelSyntaxError, match="unexpected leading zero"):
+            parse_label(text, 3)
 
 
 def test_parse_label_range_error_delegated():

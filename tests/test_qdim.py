@@ -66,6 +66,26 @@ def test_qdim_numeric_examples():
             qdim_numeric(parse_label("u:0:0", 1), 1, precision)
 
 
+def _uncached_qdim_numeric(i, k, precision):
+    """The sine ratio at the working precision of qdim_numeric, all recomputed."""
+    with mpmath.workdps(precision + 10):
+        theta = mpmath.pi / (k + 2)
+        return +(mpmath.sin((i + 1) * theta) / mpmath.sin(theta))
+
+
+def test_qdim_numeric_is_bit_identical_to_the_uncached_formula():
+    for k in range(1, 201):
+        indices = sorted({0, 1, k // 3, k // 2, k - 1, k})
+        for precision in (5, 20, 40):
+            for i in indices:
+                got = qdim_numeric(make_label(Sector.U, i, 0, k), k, precision)
+                assert got.man_exp == _uncached_qdim_numeric(i, k, precision).man_exp, (k, i, precision)
+    # an ambient precision does not leak into the kept angle
+    with mpmath.workdps(60):
+        got = qdim_numeric(make_label(Sector.T1, 2, 1, 7), 7, 5)
+    assert got.man_exp == _uncached_qdim_numeric(2, 7, 5).man_exp
+
+
 @pytest.mark.parametrize("i", [1.0, True, "1", None, -1, 4])
 def test_qdim_index_rejects_malformed_index(i):
     with pytest.raises(ValueError, match="weight index must be an int|i out of range"):
