@@ -31,18 +31,7 @@ from .qdim import (
     reduction_modulus,
 )
 from .fusion import contragredient, fuse_irreducible, fusion_coefficient
-from .verify import (
-    Failure,
-    VerificationReport,
-    run_suites,
-    verify_associativity,
-    verify_catalog,
-    verify_commutativity,
-    verify_duality,
-    verify_k1_lattice_oracle,
-    verify_qdim_homomorphism,
-    verify_unit,
-)
+from .verify import Failure, VerificationReport, run_suites
 
 __version__ = "0.1.0"
 
@@ -78,12 +67,5 @@ __all__ = [
     "Failure",
     "VerificationReport",
     "run_suites",
-    "verify_associativity",
-    "verify_catalog",
-    "verify_commutativity",
-    "verify_duality",
-    "verify_k1_lattice_oracle",
-    "verify_qdim_homomorphism",
-    "verify_unit",
     "__version__",
 ]

@@ -153,22 +153,24 @@ def _require_int(n: int, what: str) -> None:
         raise ValueError(f"{what} must be an int, got {n!r}")
 
 
+_S = [ChebPoly((1,)), _X]  # S_0, S_1, ... as far up as any call has needed
+
+
 @lru_cache(maxsize=None, typed=True)
 def cheb_u(n: int) -> ChebPoly:
     """The rescaled second-kind Chebyshev polynomial ``S_n``.
 
     ``S_0 = 1``, ``S_1 = x``, ``S_{n+1} = x*S_n - S_{n-1}``; then
     ``S_n(2*cos t) = sin((n+1)*t)/sin(t)``.  ``n`` must be an int (not a
-    bool) with ``n >= 0``.
+    bool) with ``n >= 0``.  The family is built upward in a loop, so a cold
+    index of any size costs no recursion.
     """
     _require_int(n, "Chebyshev index")
     if n < 0:
         raise ValueError(f"Chebyshev index must be >= 0, got {n}")
-    if n == 0:
-        return ChebPoly((1,))
-    if n == 1:
-        return _X
-    return _X * cheb_u(n - 1) - cheb_u(n - 2)
+    while len(_S) <= n:
+        _S.append(_X * _S[-1] - _S[-2])
+    return _S[n]
 
 
 def _distinct_primes(n: int) -> list[int]:

@@ -29,7 +29,7 @@ at most ``9(k+1)`` label objects, and every call returns a fresh
 
 from __future__ import annotations
 
-from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, check_level, make_label
+from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, check_level
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
@@ -114,10 +114,10 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
     check_label(label, k)
     sector, i, j = label
     if sector is Sector.U:
-        return make_label(Sector.U, i, i - j, k)
+        return IrrLabel(Sector.U, i, (i - j) % 3)
     if sector is Sector.T1:
-        return make_label(Sector.T2, k - i, j, k)
-    return make_label(Sector.T1, k - i, j, k)
+        return IrrLabel(Sector.T2, k - i, j)
+    return IrrLabel(Sector.T1, k - i, j)
 
 
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:

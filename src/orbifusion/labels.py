@@ -41,11 +41,6 @@ class Sector(enum.IntEnum):
     T2 = 2
 
     @property
-    def grade(self) -> int:
-        """Z/3 grade: U -> 0, T1 -> 1, T2 -> 2."""
-        return int(self)
-
-    @property
     def tag(self) -> str:
         """Lowercase token used in the textual label grammar."""
         return _SECTOR_TAGS[self]
@@ -76,6 +71,11 @@ def check_index(i: int, k: int) -> None:
     check_level(k)
     if type(i) is not int:
         raise ValueError(f"weight index must be an int, got {i!r}")
+    _check_range(i, k)
+
+
+def _check_range(i: int, k: int) -> None:
+    """The one ``0 <= i <= k`` check, for an int ``i`` at a valid level ``k``."""
     if not 0 <= i <= k:
         raise ValueError(f"i out of range: {i} not in 0..{k}")
 
@@ -124,27 +124,21 @@ def _check_fields(label: IrrLabel, k: int) -> None:
     sector, i, j = label
     if type(sector) is not Sector or type(i) is not int or type(j) is not int:
         raise ValueError(f"not an irreducible label: {tuple(label)!r}")
-    if not (0 <= i <= k and 0 <= j <= 2):
-        raise ValueError(f"label {label.token()} invalid at level {k}")
+    _check_range(i, k)
+    if not 0 <= j <= 2:
+        raise ValueError(f"j out of range: {j} not in 0..2")
 
 
 def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:
     """Build a validated label at level ``k``; ``j`` is reduced modulo 3.
 
-    Raises ``ValueError`` with a distinct message for each violation: bad
-    level, ``sector`` not a :class:`Sector` (an int or bool is not converted),
-    ``i`` or ``j`` not an int, ``i < 0``, or ``i > k``.
+    An int ``j`` is reduced first; everything else is checked by
+    :func:`check_label`, so an int or bool ``sector`` is refused, not
+    converted, and so is an ``i`` or ``j`` that is not an int.
     """
-    check_level(k)
-    if type(sector) is not Sector:
-        raise ValueError(f"sector must be a Sector, got {sector!r}")
-    if type(i) is not int or type(j) is not int:
-        raise ValueError(f"label indices must be ints, got i={i!r}, j={j!r}")
-    if i < 0:
-        raise ValueError(f"i must be >= 0, got {i}")
-    if i > k:
-        raise ValueError(f"i out of range: {i} > level {k}")
-    return IrrLabel(sector, i, j % 3)
+    label = IrrLabel(sector, i, j % 3 if type(j) is int else j)
+    check_label(label, k)
+    return label
 
 
 def vacuum(k: int) -> IrrLabel:
@@ -247,10 +241,6 @@ class FusionVector:
         self._entries = dict(sorted(store.items()))
 
     @classmethod
-    def single(cls, label: IrrLabel) -> "FusionVector":
-        return cls(((label, 1),))
-
-    @classmethod
     def _from_canonical(cls, labels: Iterable[IrrLabel]) -> "FusionVector":
         """Trusted constructor for the fusion formulas: no checks, no sort.
 
@@ -279,9 +269,6 @@ class FusionVector:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
     def __iter__(self) -> Iterator[IrrLabel]:
         return iter(self._entries)

@@ -17,17 +17,17 @@ vacuum, adding the smallest label still outside to the generators whenever S
 stops growing.  When S holds every label, all n^3 triples associate.  The
 honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 
-Every suite reads one integer table of all n^2 products, multiplicities
-kept; ``catalog`` reads only its labels.  Its rows are built lazily, one row
-at a time with one ``fuse_irreducible`` call per pair, and kept, so a suite
-fuses only the rows it reads (``unit`` the vacuum row, ``catalog`` none) and
-:func:`run_suites`, which shares one table among the suites it runs, fuses
-each ordered pair exactly once.  A public ``verify_*`` function builds a
-table of its own.  Equal products share one row tuple, so the table holds
-far fewer distinct rows than pairs (1089 for 35,721 at k=20), and ``dual``
-and ``qdim`` check a row at a time, going pair by pair only to report the
-failures of a row that fails.  No table outlives the call that built it, so
-a substituted ``fuse_irreducible`` is always what is verified.  A report's
+Suites run through :func:`run_suites`, which builds one integer table of
+all n^2 products, multiplicities kept, and shares it among the suites it
+runs; ``catalog`` reads only its labels.  The table's rows are built lazily,
+one row at a time with one ``fuse_irreducible`` call per pair, and kept, so
+a run fuses only the rows its suites read (``unit`` the vacuum row,
+``catalog`` none) and each ordered pair at most once.  Equal products share
+one row tuple, so the table holds far fewer distinct rows than pairs (1089
+for 35,721 at k=20), and ``dual`` and ``qdim`` check a row at a time,
+reporting the failures of a row that fails, pair by pair, from the values
+the row check computed.  No table outlives the call that built it, so a
+substituted ``fuse_irreducible`` is always what is verified.  A report's
 ``elapsed`` times the checks only: a suite builds the rows it reads before
 its clock starts.
 """
@@ -52,13 +52,6 @@ __all__ = [
     "Failure",
     "VerificationReport",
     "SUITES",
-    "verify_unit",
-    "verify_commutativity",
-    "verify_associativity",
-    "verify_duality",
-    "verify_qdim_homomorphism",
-    "verify_k1_lattice_oracle",
-    "verify_catalog",
     "run_suites",
 ]
 
@@ -159,12 +152,8 @@ def _finish(report: VerificationReport, start: float) -> VerificationReport:
     return report
 
 
-def verify_unit(k: int) -> VerificationReport:
-    """Vacuum acts as the fusion unit on every label."""
-    return _unit(_FusionTable(k))
-
-
 def _unit(table: _FusionTable) -> VerificationReport:
+    """Vacuum acts as the fusion unit on every label."""
     vac_row = table.products[table.index[vacuum(table.k)]]
     start = time.perf_counter()
     report = VerificationReport("unit", table.k)
@@ -182,12 +171,8 @@ def _check_left_unit(table: _FusionTable, vac_row: list[tuple[int, ...]], report
             )
 
 
-def verify_commutativity(k: int) -> VerificationReport:
-    """Fusion product is symmetric: a x b = b x a."""
-    return _commutativity(_FusionTable(k))
-
-
 def _commutativity(table: _FusionTable) -> VerificationReport:
+    """Fusion product is symmetric: a x b = b x a."""
     k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
     n = len(labels)
@@ -204,11 +189,6 @@ def _commutativity(table: _FusionTable) -> VerificationReport:
                 )
             )
     return _finish(report, start)
-
-
-def verify_associativity(k: int) -> VerificationReport:
-    """(a x b) x c = a x (b x c) on every triple, proven from generators."""
-    return _associativity(_FusionTable(k))
 
 
 def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
@@ -237,6 +217,7 @@ def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
 
 
 def _associativity(table: _FusionTable) -> VerificationReport:
+    """(a x b) x c = a x (b x c) on every triple, proven from generators."""
     k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
     n = len(labels)
@@ -275,7 +256,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     return _finish(report, start)
 
 
-def verify_duality(k: int) -> VerificationReport:
+def _duality(table: _FusionTable) -> VerificationReport:
     """Contragredient identities.
 
     (i) N_{a,b}^c = N_{a,c'}^{b'} for *all* triples: swept over every
@@ -286,10 +267,6 @@ def verify_duality(k: int) -> VerificationReport:
     (ii) The vacuum appears in a x b exactly when b = a'.
     (iii) Duality is an involution preserving weight and quantum dimension.
     """
-    return _duality(_FusionTable(k))
-
-
-def _duality(table: _FusionTable) -> VerificationReport:
     k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
     n = len(labels)
@@ -321,58 +298,41 @@ def _duality(table: _FusionTable) -> VerificationReport:
     dual = [table.index[duals[lab]] for lab in labels]
     vac = table.index[vacuum(k)]
     for ia, row in enumerate(products):
-        # Row a at once: (ii) as one list comparison, and (i) from a count of
-        # N_{a,b}^c keyed b*n + c, read at (c', b') (a zero when absent).  A
-        # failing row is checked again pair by pair to report its failures.
+        # Row a at once: (ii) from the vacuum multiplicity of each product,
+        # and (i) from a count of N_{a,b}^c keyed b*n + c, read at (c', b')
+        # (a zero when absent).  A failing row reports from these values in
+        # pair order: b's vacuum check, then b's outputs as the count met them.
         expected = [0] * n
         expected[dual[ia]] = 1
+        vac_mults = [product.count(vac) for product in row]
         counts = Counter([ib * n + ic for ib, product in enumerate(row) for ic in product])
-        partners = [dual[bc % n] * n + dual[bc // n] for bc in counts]
-        if [product.count(vac) for product in row] == expected and list(
-            map(counts.__getitem__, partners)
-        ) == list(counts.values()):
-            report.checks_run += n + len(counts)
-        else:
-            _duality_row(table, report, ia, dual, vac)
-    return _finish(report, start)
-
-
-def _duality_row(table: _FusionTable, report: VerificationReport, ia: int, dual: list[int], vac: int) -> None:
-    """Parts (ii) and (i) of ``dual`` on row ``ia``, pair by pair, reporting each failure."""
-    labels, row = table.labels, table.products[ia]
-    for ib, product in enumerate(row):
-        report.checks_run += 1
-        vac_mult = product.count(vac)
-        expected = 1 if ib == dual[ia] else 0
-        if vac_mult != expected:
-            a, b = labels[ia], labels[ib]
-            report.failures.append(
-                Failure(
-                    f"N_{{{a.token()},{b.token()}}}^vacuum = {vac_mult}, expected {expected}",
-                    (a, b),
+        partners = list(map(counts.__getitem__, [dual[bc % n] * n + dual[bc // n] for bc in counts]))
+        report.checks_run += n + len(counts)
+        if vac_mults == expected and partners == list(counts.values()):
+            continue
+        failing = [(ib, None, m, e) for ib, (m, e) in enumerate(zip(vac_mults, expected)) if m != e]
+        failing += [(*divmod(bc, n), m, p) for (bc, m), p in zip(counts.items(), partners) if m != p]
+        a = labels[ia]
+        for ib, ic, got, want in sorted(failing, key=lambda f: f[0]):  # stable, so b's vacuum check leads
+            b = labels[ib]
+            if ic is None:
+                report.failures.append(
+                    Failure(f"N_{{{a.token()},{b.token()}}}^vacuum = {got}, expected {want}", (a, b))
                 )
-            )
-        for ic in dict.fromkeys(product):
-            report.checks_run += 1
-            mult = product.count(ic)
-            partner = row[dual[ic]].count(dual[ib])
-            if partner != mult:
-                a, b, c = labels[ia], labels[ib], labels[ic]
+            else:
+                c = labels[ic]
                 report.failures.append(
                     Failure(
-                        f"N_{{{a.token()},{b.token()}}}^{{{c.token()}}} = {mult} but "
-                        f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}} = {partner}",
+                        f"N_{{{a.token()},{b.token()}}}^{{{c.token()}}} = {got} but "
+                        f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}} = {want}",
                         (a, b, c),
                     )
                 )
-
-
-def verify_qdim_homomorphism(k: int) -> VerificationReport:
-    """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
-    return _qdim_homomorphism(_FusionTable(k))
+    return _finish(report, start)
 
 
 def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
+    """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
     k, labels, products = table.k, table.labels, list(table.products)
     start = time.perf_counter()
     n = len(labels)
@@ -428,12 +388,8 @@ Z18_CORRESPONDENCE: dict[str, int] = {
 }
 
 
-def verify_k1_lattice_oracle() -> VerificationReport:
-    """Level-1 catalog against the independent Z/18 lattice model."""
-    return _lattice_oracle(_FusionTable(1))
-
-
 def _lattice_oracle(table: _FusionTable) -> VerificationReport:
+    """Level-1 catalog against the independent Z/18 lattice model."""
     labels, products = table.labels, list(table.products)
     start = time.perf_counter()
     report = VerificationReport("oracle", 1)
@@ -469,12 +425,8 @@ def _lattice_oracle(table: _FusionTable) -> VerificationReport:
     return _finish(report, start)
 
 
-def verify_catalog(k: int) -> VerificationReport:
-    """Catalog size and weight-table invariants at level ``k``."""
-    return _catalog(_FusionTable(k))
-
-
 def _catalog(table: _FusionTable) -> VerificationReport:
+    """Catalog size and weight-table invariants at the table's level."""
     start = time.perf_counter()
     k, labels = table.k, table.labels
     report = VerificationReport("catalog", k)

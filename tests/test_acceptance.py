@@ -19,15 +19,7 @@ from orbifusion.labels import Sector, enumerate_irreducibles, make_label, vacuum
 from orbifusion.weights import conformal_weight
 from orbifusion.qdim import global_dimension, has_unit_qdim, qdim_exact, qdim_numeric
 from orbifusion.fusion import contragredient, fuse_irreducible
-from orbifusion.verify import (
-    _FusionTable,
-    verify_associativity,
-    verify_commutativity,
-    verify_duality,
-    verify_k1_lattice_oracle,
-    verify_qdim_homomorphism,
-    verify_unit,
-)
+from orbifusion.verify import _FusionTable, run_suites
 
 TABLE1_FRACTIONS = [
     F(0), F(1), F(1), F(1, 4), F(1, 4), F(9, 4),
@@ -84,7 +76,7 @@ def test_criterion_3_catalog_count():
 def test_criterion_4_level1_lattice_oracle():
     """324 fusions + 18 duals + 18 weights against the Z/18 model; < 1 s."""
     start = time.perf_counter()
-    report = verify_k1_lattice_oracle()
+    report = run_suites(["oracle"], 1)[0]
     assert report.passed, [f.render() for f in report.failures[:5]]
     assert report.checks_run == 324 + 18 + 18
     assert time.perf_counter() - start < 1.0
@@ -98,13 +90,12 @@ def test_criterion_5_ring_axioms(associative_by_sweep):
         labels = enumerate_irreducibles(k)
         n = len(labels)
         outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
-        expected = {verify_unit: n, verify_commutativity: n * (n + 1) // 2, verify_duality: 3 * n + n * n + outputs}
-        for suite, checks in expected.items():
-            report = suite(k)
-            assert report.passed, (suite.__name__, k, [f.render() for f in report.failures[:5]])
-            assert report.checks_run == checks  # every label, pair or product output
+        expected = {"unit": n, "comm": n * (n + 1) // 2, "dual": 3 * n + n * n + outputs}
+        for report in run_suites(list(expected), k):
+            assert report.passed, (report.suite, k, [f.render() for f in report.failures[:5]])
+            assert report.checks_run == expected[report.suite]  # every label, pair or product output
     for k in range(1, 7):
-        report = verify_associativity(k)
+        report = run_suites(["assoc"], k)[0]
         assert report.passed, (k, [f.render() for f in report.failures[:5]])
         assert associative_by_sweep(_FusionTable(k).products)
         if k == 6:
@@ -116,7 +107,7 @@ def test_criterion_6_qdim_homomorphism_exact():
     k <= 12, zero tolerance; < 10 s total."""
     start = time.perf_counter()
     for k in range(1, 13):
-        report = verify_qdim_homomorphism(k)
+        report = run_suites(["qdim"], k)[0]
         assert report.passed, (k, [f.render() for f in report.failures[:5]])
         assert report.checks_run == (9 * (k + 1)) ** 2
     assert time.perf_counter() - start < 10.0

@@ -87,7 +87,7 @@ def test_vacuum_sector_products():
             for j2 in range(3):
                 a = make_label(Sector.U, 0, j1, k)
                 b = make_label(Sector.U, 0, j2, k)
-                expected = FusionVector.single(make_label(Sector.U, 0, j1 + j2, k))
+                expected = FusionVector({make_label(Sector.U, 0, j1 + j2, k): 1})
                 assert fuse_irreducible(a, b, k) == expected
 
 
@@ -133,17 +133,17 @@ def test_frozen_products():
 def test_unit_element(k):
     vac = vacuum(k)
     for lab in enumerate_irreducibles(k):
-        assert fuse_irreducible(vac, lab, k) == FusionVector.single(lab)
-        assert fuse_irreducible(lab, vac, k) == FusionVector.single(lab)
+        assert fuse_irreducible(vac, lab, k) == FusionVector({lab: 1})
+        assert fuse_irreducible(lab, vac, k) == FusionVector({lab: 1})
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sector_grading_additive(k):
     for a in enumerate_irreducibles(k):
         for b in enumerate_irreducibles(k):
-            want = (a.sector.grade + b.sector.grade) % 3
+            want = (a.sector + b.sector) % 3
             for c in fuse_irreducible(a, b, k):
-                assert c.sector.grade == want
+                assert c.sector == want
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -208,9 +208,9 @@ def test_fusion_coefficient_examples():
 
 
 def test_level_mismatch_rejected():
-    with pytest.raises(ValueError, match="invalid at level"):
+    with pytest.raises(ValueError, match="i out of range"):
         fuse_irreducible(parse_label("u:3:0", 3), parse_label("u:1:0", 2), 2)
-    with pytest.raises(ValueError, match="invalid at level"):
+    with pytest.raises(ValueError, match="i out of range"):
         contragredient(parse_label("t1:3:0", 3), 2)
 
 
@@ -255,7 +255,7 @@ def test_int_sector_rejected():
 
 
 def test_out_of_range_j_rejected():
-    with pytest.raises(ValueError, match="invalid at level"):
+    with pytest.raises(ValueError, match="j out of range"):
         fuse_irreducible(IrrLabel(Sector.U, 1, 7), parse_label("u:1:0", 3), 3)
 
 

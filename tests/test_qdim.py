@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import pytest
 
+import orbifusion
 from orbifusion.chebyshev import ChebPoly, cheb_u
 from orbifusion.labels import Sector, enumerate_irreducibles, make_label, parse_label
 from orbifusion.qdim import (
@@ -168,3 +174,13 @@ def test_has_unit_qdim_patterns():
     for k in range(2, 13):
         for lab in enumerate_irreducibles(k):
             assert has_unit_qdim(lab, k) == (lab.i in (0, k))
+
+
+def test_cold_index_needs_no_deep_recursion():
+    # S_k(2 cos(pi/(k+2))) = 1, reached cold under a recursion limit far below k
+    code = (
+        "import sys; from orbifusion.qdim import qdim_index; "
+        "sys.setrecursionlimit(150); assert qdim_index(400, 400).is_one()"
+    )
+    src = str(Path(orbifusion.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)

@@ -5,19 +5,7 @@ import pytest
 
 import orbifusion.verify as verify_mod
 from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label, vacuum
-from orbifusion.verify import (
-    SUITES,
-    Z18_CORRESPONDENCE,
-    Failure,
-    run_suites,
-    verify_associativity,
-    verify_catalog,
-    verify_commutativity,
-    verify_duality,
-    verify_k1_lattice_oracle,
-    verify_qdim_homomorphism,
-    verify_unit,
-)
+from orbifusion.verify import SUITES, Z18_CORRESPONDENCE, Failure, run_suites
 
 # Frozen copy of the level-1 lattice correspondence used by the oracle.
 FROZEN_Z18 = {
@@ -33,7 +21,7 @@ def test_oracle_correspondence_matches_frozen_table():
 
 
 def test_oracle_suite_passes_with_full_check_count():
-    report = verify_k1_lattice_oracle()
+    report = run_suites(["oracle"], 1)[0]
     assert report.passed
     assert report.checks_run == 18 * 18 + 18 + 18
     assert report.level == 1
@@ -41,42 +29,42 @@ def test_oracle_suite_passes_with_full_check_count():
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_unit_suite(k):
-    report = verify_unit(k)
+    report = run_suites(["unit"], k)[0]
     assert report.passed
     assert report.checks_run == 9 * (k + 1)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_commutativity_suite_exhaustive(k):
-    report = verify_commutativity(k)
+    report = run_suites(["comm"], k)[0]
     assert report.passed
     n = 9 * (k + 1)
     assert report.checks_run == n * (n + 1) // 2
 
 
 def test_commutativity_suite_exhaustive_at_level_13():
-    report = verify_commutativity(13)
+    report = run_suites(["comm"], 13)[0]
     assert report.passed
     assert report.checks_run == 126 * 127 // 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_associativity_suite_exhaustive(k):
-    report = verify_associativity(k)
+    report = run_suites(["assoc"], k)[0]
     assert report.passed
     n = 9 * (k + 1)
     assert report.checks_run == n + 3 * n * n  # left unit, then three generators
 
 
 def test_associativity_suite_exhaustive_at_level_9():
-    report = verify_associativity(9)
+    report = run_suites(["assoc"], 9)[0]
     assert report.passed
     assert report.checks_run == 90 + 3 * 90 * 90
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_duality_suite(k):
-    report = verify_duality(k)
+    report = run_suites(["dual"], k)[0]
     assert report.passed
     # 3 invariance checks per label, then per ordered pair one vacuum check
     # plus one identity instance per product output
@@ -85,14 +73,14 @@ def test_duality_suite(k):
 
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_qdim_homomorphism_suite(k):
-    report = verify_qdim_homomorphism(k)
+    report = run_suites(["qdim"], k)[0]
     assert report.passed
     assert report.checks_run == (9 * (k + 1)) ** 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 12])
 def test_catalog_suite(k):
-    assert verify_catalog(k).passed
+    assert run_suites(["catalog"], k)[0].passed
 
 
 def test_run_suites_all_order_and_levels():
@@ -110,7 +98,7 @@ def test_run_suites_rejects_oracle_off_level_one(fuse_calls):
 
 
 def test_summary_line_shape():
-    report = verify_unit(2)
+    report = run_suites(["unit"], 2)[0]
     line = report.summary()
     assert "suite=unit" in line and "level=2" in line and line.endswith("PASS")
 
@@ -125,7 +113,7 @@ def _broken_fuse(a, b, k):
 
 def test_failures_are_reported_with_labels(monkeypatch):
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _broken_fuse)
-    report = verify_unit(1)
+    report = run_suites(["unit"], 1)[0]
     assert not report.passed
     assert len(report.failures) == 6  # the six j=2 labels vanish from vacuum products
     rendered = report.failures[0].render()
@@ -136,7 +124,7 @@ def test_failures_are_reported_with_labels(monkeypatch):
 
 def test_oracle_catches_broken_duality(monkeypatch):
     monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: lab)
-    report = verify_k1_lattice_oracle()
+    report = run_suites(["oracle"], 1)[0]
     assert not report.passed
     # self-dual labels (cosets 0 and 9) still pass; the other 16 fail
     assert len(report.failures) == 16
@@ -149,7 +137,7 @@ def test_associativity_generators_at_level_9():
 
 
 def test_catalog_suite_counts_simple_current_checks_at_level_one():
-    report = verify_catalog(1)
+    report = run_suites(["catalog"], 1)[0]
     # 2 structural + 18 weight checks + 2*(3+1) pairing/base + 18 simple-current
     assert report.checks_run == 2 + 18 + 8 + 18
 
@@ -210,18 +198,18 @@ def test_every_suite_at_level_one_fuses_each_pair_once(fuse_calls):
     assert all(r.passed for r in run_suites(list(SUITES), 1))
     assert len(fuse_calls) == len(set(fuse_calls)) == 18 * 18
     fuse_calls.clear()
-    assert verify_k1_lattice_oracle().passed
+    assert run_suites(["oracle"], 1)[0].passed
     assert len(fuse_calls) == 18 * 18
 
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_unit_fuses_only_the_vacuum_row(k, fuse_calls):
-    assert verify_unit(k).passed
+    assert run_suites(["unit"], k)[0].passed
     assert fuse_calls == [(vacuum(k), b) for b in enumerate_irreducibles(k)]
 
 
 def test_catalog_fuses_nothing(fuse_calls):
-    assert verify_catalog(3).passed and run_suites(["catalog"], 3)[0].passed
+    assert run_suites(["catalog"], 3)[0].passed
     assert fuse_calls == []
 
 
@@ -252,7 +240,7 @@ def test_qdim_memo_is_by_value_not_by_index(monkeypatch):
     monkeypatch.setattr(
         verify_mod, "qdim_exact", lambda lab, k: qdim_index(1, k) if lab == wrong else qdim_exact(lab, k)
     )
-    report = verify_qdim_homomorphism(2)
+    report = run_suites(["qdim"], 2)[0]
     assert not report.passed
     assert (wrong, wrong) in [f.labels for f in report.failures]
 
@@ -266,7 +254,7 @@ def test_generators_grow_only_through_a_single_new_label():
 
 def test_assoc_reports_a_broken_left_unit(monkeypatch):
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:0:0", "t1:1:2"), lambda v: FusionVector()))
-    report = verify_associativity(2)
+    report = run_suites(["assoc"], 2)[0]
     lab = parse_label("t1:1:2", 2)
     assert Failure(f"vacuum x {lab.token()} = {{}}, expected {{{lab.token()}: 1}}", (lab,)) in report.failures
 
@@ -349,14 +337,18 @@ def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair
     assert list(products) == products_by_pair(k, verify_mod.fuse_irreducible)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_dual_and_qdim_report_as_the_pair_by_pair_sweeps_do(k, duality_by_pair, qdim_by_pair):
     table = verify_mod._FusionTable(k)
     rng = random.Random(k)
+    mixed_rows = 0  # rows failing both the vacuum check (ii) and an instance of (i)
     for r in range(150):
         bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
-        for suite, reference in ((verify_mod._duality, duality_by_pair), (verify_mod._qdim_homomorphism, qdim_by_pair)):
-            got, want = suite(bad), reference(bad)
+        dual = verify_mod._duality(bad)
+        for got, want in ((dual, duality_by_pair(bad)), (verify_mod._qdim_homomorphism(bad), qdim_by_pair(bad))):
             assert [f.labels for f in got.failures] == [f.labels for f in want.failures]
             assert got.failures == want.failures
             assert got.checks_run == want.checks_run
+        vacuum_rows = {f.labels[0] for f in dual.failures if "^vacuum" in f.description}
+        mixed_rows += any(len(f.labels) == 3 and f.labels[0] in vacuum_rows for f in dual.failures)
+    assert mixed_rows > 0  # so the order in which a row's two parts report is exercised
