@@ -24,8 +24,8 @@ variable ``x = z + 1/z`` in ``O(phi(2n)^2)`` operations and builds one
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Union
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Union
 
 __all__ = ["ChebPoly", "cheb_u", "cyclotomic", "min_poly_two_cos"]
 
@@ -147,16 +147,34 @@ class ChebPoly:
 _X = ChebPoly((0, 1))
 
 
-def _require_int(n: int, what: str) -> None:
-    """Raise ``ValueError`` unless ``n`` is an int (a bool is not)."""
-    if type(n) is not int:
-        raise ValueError(f"{what} must be an int, got {n!r}")
+def _cached_by_int(what: str) -> Callable[[Callable], Callable]:
+    """Memoise a function of one index, refusing an index that is not an int first.
+
+    The index is checked before the cache hashes it, so a float, a bool or
+    an unhashable index raises ``ValueError("<what> must be an int, ...")``
+    rather than being cached or failing to hash.  The wrapper keeps the
+    cache's ``cache_info`` and ``cache_clear``.
+    """
+
+    def decorate(fn: Callable[[int], ChebPoly]) -> Callable[[int], ChebPoly]:
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def index_checked(n: int) -> ChebPoly:
+            if type(n) is not int:
+                raise ValueError(f"{what} must be an int, got {n!r}")
+            return cached(n)
+
+        index_checked.cache_info, index_checked.cache_clear = cached.cache_info, cached.cache_clear
+        return index_checked
+
+    return decorate
 
 
 _S = [ChebPoly((1,)), _X]  # S_0, S_1, ... as far up as any call has needed
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_by_int("Chebyshev index")
 def cheb_u(n: int) -> ChebPoly:
     """The rescaled second-kind Chebyshev polynomial ``S_n``.
 
@@ -165,7 +183,6 @@ def cheb_u(n: int) -> ChebPoly:
     bool) with ``n >= 0``.  The family is built upward in a loop, so a cold
     index of any size costs no recursion.
     """
-    _require_int(n, "Chebyshev index")
     if n < 0:
         raise ValueError(f"Chebyshev index must be >= 0, got {n}")
     while len(_S) <= n:
@@ -223,7 +240,7 @@ def _cyclotomic_head(n: int, length: int) -> list[int]:
     return coeffs
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_by_int("cyclotomic index")
 def cyclotomic(n: int) -> ChebPoly:
     """The n-th cyclotomic polynomial, as a Moebius product of binomials.
 
@@ -235,7 +252,6 @@ def cyclotomic(n: int) -> ChebPoly:
     Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80, 2011).
     ``n`` must be an int (not a bool) with ``n >= 1``.
     """
-    _require_int(n, "cyclotomic index")
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
     if n == 1:
@@ -243,7 +259,7 @@ def cyclotomic(n: int) -> ChebPoly:
     return ChebPoly(_cyclotomic_head(n, _totient(n) + 1))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_by_int("n")
 def min_poly_two_cos(n: int) -> ChebPoly:
     """Minimal polynomial over the integers of ``2*cos(pi/n)``, for ``n >= 2``.
 
@@ -260,7 +276,6 @@ def min_poly_two_cos(n: int) -> ChebPoly:
     and one :class:`ChebPoly` at the end.  The result is monic of degree
     ``h`` and divides ``S_{n-1}``.  ``n`` must be an int (not a bool).
     """
-    _require_int(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     h = _totient(2 * n) // 2

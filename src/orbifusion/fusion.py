@@ -18,13 +18,15 @@ Each formula reads ``j1`` and ``j2`` only through one residue ``r`` modulo 3:
 ``j1 - j2`` for T1 x T2.  So :func:`fuse_irreducible` remembers the products
 of one level at a time, keyed by ``(s1, s2, i1, i2, r)`` in sector order
 (7,938 products for the 35,721 ordered pairs at k=20).  Every call validates
-``k`` and both labels before any lookup.  A call at a level other than the
-remembered one starts a fresh, empty memo for its level and computes its
-product directly, so the memo fills from the second call in a row at one
-level on and a stream of calls that keeps changing level stores nothing.
-The memo interns its output labels and equal output tuples, so a level holds
-at most ``9(k+1)`` label objects, and every call returns a fresh
-:class:`FusionVector` that a caller may change without touching the memo.
+``k`` and both labels before any lookup, in one inline test of the
+conditions :func:`check_level` and :func:`check_label` enforce.  A call at a
+level other than the remembered one starts a fresh, empty memo for its level
+and computes its product directly, so the memo fills from the second call in
+a row at one level on and a stream of calls that keeps changing level stores
+nothing.  The memo interns its ``(label, 1)`` output pairs and equal output
+tuples, so a level holds at most ``9(k+1)`` pairs, and a memo hit wraps the
+stored tuple in a new immutable :class:`FusionVector`: it builds no dict and
+hashes no label.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
 # (k, memo, seen) for the current level: ``memo`` maps the key
-# (s1, s2, i1, i2, r), packed into one int, to a tuple of output labels, and
-# ``seen`` interns those labels and tuples.  ``_fuse`` reads the binding once
-# and only ever replaces it whole, so a concurrent switch of levels can never
-# serve a product from another level.
+# (s1, s2, i1, i2, r), packed into one int, to a tuple of output pairs, and
+# ``seen`` interns those pairs (keyed by their label) and tuples.
+# ``fuse_irreducible`` reads the binding once and only ever replaces it
+# whole, so a concurrent switch of levels can never serve a product from
+# another level.
 _level_memo: tuple = (0, {}, {})
 _U, _T2 = Sector.U, Sector.T2  # a module global is read faster than an enum attribute
 
@@ -46,21 +49,27 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
     ``k``, ``a`` and ``b`` are validated on every call, before the current
-    level's memo (see the module docstring) is read; the result is a fresh
-    vector.
+    level's memo (see the module docstring) is read: one inline test of
+    what :func:`check_level` and :func:`check_label` check, and those
+    functions, for their messages, when it fails.
     """
-    check_level(k)
-    _check_fields(a, k)
-    _check_fields(b, k)
-    return _fuse(a, b, k)
-
-
-def _fuse(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
-    """:func:`fuse_irreducible` on a checked level and checked labels."""
     global _level_memo
-    if a.sector > b.sector:
-        a, b = b, a  # commutativity; formulas below cover sector(a) <= sector(b)
-    (s1, i1, j1), (s2, i2, j2) = a, b
+    if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
+        (s1, i1, j1), (s2, i2, j2) = a, b
+        valid = (
+            type(s1) is Sector and type(i1) is int and type(j1) is int
+            and type(s2) is Sector and type(i2) is int and type(j2) is int
+            and k >= 1 and 0 <= i1 <= k and 0 <= i2 <= k and 0 <= j1 <= 2 and 0 <= j2 <= 2
+        )
+    else:
+        valid = False
+    if not valid:  # raises the checks' own messages; an IrrLabel subclass passes them
+        check_level(k)
+        _check_fields(a, k)
+        _check_fields(b, k)
+        (s1, i1, j1), (s2, i2, j2) = a, b
+    if s1 > s2:
+        (s1, i1, j1), (s2, i2, j2) = b, a  # commutativity; the formulas cover s1 <= s2
     if s2 is _T2 and s1 is not _T2:
         r = (j2 - j1 if s1 is _U else j1 - j2) % 3
     else:
@@ -68,11 +77,11 @@ def _fuse(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     level, memo, seen = _level_memo
     if level != k:
         _level_memo = (k, {}, {})
-        return FusionVector._from_canonical(_outputs(s1, s2, i1, i2, r, k))
+        return FusionVector._from_canonical(tuple([(c, 1) for c in _outputs(s1, s2, i1, i2, r, k)]))
     key = (((s1 * 3 + s2) * (k + 1) + i1) * (k + 1) + i2) * 3 + r
     out = memo.get(key)
     if out is None:
-        out = tuple([seen.setdefault(c, c) for c in _outputs(s1, s2, i1, i2, r, k)])
+        out = tuple([seen.setdefault(c, (c, 1)) for c in _outputs(s1, s2, i1, i2, r, k)])
         out = memo[key] = seen.setdefault(out, out)
     return FusionVector._from_canonical(out)
 
@@ -124,6 +133,4 @@ def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory."""
     check_level(k)
     _check_fields(c, k)
-    _check_fields(a, k)
-    _check_fields(b, k)
-    return _fuse(a, b, k).coefficient(c)
+    return fuse_irreducible(a, b, k).coefficient(c)

@@ -214,14 +214,15 @@ def parse_label(text: str, k: int) -> IrrLabel:
 class FusionVector:
     """Finitely supported map ``IrrLabel -> positive multiplicity``.
 
-    Zero entries are never stored, so equality is structural.  Instances are
-    treated as immutable once constructed.  Each key must be an
+    An immutable value backed by one tuple of ``(label, multiplicity)``
+    pairs in canonical label order, with no zero entries, so equality is
+    structural and the hash is that of the tuple.  Each key must be an
     :class:`IrrLabel` holding a :class:`Sector`, an int ``i >= 0`` and an int
     ``j`` in ``{0, 1, 2}``; a vector has no level, so ``i <= k`` is left to
     the functions that take one.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_items",)
 
     def __init__(self, entries: Mapping[IrrLabel, int] | Iterable[tuple[IrrLabel, int]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -238,41 +239,45 @@ class FusionVector:
                 raise ValueError(f"negative multiplicity {mult} for {label.token()}")
             if mult:
                 store[label] = store.get(label, 0) + mult
-        self._entries = dict(sorted(store.items()))
+        self._items = tuple(sorted(store.items()))
 
     @classmethod
-    def _from_canonical(cls, labels: Iterable[IrrLabel]) -> "FusionVector":
-        """Trusted constructor for the fusion formulas: no checks, no sort.
+    def _from_canonical(cls, items: tuple[tuple[IrrLabel, int], ...]) -> "FusionVector":
+        """Trusted constructor for the fusion formulas: wraps ``items`` as it is.
 
-        ``labels`` must be distinct and already in canonical order; each
-        gets multiplicity 1.
+        ``items`` must be a tuple of ``(label, multiplicity)`` pairs with
+        distinct labels in canonical order and positive multiplicities; it is
+        neither checked nor copied.
         """
         vector = cls.__new__(cls)
-        vector._entries = dict.fromkeys(labels, 1)
+        vector._items = items
         return vector
 
     def coefficient(self, label: IrrLabel) -> int:
         """Multiplicity of ``label``; 0 when absent."""
-        return self._entries.get(label, 0)
+        for lab, mult in self._items:
+            if lab == label:
+                return mult
+        return 0
 
     def items(self) -> Iterator[tuple[IrrLabel, int]]:
         """Entries in canonical label order."""
-        return iter(self._entries.items())
+        return iter(self._items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FusionVector):
             return NotImplemented
-        return self._entries == other._entries
+        return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(tuple(self._entries.items()))
+        return hash(self._items)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._items)
 
     def __iter__(self) -> Iterator[IrrLabel]:
-        return iter(self._entries)
+        return iter([lab for lab, _ in self._items])
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{lab.token()}: {m}" for lab, m in self._entries.items())
+        body = ", ".join(f"{lab.token()}: {m}" for lab, m in self._items)
         return f"FusionVector({{{body}}})"

@@ -128,8 +128,9 @@ class _FusionTable:
     multiplicity is seen by every suite.  Row ``a`` is built on first use,
     with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
     and kept.  Equal products share one row tuple (1089 distinct rows for
-    35,721 pairs at k=20), keyed by their ``(label, multiplicity)`` items,
-    so products that differ in a multiplicity never share.
+    35,721 pairs at k=20), keyed by the product vector itself: a vector
+    hashes and compares as its ``(label, multiplicity)`` items, so the key
+    copies nothing, and products that differ in a multiplicity never share.
     """
 
     def __init__(self, k: int):
@@ -137,10 +138,8 @@ class _FusionTable:
         self.k = k
         self.labels = labels = enumerate_irreducibles(k)
         self.index = index = {lab: t for t, lab in enumerate(labels)}
-        shared = _Memo(lambda items: tuple([index[c] for c, m in items for _ in range(m)]))
-        self.products = _Rows(
-            lambda a: [shared[tuple(fuse_irreducible(labels[a], b, k).items())] for b in labels], len(labels)
-        )
+        shared = _Memo(lambda product: tuple([index[c] for c, m in product.items() for _ in range(m)]))
+        self.products = _Rows(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels], len(labels))
 
     def render(self, row: tuple[int, ...]) -> str:
         """A product as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""

@@ -151,6 +151,17 @@ def test_malformed_indices_are_refused(fn, least, bad):
         fn(least - 1)
 
 
+@pytest.mark.parametrize(
+    "fn, what", [(cheb_u, "Chebyshev index"), (cyclotomic, "cyclotomic index"), (min_poly_two_cos, "n")]
+)
+def test_unhashable_indices_are_refused_like_other_non_ints(fn, what):
+    fn(3)
+    with pytest.raises(ValueError) as info:
+        fn([3])
+    assert str(info.value) == f"{what} must be an int, got [3]"
+    assert fn.cache_info().currsize >= 1
+
+
 # Frozen minimal polynomials of 2 cos(pi/n).
 KNOWN_MIN_POLYS = {
     3: poly(-1, 1),            # x - 1

@@ -277,16 +277,112 @@ def test_fuse_irreducible_memo_matches_reference_across_levels(k):
 
 
 def test_fuse_irreducible_returns_a_fresh_vector():
+    # A memo hit wraps the memo's own tuple, so rebinding one returned
+    # vector's storage must leave the memo, and every later product, as it was.
     k = 4
     a, b = parse_label("u:2:1", k), parse_label("t1:3:2", k)
     want = _reference_fuse(a, b, k)
     first = fuse_irreducible(a, b, k)
     second = fuse_irreducible(a, b, k)  # served by the memo
     assert first == second == want and first is not second
-    second._entries.clear()
-    second._entries[vacuum(k)] = 5
+    second._items = ((vacuum(k), 5),)
     third = fuse_irreducible(a, b, k)
-    assert third == want and list(third.items()) == list(want.items())
+    assert third == first == want and list(third.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_vectors_from_every_constructor_agree(k):
+    # From __init__, from _from_canonical, from a call at a new level (no
+    # memo) and from a memo hit: equal, equal hashes, equal items.
+    labels = enumerate_irreducibles(k)
+    fuse_irreducible(labels[0], labels[0], k + 1)  # the next call starts a fresh memo at k
+    for a in labels:
+        for b in labels:
+            want = _reference_fuse(a, b, k)
+            items = list(want.items())
+            vectors = [
+                FusionVector(items),
+                FusionVector(dict(items)),
+                FusionVector._from_canonical(tuple(items)),
+                fuse_irreducible(a, b, k),
+                fuse_irreducible(a, b, k),
+            ]
+            for v in vectors:
+                assert v == want and hash(v) == hash(want) == hash(tuple(items))
+                assert list(v.items()) == items and list(v) == [c for c, _ in items] and len(v) == len(items)
+                assert repr(v) == repr(want)
+
+
+def test_coefficient_of_an_absent_label_is_zero():
+    k = 3
+    a, b = parse_label("t1:1:0", k), parse_label("t2:1:0", k)
+    product = fuse_irreducible(a, b, k)
+    outputs = set(product)
+    for c in enumerate_irreducibles(k):
+        assert product.coefficient(c) == (1 if c in outputs else 0)
+    assert FusionVector().coefficient(vacuum(k)) == 0
+    assert FusionVector._from_canonical(()).coefficient(vacuum(k)) == 0
+
+
+_K = 3
+_GOOD = IrrLabel(Sector.U, 1, 0)
+# Each malformed operand with the exact message its field check raises at level _K.
+_BAD_OPERANDS = [
+    (IrrLabel(0, 1, 0), "not an irreducible label: (0, 1, 0)"),
+    (IrrLabel(Sector.U, True, 0), f"not an irreducible label: {(Sector.U, True, 0)!r}"),
+    (IrrLabel(Sector.U, 1.0, 0), f"not an irreducible label: {(Sector.U, 1.0, 0)!r}"),
+    (IrrLabel(Sector.T1, 1, False), f"not an irreducible label: {(Sector.T1, 1, False)!r}"),
+    (IrrLabel(Sector.T2, 1, 2.0), f"not an irreducible label: {(Sector.T2, 1, 2.0)!r}"),
+    (IrrLabel(Sector.U, -1, 0), "i out of range: -1 not in 0..3"),
+    (IrrLabel(Sector.T1, _K + 1, 0), "i out of range: 4 not in 0..3"),
+    (IrrLabel(Sector.T2, 1, 3), "j out of range: 3 not in 0..2"),
+    ((Sector.U, 1, 0), f"not an irreducible label: {(Sector.U, 1, 0)!r}"),
+    (IrrLabel(Sector.U, [1], 0), f"not an irreducible label: {(Sector.U, [1], 0)!r}"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_OPERANDS)
+@pytest.mark.parametrize("position", ["left", "right"])
+def test_fuse_irreducible_refuses_malformed_operands(bad, message, position):
+    fuse_irreducible(_GOOD, _GOOD, _K)  # a warm memo at this level must not answer either
+    fuse_irreducible(_GOOD, _GOOD, _K)
+    operands = (bad, _GOOD) if position == "left" else (_GOOD, bad)
+    with pytest.raises(ValueError) as info:
+        fuse_irreducible(*operands, _K)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(0, "level must be >= 1, got 0"), (True, "level must be an integer, got True"), (1.0, "level must be an integer, got 1.0")],
+)
+def test_fuse_irreducible_refuses_bad_levels(k, message):
+    vac = IrrLabel(Sector.U, 0, 0)
+    fuse_irreducible(vac, vac, 1)
+    fuse_irreducible(vac, vac, 1)
+    with pytest.raises(ValueError) as info:
+        fuse_irreducible(vac, vac, k)
+    assert str(info.value) == message
+
+
+class _LabelSubclass(IrrLabel):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_irrlabel_subclass_operands_fuse_like_plain_labels(k):
+    labels = enumerate_irreducibles(k)
+    for a in labels:
+        for b in labels:
+            want = list(fuse_irreducible(a, b, k).items())
+            sub_a, sub_b = _LabelSubclass(*a), _LabelSubclass(*b)
+            for operands in ((sub_a, b), (a, sub_b), (sub_a, sub_b)):
+                assert list(fuse_irreducible(*operands, k).items()) == want
+            assert fusion_coefficient(sub_a, sub_b, _LabelSubclass(*want[0][0]), k) == 1
+    bad = _LabelSubclass(Sector.U, k + 1, 0)
+    with pytest.raises(ValueError) as info:
+        fuse_irreducible(bad, labels[0], k)
+    assert str(info.value) == f"i out of range: {k + 1} not in 0..{k}"
 
 
 def test_fuse_irreducible_threads_on_distinct_levels():
