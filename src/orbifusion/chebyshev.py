@@ -101,9 +101,6 @@ class ChebPoly:
     def __mod__(self, divisor: "ChebPoly") -> "ChebPoly":
         return divmod(self, divisor)[1]
 
-    def __floordiv__(self, divisor: "ChebPoly") -> "ChebPoly":
-        return divmod(self, divisor)[0]
-
     def __call__(self, x):
         """Evaluate by Horner's rule; works for int, Fraction or mpmath values."""
         acc = 0

@@ -16,17 +16,21 @@ multiplicity exactly 1.
 Each formula reads ``j1`` and ``j2`` only through one residue ``r`` modulo 3:
 ``j1 + j2`` for equal sectors and for U x T1, ``j2 - j1`` for U x T2 and
 ``j1 - j2`` for T1 x T2.  So :func:`fuse_irreducible` remembers the products
-of one level at a time, keyed by ``(s1, s2, i1, i2, r)`` in sector order
-(7,938 products for the 35,721 ordered pairs at k=20).  Every call validates
-``k`` and both labels before any lookup, in one inline test of the
-conditions :func:`check_level` and :func:`check_label` enforce.  A call at a
-level other than the remembered one starts a fresh, empty memo for its level
-and computes its product directly, so the memo fills from the second call in
-a row at one level on and a stream of calls that keeps changing level stores
-nothing.  The memo interns its ``(label, 1)`` output pairs and equal output
-tuples, so a level holds at most ``9(k+1)`` pairs, and a memo hit wraps the
-stored tuple in a new immutable :class:`FusionVector`: it builds no dict and
-hashes no label.
+of one level at a time, keyed by ``(s1, s2, i1, i2, r)`` in sector order,
+and with ``i1 <= i2`` when the sectors are equal (6,048 keys for the 35,721
+ordered pairs at k=20).  Every call validates ``k`` and both labels before
+any lookup, in one inline test of the conditions :func:`check_level` and
+:func:`check_label` enforce.  A call at a level other than the remembered
+one starts a fresh, empty memo for its level and computes its product
+directly, so the memo fills from the second call in a row at one level on
+and a stream of calls that keeps changing level stores nothing.  The memo
+holds one immutable :class:`FusionVector` per distinct product (1,089 at
+k=20), and a memo hit returns that shared vector as it is: it builds nothing
+and hashes nothing.  A miss, and a call at a new level, takes its
+``(label, 1)`` pairs by index from one list that every level shares,
+extended only when a call reaches a level above all before it, so it builds
+no label; a miss then looks its output tuple up among the level's products
+to find the one vector for it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,18 @@ from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, 
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
-# (k, memo, seen) for the current level: ``memo`` maps the key
-# (s1, s2, i1, i2, r), packed into one int, to a tuple of output pairs, and
-# ``seen`` interns those pairs (keyed by their label) and tuples.
+# (k, memo, shared) for the current level: ``memo`` maps the key
+# (s1, s2, i1, i2, r), packed into one int, to the product's vector, and
+# ``shared`` maps a product's items to its one vector.
 # ``fuse_irreducible`` reads the binding once and only ever replaces it
 # whole, so a concurrent switch of levels can never serve a product from
 # another level.
 _level_memo: tuple = (0, {}, {})
+# The ``(label, 1)`` pair of (sector, i, j) at index ``9*i + 3*sector + j``,
+# for every i up to the largest level fused so far; a label has no level, so
+# every level shares them.  The list is only ever replaced whole, never
+# changed in place, so a list once read and found long enough stays so.
+_pairs: list = []
 _U, _T2 = Sector.U, Sector.T2  # a module global is read faster than an enum attribute
 
 
@@ -51,7 +60,8 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     ``k``, ``a`` and ``b`` are validated on every call, before the current
     level's memo (see the module docstring) is read: one inline test of
     what :func:`check_level` and :func:`check_label` check, and those
-    functions, for their messages, when it fails.
+    functions, for their messages, when it fails.  The returned vector is
+    immutable and may be shared with other calls.
     """
     global _level_memo
     if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
@@ -68,49 +78,69 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
         _check_fields(a, k)
         _check_fields(b, k)
         (s1, i1, j1), (s2, i2, j2) = a, b
-    if s1 > s2:
-        (s1, i1, j1), (s2, i2, j2) = b, a  # commutativity; the formulas cover s1 <= s2
+    if s1 > s2 or s1 is s2 and i1 > i2:
+        # commutativity: the formulas cover s1 <= s2, and one key covers both orders of i
+        (s1, i1, j1), (s2, i2, j2) = b, a
     if s2 is _T2 and s1 is not _T2:
         r = (j2 - j1 if s1 is _U else j1 - j2) % 3
     else:
         r = (j1 + j2) % 3
-    level, memo, seen = _level_memo
+    level, memo, shared = _level_memo
     if level != k:
         _level_memo = (k, {}, {})
-        return FusionVector._from_canonical(tuple([(c, 1) for c in _outputs(s1, s2, i1, i2, r, k)]))
+        return FusionVector._from_canonical(_items(s1, s2, i1, i2, r, k))
     key = (((s1 * 3 + s2) * (k + 1) + i1) * (k + 1) + i2) * 3 + r
-    out = memo.get(key)
-    if out is None:
-        out = tuple([seen.setdefault(c, (c, 1)) for c in _outputs(s1, s2, i1, i2, r, k)])
-        out = memo[key] = seen.setdefault(out, out)
-    return FusionVector._from_canonical(out)
+    vector = memo.get(key)
+    if vector is None:
+        items = _items(s1, s2, i1, i2, r, k)
+        vector = shared.get(items)
+        if vector is None:
+            vector = shared[items] = FusionVector._from_canonical(items)
+        memo[key] = vector
+    return vector
 
 
-def _outputs(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> list[IrrLabel]:
-    """The outputs of one sector-pair formula, ``sector(a) <= sector(b)``, in canonical order.
+def _items(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> tuple[tuple[IrrLabel, int], ...]:
+    """The canonical ``(label, 1)`` pairs of one product, taken by index from ``_pairs``."""
+    global _pairs
+    sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
+    pairs = _pairs
+    if len(pairs) < 9 * (k + 1):
+        new = tuple.__new__
+        pairs = _pairs = pairs + [
+            (new(IrrLabel, (sec, i, j)), 1) for i in range(len(pairs) // 9, k + 1) for sec in Sector for j in range(3)
+        ]
+    offset = 3 * sector
+    return tuple([pairs[9 * i + offset + j] for i, j in zip(out_is, out_js)])
+
+
+def _outputs(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> tuple[Sector, range, list[int]]:
+    """One sector-pair formula, ``sector(a) <= sector(b)``: the output sector, ``i``s and ``j``s.
 
     ``r`` is the one residue through which the formula reads ``j1`` and
     ``j2``: ``j1 + j2``, except ``j2 - j1`` for U x T2 and ``j1 - j2`` for
     T1 x T2.  Each branch has ``sign`` written out: ``(s - i3) // 2`` is
     ``t`` before its reduction, and every ``j`` is reduced modulo 3 once;
     ``i3s`` is the admissible range, ascending.  The output sector is fixed
-    per branch, so the outputs come in canonical order: ascending ``i3``, or
-    descending where the output index is ``k - i3``.
+    per branch and the output ``i``s ascend, so the outputs, paired in
+    order, come in canonical order: where the output index is ``k - i3``
+    the ``j``s run over ``i3`` descending.
     """
     s = i1 + i2
     i3s = range(abs(i1 - i2), min(s, 2 * k - s) + 1, 2)
-    new, U, T1, T2 = tuple.__new__, Sector.U, Sector.T1, Sector.T2
+    U, T1, T2 = Sector.U, Sector.T1, Sector.T2
     if s1 is U:
         if s2 is U:
-            return [new(IrrLabel, (U, i3, (r - (s - i3) // 2) % 3)) for i3 in i3s]
+            return U, i3s, [(r - (s - i3) // 2) % 3 for i3 in i3s]
         if s2 is T1:
-            return [new(IrrLabel, (T1, i3, (r - (s - i3) // 2) % 3)) for i3 in i3s]
-        return [new(IrrLabel, (T2, i3, ((s - i3) // 2 + r) % 3)) for i3 in i3s]
+            return T1, i3s, [(r - (s - i3) // 2) % 3 for i3 in i3s]
+        return T2, i3s, [((s - i3) // 2 + r) % 3 for i3 in i3s]
+    if s1 is T1 and s2 is T1:
+        return T2, i3s, [((s - i3) // 2 - r) % 3 for i3 in i3s]
+    reflected = range(k - i3s[-1], k - i3s[0] + 1, 2)  # the output index k - i3, ascending
     if s1 is T1:
-        if s2 is T1:
-            return [new(IrrLabel, (T2, i3, ((s - i3) // 2 - r) % 3)) for i3 in i3s]
-        return [new(IrrLabel, (U, k - i3, (r - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
-    return [new(IrrLabel, (T1, k - i3, (-r - (s - i3) // 2 + k - i3) % 3)) for i3 in reversed(i3s)]
+        return U, reflected, [(r - (s - i3) // 2 + k - i3) % 3 for i3 in reversed(i3s)]
+    return T1, reflected, [(-r - (s - i3) // 2 + k - i3) % 3 for i3 in reversed(i3s)]
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:

@@ -216,18 +216,28 @@ class FusionVector:
 
     An immutable value backed by one tuple of ``(label, multiplicity)``
     pairs in canonical label order, with no zero entries, so equality is
-    structural and the hash is that of the tuple.  Each key must be an
-    :class:`IrrLabel` holding a :class:`Sector`, an int ``i >= 0`` and an int
-    ``j`` in ``{0, 1, 2}``; a vector has no level, so ``i <= k`` is left to
-    the functions that take one.
+    structural and the hash is that of the tuple.  Every assignment to an
+    instance is refused, so a vector can be shared: :func:`fuse_irreducible`
+    hands out one vector per distinct product of a level.  The hash is
+    computed the first time it is needed and kept in a slot.  Each key must
+    be an :class:`IrrLabel` holding a :class:`Sector`, an int ``i >= 0`` and
+    an int ``j`` in ``{0, 1, 2}``; a vector has no level, so ``i <= k`` is
+    left to the functions that take one.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, entries: Mapping[IrrLabel, int] | Iterable[tuple[IrrLabel, int]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        try:
+            items = iter(entries.items() if isinstance(entries, Mapping) else entries)
+        except TypeError:
+            raise ValueError(f"not a mapping or iterable of (label, multiplicity) pairs: {entries!r}") from None
         store: dict[IrrLabel, int] = {}
-        for label, mult in items:
+        for entry in items:
+            try:
+                label, mult = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"not a (label, multiplicity) pair: {entry!r}") from None
             if not isinstance(label, IrrLabel):
                 raise ValueError(f"not an irreducible label: {label!r}")
             sector, i, j = label
@@ -239,7 +249,7 @@ class FusionVector:
                 raise ValueError(f"negative multiplicity {mult} for {label.token()}")
             if mult:
                 store[label] = store.get(label, 0) + mult
-        self._items = tuple(sorted(store.items()))
+        _set_items(self, tuple(sorted(store.items())))
 
     @classmethod
     def _from_canonical(cls, items: tuple[tuple[IrrLabel, int], ...]) -> "FusionVector":
@@ -250,8 +260,17 @@ class FusionVector:
         neither checked nor copied.
         """
         vector = cls.__new__(cls)
-        vector._items = items
+        _set_items(vector, items)
         return vector
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FusionVector is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FusionVector is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FusionVector, (self._items,)
 
     def coefficient(self, label: IrrLabel) -> int:
         """Multiplicity of ``label``; 0 when absent."""
@@ -270,7 +289,12 @@ class FusionVector:
         return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this vector
+            value = hash(self._items)
+            _set_hash(self, value)
+            return value
 
     def __len__(self) -> int:
         return len(self._items)
@@ -281,3 +305,8 @@ class FusionVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{lab.token()}: {m}" for lab, m in self._items)
         return f"FusionVector({{{body}}})"
+
+
+# The slots' own setters, which bypass the refusing ``__setattr__``.
+_set_items = FusionVector._items.__set__
+_set_hash = FusionVector._hash.__set__

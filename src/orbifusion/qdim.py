@@ -65,16 +65,22 @@ class QDimElement:
 
     def __post_init__(self) -> None:
         check_level(self.level)
+        if not isinstance(self.residue, ChebPoly):
+            raise ValueError(f"residue must be a ChebPoly, got {self.residue!r}")
         if self.residue.degree >= reduction_modulus(self.level).degree:
             raise ValueError("residue not reduced")
 
     def __mul__(self, other: "QDimElement") -> "QDimElement":
+        if not isinstance(other, QDimElement):
+            return NotImplemented
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} != {other.level}")
         product = (self.residue * other.residue) % reduction_modulus(self.level)
         return QDimElement(product, self.level)
 
     def __add__(self, other: "QDimElement") -> "QDimElement":
+        if not isinstance(other, QDimElement):
+            return NotImplemented
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} != {other.level}")
         return QDimElement(self.residue + other.residue, self.level)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from collections import Counter
 from collections.abc import Sequence
@@ -128,9 +129,12 @@ class _FusionTable:
     multiplicity is seen by every suite.  Row ``a`` is built on first use,
     with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
     and kept.  Equal products share one row tuple (1089 distinct rows for
-    35,721 pairs at k=20), keyed by the product vector itself: a vector
-    hashes and compares as its ``(label, multiplicity)`` items, so the key
-    copies nothing, and products that differ in a multiplicity never share.
+    35,721 pairs at k=20), keyed by the product vector itself.
+    ``fuse_irreducible`` hands out one shared vector per distinct product,
+    with its hash cached, so a lookup is a cached hash and an identity
+    match.  A vector hashes and compares as its ``(label, multiplicity)``
+    items, so fresh vectors from a substituted ``fuse_irreducible`` share
+    rows too, and products that differ in a multiplicity never share.
     """
 
     def __init__(self, k: int):
@@ -238,7 +242,12 @@ def _associativity(table: _FusionTable) -> VerificationReport:
             if len(ab) == 1:
                 lefts = products[ab[0]]  # table rows are canonical, so sorted
             else:
-                lefts = [tuple(sorted([c for t in ab for c in products[t][ic]])) for ic in range(n)]
+                # (a x b) x c for every c: the rows of a x b's outputs, concatenated
+                # entry by entry; each entry is a run of sorted runs, which sorted merges
+                merged = [()] * n
+                for t in ab:
+                    merged = map(operator.add, merged, products[t])
+                lefts = list(map(tuple, map(sorted, merged)))
             rights = list(map(left_image, products[ib]))
             if lefts == rights:
                 continue
@@ -490,7 +499,11 @@ def run_suites(names: list[str], k: int) -> list[VerificationReport]:
     :data:`SUITES` (a string is not a list of names) and for ``oracle`` at a
     level other than 1.
     """
-    if isinstance(names, str) or not set(names) <= SUITES.keys():
+    try:
+        known = not isinstance(names, str) and set(names) <= SUITES.keys()
+    except TypeError:  # not iterable, or an unhashable name
+        known = False
+    if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
     if "oracle" in names and k != 1:
         raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")

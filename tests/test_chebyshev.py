@@ -105,7 +105,7 @@ def _dense_cyclotomic(n):
     poly = _binomial(n)
     for d in range(1, n):
         if n % d == 0:
-            poly //= _dense_cyclotomic(d)
+            poly = divmod(poly, _dense_cyclotomic(d))[0]
     return poly
 
 

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import sys
 import threading
@@ -15,6 +17,7 @@ from orbifusion.labels import (
     parse_label,
     vacuum,
 )
+import orbifusion.fusion as fusion_mod
 from orbifusion.fusion import contragredient, fuse_irreducible, fusion_coefficient
 
 
@@ -276,18 +279,46 @@ def test_fuse_irreducible_memo_matches_reference_across_levels(k):
             assert [list(fuse_irreducible(a, b, level).items()) for b in labels] == want[level]
 
 
-def test_fuse_irreducible_returns_a_fresh_vector():
-    # A memo hit wraps the memo's own tuple, so rebinding one returned
-    # vector's storage must leave the memo, and every later product, as it was.
+def test_fuse_irreducible_vectors_cannot_corrupt_the_memo():
+    # A memo hit returns the memo's own vector, so no assignment to a
+    # returned vector may go through, and every later product stays right.
     k = 4
     a, b = parse_label("u:2:1", k), parse_label("t1:3:2", k)
     want = _reference_fuse(a, b, k)
     first = fuse_irreducible(a, b, k)
     second = fuse_irreducible(a, b, k)  # served by the memo
-    assert first == second == want and first is not second
-    second._items = ((vacuum(k), 5),)
+    assert first == second == want
+    hash(second)  # fills the cached hash
+    for name, value in (("_items", ((vacuum(k), 5),)), ("_hash", 0), ("other", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(second, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del second._items
     third = fuse_irreducible(a, b, k)
     assert third == first == want and list(third.items()) == list(want.items())
+    assert hash(third) == hash(want)
+    labels = enumerate_irreducibles(k)
+    assert all(fuse_irreducible(c, d, k) == _reference_fuse(c, d, k) for c in labels for d in labels)
+
+
+def test_fuse_irreducible_shares_one_vector_per_distinct_product():
+    k = 20
+    labels = enumerate_irreducibles(k)
+    fuse_irreducible(labels[0], labels[0], k + 1)  # the next call starts a fresh memo at k
+    first = [fuse_irreducible(a, b, k) for a in labels for b in labels]
+    again = [fuse_irreducible(a, b, k) for a in labels for b in labels]
+    assert all(x is y for x, y in zip(first[1:], again[1:]))  # the first call, at a new level, is not memoised
+    memo = fusion_mod._level_memo[1]
+    assert len(memo) == 6048  # keys (s1, s2, i1, i2, r), with i1 <= i2 for equal sectors
+    assert len(set(first)) == len({id(v) for v in memo.values()}) == len(set(memo.values())) == 1089
+    assert {id(v) for v in again} == {id(v) for v in memo.values()}
+
+
+def test_fusion_vector_copies_and_pickles_as_a_value():
+    k = 3
+    vector = fuse_irreducible(parse_label("u:1:0", k), parse_label("t2:2:1", k), k)
+    for twin in (copy.copy(vector), copy.deepcopy(vector), pickle.loads(pickle.dumps(vector))):
+        assert twin == vector and hash(twin) == hash(vector) and list(twin.items()) == list(vector.items())
 
 
 @pytest.mark.parametrize("k", [1, 4, 9])

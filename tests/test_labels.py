@@ -202,6 +202,12 @@ def test_fusion_vector_rejects_non_label_keys(entries):
         FusionVector(entries)
 
 
+@pytest.mark.parametrize("entries", [None, 3, [3], [(vacuum(3),)], [(vacuum(3), 1, 2)]])
+def test_fusion_vector_rejects_entries_that_are_not_label_multiplicity_pairs(entries):
+    with pytest.raises(ValueError, match=r"not a mapping or iterable|not a \(label, multiplicity\) pair"):
+        FusionVector(entries)
+
+
 def test_fusion_vector_rejects_negative_multiplicities():
     with pytest.raises(ValueError, match="negative multiplicity"):
         FusionVector({make_label(Sector.U, 1, 0, 2): -1})

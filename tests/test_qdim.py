@@ -114,6 +114,20 @@ def test_residues_are_reduced():
         QDimElement(cheb_u(5), 2)
 
 
+@pytest.mark.parametrize("residue", [None, 3, (1,)])
+def test_qdim_element_rejects_a_residue_that_is_not_a_polynomial(residue):
+    with pytest.raises(ValueError, match="residue must be a ChebPoly"):
+        QDimElement(residue, 2)
+
+
+def test_qdim_element_arithmetic_with_a_non_element_is_not_implemented():
+    q = qdim_exact(parse_label("u:1:0", 2), 2)
+    assert q.__mul__(2) is NotImplemented and q.__add__(1) is NotImplemented
+    for op in (lambda: q * 2, lambda: q + 1, lambda: 2 * q, lambda: 1 + q):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_exact_arithmetic_level_mismatch():
     with pytest.raises(ValueError, match="level mismatch"):
         qdim_index(0, 2) * qdim_index(0, 3)

@@ -171,6 +171,12 @@ def test_run_suites_rejects_unknown_suites():
             run_suites(names, 2)
 
 
+@pytest.mark.parametrize("names", [None, 3, [["unit"]], [None], [{"unit"}]])
+def test_run_suites_rejects_names_that_are_not_a_list_of_strings(names):
+    with pytest.raises(ValueError, match="not a list of known suite names"):
+        run_suites(names, 2)
+
+
 @pytest.fixture
 def fuse_calls(monkeypatch):
     """Every pair that ``verify`` fuses, in call order."""
@@ -260,10 +266,16 @@ def test_assoc_reports_a_broken_left_unit(monkeypatch):
 
 
 def _corrupted(table, rng, kind):
-    """A copy of ``table`` with one output of one product dropped, added, doubled or replaced."""
+    """A copy of ``table`` with one output of one product dropped, added, doubled or replaced.
+
+    The kind ``empty`` drops every output of one product u:1:0 x b instead.
+    """
     n = len(table.labels)
     bad = copy.copy(table)
     bad.products = [list(row) for row in table.products]
+    if kind == "empty":
+        bad.products[table.index[parse_label("u:1:0", table.k)]][rng.randrange(n)] = ()
+        return bad
     ia, ib = rng.randrange(n), rng.randrange(n)
     outputs = list(bad.products[ia][ib])
     pick = rng.randrange(len(outputs))
@@ -279,7 +291,7 @@ def _corrupted(table, rng, kind):
     return bad
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep):
     table = verify_mod._FusionTable(k)
     assert verify_mod._associativity(table).passed and associative_by_sweep(table.products)
@@ -287,6 +299,14 @@ def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep):
     for r in range(150):
         bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
         assert verify_mod._associativity(bad).passed == associative_by_sweep(bad.products)
+    u10 = table.index[parse_label("u:1:0", k)]
+    for _ in range(10):
+        bad = _corrupted(table, rng, "empty")
+        b = table.labels[bad.products[u10].index(())]
+        report = verify_mod._associativity(bad)
+        assert not associative_by_sweep(bad.products)
+        # u:1:0 is a generator: its empty product with b is merged, and fails, as (u:1:0 x b) x c
+        assert any(f.labels[:2] == (table.labels[u10], b) for f in report.failures)
 
 
 def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
