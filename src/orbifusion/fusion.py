@@ -26,11 +26,12 @@ directly, so the memo fills from the second call in a row at one level on
 and a stream of calls that keeps changing level stores nothing.  The memo
 holds one immutable :class:`FusionVector` per distinct product (1,089 at
 k=20), and a memo hit returns that shared vector as it is: it builds nothing
-and hashes nothing.  A miss, and a call at a new level, takes its
-``(label, 1)`` pairs by index from one list that every level shares,
-extended only when a call reaches a level above all before it, so it builds
-no label; a miss then looks its output tuple up among the level's products
-to find the one vector for it.
+and hashes nothing.  A call at a new level builds one label per output.  A
+miss takes its ``(label, 1)`` pairs from the level's own interned pairs,
+keyed by index and built on first use, so the work and memory of a call
+grow with its outputs and a level's memo with the products it holds, never
+with ``k`` alone; it then looks its output tuple up among the level's
+products to find the one vector for it.
 """
 
 from __future__ import annotations
@@ -39,18 +40,15 @@ from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, 
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
-# (k, memo, shared) for the current level: ``memo`` maps the key
-# (s1, s2, i1, i2, r), packed into one int, to the product's vector, and
-# ``shared`` maps a product's items to its one vector.
+# (k, memo, shared, pairs) for the current level: ``memo`` maps the key
+# (s1, s2, i1, i2, r), packed into one int, to the product's vector,
+# ``shared`` maps a product's items to its one vector, and ``pairs`` interns
+# the ``(label, 1)`` pairs of the level's products, keyed by the packed index
+# (sector * (k + 1) + i) * 3 + j, so it holds only the labels the level used.
 # ``fuse_irreducible`` reads the binding once and only ever replaces it
 # whole, so a concurrent switch of levels can never serve a product from
 # another level.
-_level_memo: tuple = (0, {}, {})
-# The ``(label, 1)`` pair of (sector, i, j) at index ``9*i + 3*sector + j``,
-# for every i up to the largest level fused so far; a label has no level, so
-# every level shares them.  The list is only ever replaced whole, never
-# changed in place, so a list once read and found long enough stays so.
-_pairs: list = []
+_level_memo: tuple = (0, {}, {}, {})
 _U, _T2 = Sector.U, Sector.T2  # a module global is read faster than an enum attribute
 
 
@@ -85,33 +83,30 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
         r = (j2 - j1 if s1 is _U else j1 - j2) % 3
     else:
         r = (j1 + j2) % 3
-    level, memo, shared = _level_memo
+    level, memo, shared, pairs = _level_memo
     if level != k:
-        _level_memo = (k, {}, {})
-        return FusionVector._from_canonical(_items(s1, s2, i1, i2, r, k))
+        _level_memo = (k, {}, {}, {})
+        sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
+        new = tuple.__new__
+        return FusionVector._from_canonical(tuple([(new(IrrLabel, (sector, i, j)), 1) for i, j in zip(out_is, out_js)]))
     key = (((s1 * 3 + s2) * (k + 1) + i1) * (k + 1) + i2) * 3 + r
     vector = memo.get(key)
     if vector is None:
-        items = _items(s1, s2, i1, i2, r, k)
+        sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
+        base = sector * (k + 1)
+        items = []
+        for i, j in zip(out_is, out_js):
+            index = (base + i) * 3 + j
+            pair = pairs.get(index)
+            if pair is None:
+                pair = pairs[index] = (tuple.__new__(IrrLabel, (sector, i, j)), 1)
+            items.append(pair)
+        items = tuple(items)
         vector = shared.get(items)
         if vector is None:
             vector = shared[items] = FusionVector._from_canonical(items)
         memo[key] = vector
     return vector
-
-
-def _items(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> tuple[tuple[IrrLabel, int], ...]:
-    """The canonical ``(label, 1)`` pairs of one product, taken by index from ``_pairs``."""
-    global _pairs
-    sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
-    pairs = _pairs
-    if len(pairs) < 9 * (k + 1):
-        new = tuple.__new__
-        pairs = _pairs = pairs + [
-            (new(IrrLabel, (sec, i, j)), 1) for i in range(len(pairs) // 9, k + 1) for sec in Sector for j in range(3)
-        ]
-    offset = 3 * sector
-    return tuple([pairs[9 * i + offset + j] for i, j in zip(out_is, out_js)])
 
 
 def _outputs(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> tuple[Sector, range, list[int]]:

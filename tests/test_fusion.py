@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -312,6 +313,36 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
     assert len(memo) == 6048  # keys (s1, s2, i1, i2, r), with i1 <= i2 for equal sectors
     assert len(set(first)) == len({id(v) for v in memo.values()}) == len(set(memo.values())) == 1089
     assert {id(v) for v in again} == {id(v) for v in memo.values()}
+    pairs = fusion_mod._level_memo[3]  # one interned (label, 1) pair per label the level's products use
+    assert len(pairs) == len(labels)
+    assert {id(p) for v in memo.values() for p in v.items()} == {id(p) for p in pairs.values()}
+
+
+def _peak_bytes_of_small_products(k):
+    """Peak bytes traced while fusing small products at level ``k``, and their results."""
+    vac, gen = parse_label("u:0:0", k), parse_label("u:2:1", k)
+    tracemalloc.start()
+    try:
+        fuse_irreducible(vac, vac, k + 1)  # so that the calls at k start a fresh memo
+        first = fuse_irreducible(vac, vac, k)  # a new level: computed directly
+        again = fuse_irreducible(vac, vac, k)  # a memo miss
+        wide = fuse_irreducible(gen, gen, k)  # a memo miss with three outputs
+        coefficient = fusion_coefficient(vac, vac, vac, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (first, again, wide, coefficient)
+
+
+def test_fusion_at_a_huge_level_builds_only_its_outputs():
+    # What a call builds grows with its product's outputs, never with k
+    # alone.  The bound is checked at k = 10**5 first, where a table of all
+    # labels would still fit, so a regression fails there before k = 10**7.
+    for k in (10**5, 10**7):
+        peak, (first, again, wide, coefficient) = _peak_bytes_of_small_products(k)
+        assert peak < 256 * 1024, (k, peak)
+        assert first == again == FusionVector({vacuum(k): 1}) and coefficient == 1
+        assert len(wide) == 3 and wide == _reference_fuse(parse_label("u:2:1", k), parse_label("u:2:1", k), k)
 
 
 def test_fusion_vector_copies_and_pickles_as_a_value():
