@@ -56,12 +56,16 @@ class ChebPoly:
         return not self.coeffs
 
     def __add__(self, other: "ChebPoly") -> "ChebPoly":
+        if not isinstance(other, ChebPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         return ChebPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "ChebPoly") -> "ChebPoly":
+        if not isinstance(other, ChebPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ChebPoly":
@@ -70,6 +74,8 @@ class ChebPoly:
     def __mul__(self, other: Union["ChebPoly", int]) -> "ChebPoly":
         if isinstance(other, int):
             return ChebPoly([c * other for c in self.coeffs])
+        if not isinstance(other, ChebPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return ChebPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

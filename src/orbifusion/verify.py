@@ -19,22 +19,27 @@ honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 
 Suites run through :func:`run_suites`, which builds one integer table of
 all n^2 products, multiplicities kept, and shares it among the suites it
-runs; ``catalog`` reads only its labels.  The table's rows are built lazily,
-one row at a time with one ``fuse_irreducible`` call per pair, and kept, so
-a run fuses only the rows its suites read (``unit`` the vacuum row,
-``catalog`` none) and each ordered pair at most once.  Equal products share
-one row tuple, so the table holds far fewer distinct rows than pairs (1089
-for 35,721 at k=20), and ``dual`` and ``qdim`` check a row at a time,
-reporting the failures of a row that fails, pair by pair, from the values
-the row check computed.  No table outlives the call that built it, so a
-substituted ``fuse_irreducible`` is always what is verified.  A report's
-``elapsed`` times the checks only: a suite builds the rows it reads before
-its clock starts.
+runs; ``catalog`` reads only its labels.  Every distinct product has an
+integer id, and the table holds each distinct product's outputs once, by
+id, and the id of every pair (1089 ids for 35,721 pairs at k=20).  The rows
+of ids are built lazily, one row at a time with one ``fuse_irreducible``
+call per pair, and kept, so a run fuses only the rows its suites read
+(``unit`` the vacuum row, ``catalog`` none) and each ordered pair at most
+once.  A suite does its per-product work once per id: ``comm`` compares
+ids, ``assoc`` builds the right sides a x (b x c) once per id and
+generator, and ``qdim`` sums a product's quantum dimensions once per id.
+``dual`` and ``qdim`` check a row at a time, ``dual`` with one list
+equality: listed in the order of the duals of their right factors, the
+row's products must equal their own columns.  A row that fails reports its
+failures pair by pair, in the order and with the texts of a pair-by-pair
+sweep.  No table outlives the call that built it, so a substituted
+``fuse_irreducible`` is always what is verified.  A report's ``elapsed``
+times the checks only: a suite builds the rows it reads before its clock
+starts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import time
@@ -44,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .labels import IrrLabel, Sector, check_level, enumerate_irreducibles, make_label, vacuum
+from .labels import FusionVector, IrrLabel, Sector, check_level, enumerate_irreducibles, make_label, vacuum
 from .weights import base_twist_weight, conformal_weight
 from .qdim import QDimElement, has_unit_qdim, qdim_exact
 from .fusion import contragredient, fuse_irreducible
@@ -105,13 +110,13 @@ class _Memo(dict):
 class _Rows(Sequence):
     """The rows of a fusion table: row ``a`` is built by ``build(a)`` on first use and kept."""
 
-    def __init__(self, build: Callable[[int], list[tuple[int, ...]]], n: int):
+    def __init__(self, build: Callable[[int], list[int]], n: int):
         self.build, self.rows = build, [None] * n
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, a: int) -> list[tuple[int, ...]]:
+    def __getitem__(self, a: int) -> list[int]:
         row = self.rows[a]
         if row is None:
             row = self.rows[a] = self.build(a)
@@ -123,18 +128,20 @@ class _Rows(Sequence):
 class _FusionTable:
     """Integer-indexed fusion products of all irreducibles at one level.
 
-    ``products[a][b]`` holds the indices (into ``labels``) of the outputs of
-    ``labels[a] x labels[b]`` in canonical order, each repeated as often as
-    its multiplicity, so sums over a product are plain iteration and a wrong
-    multiplicity is seen by every suite.  Row ``a`` is built on first use,
-    with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
-    and kept.  Equal products share one row tuple (1089 distinct rows for
-    35,721 pairs at k=20), keyed by the product vector itself.
+    Every distinct product has an integer id.  ``outputs[p]`` holds the
+    indices (into ``labels``) of product ``p``'s outputs in canonical order,
+    each repeated as often as its multiplicity, so sums over a product are
+    plain iteration and a wrong multiplicity is seen by every suite.
+    ``ids[a][b]`` is the id of ``labels[a] x labels[b]``.  Row ``a`` of
+    ``ids`` is built on first use, with one call of this module's
+    ``fuse_irreducible`` per pair ``(a, b)``, and kept; a product not met
+    before takes the next id, so ``outputs`` grows as rows are built (1089
+    ids for 35,721 pairs at k=20).  A product is looked up by its vector:
     ``fuse_irreducible`` hands out one shared vector per distinct product,
     with its hash cached, so a lookup is a cached hash and an identity
     match.  A vector hashes and compares as its ``(label, multiplicity)``
     items, so fresh vectors from a substituted ``fuse_irreducible`` share
-    rows too, and products that differ in a multiplicity never share.
+    ids too, and two pairs have one id exactly when their outputs are equal.
     """
 
     def __init__(self, k: int):
@@ -142,12 +149,18 @@ class _FusionTable:
         self.k = k
         self.labels = labels = enumerate_irreducibles(k)
         self.index = index = {lab: t for t, lab in enumerate(labels)}
-        shared = _Memo(lambda product: tuple([index[c] for c, m in product.items() for _ in range(m)]))
-        self.products = _Rows(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels], len(labels))
+        self.outputs = outputs = []
 
-    def render(self, row: tuple[int, ...]) -> str:
-        """A product as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""
-        return "{" + ", ".join(f"{self.labels[c].token()}: {m}" for c, m in sorted(Counter(row).items())) + "}"
+        def new_id(product: FusionVector) -> int:
+            outputs.append(tuple([index[c] for c, m in product.items() for _ in range(m)]))
+            return len(outputs) - 1
+
+        shared = _Memo(new_id)
+        self.ids = _Rows(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels], len(labels))
+
+    def render(self, outputs: Sequence[int]) -> str:
+        """A product's outputs as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""
+        return "{" + ", ".join(f"{self.labels[c].token()}: {m}" for c, m in sorted(Counter(outputs).items())) + "}"
 
 
 def _finish(report: VerificationReport, start: float) -> VerificationReport:
@@ -157,51 +170,57 @@ def _finish(report: VerificationReport, start: float) -> VerificationReport:
 
 def _unit(table: _FusionTable) -> VerificationReport:
     """Vacuum acts as the fusion unit on every label."""
-    vac_row = table.products[table.index[vacuum(table.k)]]
+    vac_row = table.ids[table.index[vacuum(table.k)]]
     start = time.perf_counter()
     report = VerificationReport("unit", table.k)
     _check_left_unit(table, vac_row, report)
     return _finish(report, start)
 
 
-def _check_left_unit(table: _FusionTable, vac_row: list[tuple[int, ...]], report: VerificationReport) -> None:
+def _check_left_unit(table: _FusionTable, vac_row: list[int], report: VerificationReport) -> None:
     """Vacuum x b = b for every label b, read from the vacuum's row; ``unit`` and ``assoc`` share it."""
+    outputs = table.outputs
     for ib, lab in enumerate(table.labels):
         report.checks_run += 1
-        if vac_row[ib] != (ib,):
+        if outputs[vac_row[ib]] != (ib,):
             report.failures.append(
-                Failure(f"vacuum x {lab.token()} = {table.render(vac_row[ib])}, expected {{{lab.token()}: 1}}", (lab,))
+                Failure(
+                    f"vacuum x {lab.token()} = {table.render(outputs[vac_row[ib]])}, expected {{{lab.token()}: 1}}",
+                    (lab,),
+                )
             )
 
 
 def _commutativity(table: _FusionTable) -> VerificationReport:
-    """Fusion product is symmetric: a x b = b x a."""
-    k, labels, products = table.k, table.labels, list(table.products)
+    """Fusion product is symmetric: a x b = b x a, compared by product id."""
+    k, labels, ids = table.k, table.labels, list(table.ids)
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("comm", k)
     for ia, ib in itertools.combinations_with_replacement(range(n), 2):
         report.checks_run += 1
-        ab, ba = products[ia][ib], products[ib][ia]
+        ab, ba = ids[ia][ib], ids[ib][ia]
         if ab != ba:
             a, b = labels[ia], labels[ib]
             report.failures.append(
                 Failure(
-                    f"{a.token()} x {b.token()} = {table.render(ab)} but reversed gives {table.render(ba)}",
+                    f"{a.token()} x {b.token()} = {table.render(table.outputs[ab])} "
+                    f"but reversed gives {table.render(table.outputs[ba])}",
                     (a, b),
                 )
             )
     return _finish(report, start)
 
 
-def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
+def _generators(ids: Sequence[list[int]], outputs: list[tuple[int, ...]], vac: int) -> list[int]:
     """Indices whose triples, with the vacuum as left unit, prove associativity.
 
     Grows the known part of S (see the module docstring) to a fixed point,
     then adds the smallest index outside it as a generator, until S holds
-    every label.  Reads the table rows only; the checks are the caller's.
+    every label.  Reads the table (rows of product ids and each id's
+    outputs) only; the checks are the caller's.
     """
-    known = [False] * len(products)
+    known = [False] * len(ids)
     known[vac] = True
     gens: list[int] = []
     while False in known:
@@ -211,9 +230,9 @@ def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
         while grew:
             grew = False
             for h in gens:
-                for y, row in enumerate(products[h]):
+                for y, p in enumerate(ids[h]):
                     if known[y]:
-                        new = {t for t in row if not known[t]}
+                        new = {t for t in outputs[p] if not known[t]}
                         if len(new) == 1:
                             known[new.pop()] = grew = True
     return gens
@@ -221,34 +240,31 @@ def _generators(products: list[list[tuple[int, ...]]], vac: int) -> list[int]:
 
 def _associativity(table: _FusionTable) -> VerificationReport:
     """(a x b) x c = a x (b x c) on every triple, proven from generators."""
-    k, labels, products = table.k, table.labels, list(table.products)
+    k, labels, ids = table.k, table.labels, list(table.ids)
+    outputs = table.outputs
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("assoc", k)
     vac = table.index[vacuum(k)]
-    _check_left_unit(table, products[vac], report)
-    gens = _generators(products, vac)
+    _check_left_unit(table, ids[vac], report)
+    gens = _generators(ids, outputs, vac)
     report.checks_run += len(gens) * n * n
     for ia in gens:
-        a_row = products[ia]
-
-        # a x row, sorted; a table has few distinct rows (1089 of 35,721 at k=20)
-        @functools.cache
-        def left_image(row: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(sorted([c for t in row for c in a_row[t]]))
-
+        a_row = list(map(outputs.__getitem__, ids[ia]))
+        # a x p, sorted, for every product id p: a x (b x c) is right[ids[b][c]]
+        right = [tuple(sorted([c for t in out for c in a_row[t]])) for out in outputs]
         for ib in range(n):
             ab = a_row[ib]
             if len(ab) == 1:
-                lefts = products[ab[0]]  # table rows are canonical, so sorted
+                lefts = list(map(outputs.__getitem__, ids[ab[0]]))  # outputs are canonical, so sorted
             else:
-                # (a x b) x c for every c: the rows of a x b's outputs, concatenated
+                # (a x b) x c for every c: the outputs of a x b's outputs' rows, concatenated
                 # entry by entry; each entry is a run of sorted runs, which sorted merges
                 merged = [()] * n
                 for t in ab:
-                    merged = map(operator.add, merged, products[t])
+                    merged = map(operator.add, merged, map(outputs.__getitem__, ids[t]))
                 lefts = list(map(tuple, map(sorted, merged)))
-            rights = list(map(left_image, products[ib]))
+            rights = list(map(right.__getitem__, ids[ib]))
             if lefts == rights:
                 continue
             for ic in range(n):
@@ -267,15 +283,26 @@ def _associativity(table: _FusionTable) -> VerificationReport:
 def _duality(table: _FusionTable) -> VerificationReport:
     """Contragredient identities.
 
-    (i) N_{a,b}^c = N_{a,c'}^{b'} for *all* triples: swept over every
-    ordered pair and every output of it.  A triple with both sides zero
-    holds vacuously, and a triple whose right side is positive is the same
-    equation as the swept instance at the pair (a, c'), so the positive
-    sweep covers the whole cube at quadratic cost.
-    (ii) The vacuum appears in a x b exactly when b = a'.
+    (i) N_{a,b}^c = N_{a,c'}^{b'} for *all* triples, checked a row ``a`` at
+    a time in column form.  Write ``b = j'`` and list the row's products in
+    the order of ``j``: entry ``j`` is ``a x j'``, whose outputs are the
+    multiset ``c -> N_{a,j'}^c``.  Column ``c`` of that list names every
+    ``j`` with ``c`` in ``a x j'``, once per multiplicity and ascending, so
+    it is the multiset ``j -> N_{a,j'}^c``, and entry ``c`` is
+    ``j -> N_{a,c'}^j``.  The identity on row ``a`` says exactly that each
+    column equals the entry of the same index, zero multiplicities
+    included; the row's columns cover every ``(b, c)``, so the rows cover
+    the whole cube at quadratic cost.
+    (ii) The vacuum appears in a x b exactly when b = a': the vacuum's
+    column is ``[a]``.
     (iii) Duality is an involution preserving weight and quantum dimension.
+
+    A row counts one vacuum check per pair and one instance of (i) per
+    distinct output of each product, as a sweep over the positive
+    instances would.
     """
-    k, labels, products = table.k, table.labels, list(table.products)
+    k, labels, ids = table.k, table.labels, list(table.ids)
+    outputs = table.outputs
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("dual", k)
@@ -305,19 +332,29 @@ def _duality(table: _FusionTable) -> VerificationReport:
 
     dual = [table.index[duals[lab]] for lab in labels]
     vac = table.index[vacuum(k)]
-    for ia, row in enumerate(products):
-        # Row a at once: (ii) from the vacuum multiplicity of each product,
-        # and (i) from a count of N_{a,b}^c keyed b*n + c, read at (c', b')
-        # (a zero when absent).  A failing row reports from these values in
-        # pair order: b's vacuum check, then b's outputs as the count met them.
+    # the column form reads b = j' as j = b', so it stands for (i) only when duality is an
+    # involution; (iii) reports when it is not, and every row then reports pair by pair
+    involution = all(dual[d] == t for t, d in enumerate(dual))
+    distinct = [len(set(out)) for out in outputs]  # by product id
+    for ia, row in enumerate(ids):
+        by_dual = list(map(outputs.__getitem__, map(row.__getitem__, dual)))  # entry j is a x j'
+        cols: list[list[int]] = [[] for _ in range(n)]
+        for j, out in enumerate(by_dual):
+            for ic in out:
+                cols[ic].append(j)
+        report.checks_run += n + sum(map(distinct.__getitem__, row))
+        if involution and cols[vac] == [ia] and list(map(tuple, cols)) == by_dual:
+            continue
+        # A failing row reports pair by pair: (ii) from the vacuum multiplicity of
+        # each product, and (i) from a count of N_{a,b}^c keyed b*n + c, read at
+        # (c', b') (a zero when absent), in pair order: b's vacuum check, then
+        # b's outputs as the count met them.
+        products = list(map(outputs.__getitem__, row))
         expected = [0] * n
         expected[dual[ia]] = 1
-        vac_mults = [product.count(vac) for product in row]
-        counts = Counter([ib * n + ic for ib, product in enumerate(row) for ic in product])
+        vac_mults = [product.count(vac) for product in products]
+        counts = Counter([ib * n + ic for ib, product in enumerate(products) for ic in product])
         partners = list(map(counts.__getitem__, [dual[bc % n] * n + dual[bc // n] for bc in counts]))
-        report.checks_run += n + len(counts)
-        if vac_mults == expected and partners == list(counts.values()):
-            continue
         failing = [(ib, None, m, e) for ib, (m, e) in enumerate(zip(vac_mults, expected)) if m != e]
         failing += [(*divmod(bc, n), m, p) for (bc, m), p in zip(counts.items(), partners) if m != p]
         a = labels[ia]
@@ -341,7 +378,7 @@ def _duality(table: _FusionTable) -> VerificationReport:
 
 def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
-    k, labels, products = table.k, table.labels, list(table.products)
+    k, labels, ids = table.k, table.labels, list(table.ids)
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("qdim", k)
@@ -362,10 +399,10 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
             total = values[v] if total is None else total + values[v]
         return intern(total)
 
-    by_outputs = _Memo(fusion_sum)  # rows with equal qdims share one sum
-    fusion_side = _Memo(lambda row: by_outputs[tuple(sorted([vid[c] for c in row]))])
+    by_outputs = _Memo(fusion_sum)  # products with equal qdims share one sum
+    fusion_side = [by_outputs[tuple(sorted([vid[c] for c in out]))] for out in table.outputs]  # by product id
     times = _Memo(lambda va: [intern(values[va] * v) for v in values])  # by value id of b
-    for ia, row in enumerate(products):
+    for ia, row in enumerate(ids):
         report.checks_run += n
         lhs = list(map(times[vid[ia]].__getitem__, vid))
         rhs = list(map(fusion_side.__getitem__, row))
@@ -398,13 +435,14 @@ Z18_CORRESPONDENCE: dict[str, int] = {
 
 def _lattice_oracle(table: _FusionTable) -> VerificationReport:
     """Level-1 catalog against the independent Z/18 lattice model."""
-    labels, products = table.labels, list(table.products)
+    labels, ids, outputs = table.labels, list(table.ids), table.outputs
     start = time.perf_counter()
     report = VerificationReport("oracle", 1)
     cosets = {lab: Z18_CORRESPONDENCE[lab.token()] for lab in labels}
-    for a, s_a, row in zip(labels, cosets.values(), products):
-        for b, s_b, product in zip(labels, cosets.values(), row):
+    for a, s_a, row in zip(labels, cosets.values(), ids):
+        for b, s_b, p in zip(labels, cosets.values(), row):
             report.checks_run += 1
+            product = outputs[p]
             if len(product) != 1:
                 report.failures.append(
                     Failure(f"{a.token()} x {b.token()} is not a single simple module: {table.render(product)}", (a, b))

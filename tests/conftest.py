@@ -38,7 +38,7 @@ def associative_by_sweep():
 
 
 def _products_by_pair(k, fuse):
-    """Reference for ``_FusionTable.products``: one fresh tuple per ordered pair.
+    """Reference for a ``_FusionTable``'s rows: one fresh tuple per ordered pair.
 
     Nothing is shared between pairs; each product's output indices come in
     its canonical order, repeated by multiplicity.
@@ -51,9 +51,14 @@ def _products_by_pair(k, fuse):
     ]
 
 
-def _duality_by_pair(table):
-    """Reference for ``dual``: parts (ii) and (i) checked pair by pair."""
-    k, labels, products = table.k, table.labels, table.products
+def _table_rows(table):
+    """A fusion table's products as rows of output tuples, read through its product ids."""
+    return [[table.outputs[p] for p in row] for row in table.ids]
+
+
+def _duality_by_pair(table, products):
+    """Reference for ``dual``: parts (ii) and (i) checked pair by pair on ``table``'s rows ``products``."""
+    k, labels = table.k, table.labels
     n = len(labels)
     report = VerificationReport("dual", k)
     duals = {lab: contragredient(lab, k) for lab in labels}
@@ -106,9 +111,9 @@ def _duality_by_pair(table):
     return report
 
 
-def _qdim_by_pair(table):
-    """Reference for ``qdim``: one residue comparison per ordered pair, memoised by value."""
-    k, labels, products = table.k, table.labels, table.products
+def _qdim_by_pair(table, products):
+    """Reference for ``qdim``: one residue comparison per ordered pair of ``products``, memoised by value."""
+    k, labels = table.k, table.labels
     n = len(labels)
     report = VerificationReport("qdim", k)
     value_id = {}
@@ -136,6 +141,11 @@ def _qdim_by_pair(table):
                 Failure(f"qdim({a.token()}) * qdim({b.token()}) = {lhs} but fusion side sums to {rhs}", (a, b))
             )
     return report
+
+
+@pytest.fixture
+def table_rows():
+    return _table_rows
 
 
 @pytest.fixture

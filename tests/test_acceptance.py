@@ -82,7 +82,7 @@ def test_criterion_4_level1_lattice_oracle():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_5_ring_axioms(associative_by_sweep):
+def test_criterion_5_ring_axioms(associative_by_sweep, table_rows):
     """Unit/commutativity/duality exhaustive for k <= 12, associativity for
     k <= 6 and confirmed there by the cubic sweep; zero failures; the k=6
     suite finishes in < 60 s."""
@@ -97,7 +97,7 @@ def test_criterion_5_ring_axioms(associative_by_sweep):
     for k in range(1, 7):
         report = run_suites(["assoc"], k)[0]
         assert report.passed, (k, [f.render() for f in report.failures[:5]])
-        assert associative_by_sweep(_FusionTable(k).products)
+        assert associative_by_sweep(table_rows(_FusionTable(k)))
         if k == 6:
             assert report.elapsed < 60.0
 

@@ -32,6 +32,20 @@ def test_ring_ops_small():
     assert poly(1, 1) * poly(-1, 1) == poly(-1, 0, 1)
 
 
+def test_arithmetic_with_a_foreign_operand_is_not_implemented():
+    from orbifusion.labels import vacuum
+    from orbifusion.qdim import qdim_exact
+
+    p = poly(1)
+    q = qdim_exact(vacuum(3), 3)
+    assert p.__add__(3) is NotImplemented and p.__sub__(3) is NotImplemented
+    assert p.__mul__(q) is NotImplemented and p.__mul__(1.5) is NotImplemented
+    for op in (lambda: p + 3, lambda: p - 3, lambda: 3 - p, lambda: p * q, lambda: p * 1.5, lambda: 1.5 * p):
+        with pytest.raises(TypeError):
+            op()
+    assert p * 2 == 2 * p == poly(2)  # an int still scales
+
+
 def test_ring_ops_random_properties():
     rng = random.Random(99)
 

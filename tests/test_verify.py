@@ -1,9 +1,12 @@
 import copy
+import itertools
 import random
+import sys
 
 import pytest
 
 import orbifusion.verify as verify_mod
+from orbifusion.fusion import contragredient
 from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label, vacuum
 from orbifusion.verify import SUITES, Z18_CORRESPONDENCE, Failure, run_suites
 
@@ -132,7 +135,7 @@ def test_oracle_catches_broken_duality(monkeypatch):
 
 def test_associativity_generators_at_level_9():
     table = verify_mod._FusionTable(9)
-    gens = verify_mod._generators(table.products, table.index[vacuum(9)])
+    gens = verify_mod._generators(table.ids, table.outputs, table.index[vacuum(9)])
     assert [table.labels[g].token() for g in gens] == ["u:0:1", "u:1:0", "t1:0:0"]
 
 
@@ -252,10 +255,12 @@ def test_qdim_memo_is_by_value_not_by_index(monkeypatch):
 
 
 def test_generators_grow_only_through_a_single_new_label():
-    # labels 0..3 with 0 the vacuum and 1 x 1 = 2 + 3: that product proves
-    # neither 2 nor 3, so 2 must become a generator before 3 follows from it
-    identity = [(0,), (1,), (2,), (3,)]
-    assert verify_mod._generators([identity, [(1,), (2, 3), (2,), (3,)], identity, identity], 0) == [1, 2]
+    # labels 0..3 with 0 the vacuum and 1 x 1 = 2 + 3 (product id 4): that
+    # product proves neither 2 nor 3, so 2 must become a generator before 3
+    # follows from it
+    outputs = [(0,), (1,), (2,), (3,), (2, 3)]
+    identity = [0, 1, 2, 3]
+    assert verify_mod._generators([identity, [1, 4, 2, 3], identity, identity], outputs, 0) == [1, 2]
 
 
 def test_assoc_reports_a_broken_left_unit(monkeypatch):
@@ -265,19 +270,31 @@ def test_assoc_reports_a_broken_left_unit(monkeypatch):
     assert Failure(f"vacuum x {lab.token()} = {{}}, expected {{{lab.token()}: 1}}", (lab,)) in report.failures
 
 
+def _with_product(table, ia, ib, outputs):
+    """A copy of ``table`` whose product ``ia x ib`` has the output indices ``outputs`` instead.
+
+    The copy has its own rows of ids and its own ``outputs``: the new
+    product is appended to ``outputs`` as a new id, and the one pair's entry
+    in ``ids`` points at it.  The new tuple may equal another product's
+    outputs; ``assoc``, ``dual`` and ``qdim`` read products by value.
+    """
+    bad = copy.copy(table)
+    bad.ids = [list(row) for row in table.ids]  # builds every row, so ``table.outputs`` is complete
+    bad.outputs = [*table.outputs, tuple(sorted(outputs))]  # outputs stay in canonical order
+    bad.ids[ia][ib] = len(bad.outputs) - 1
+    return bad
+
+
 def _corrupted(table, rng, kind):
     """A copy of ``table`` with one output of one product dropped, added, doubled or replaced.
 
     The kind ``empty`` drops every output of one product u:1:0 x b instead.
     """
     n = len(table.labels)
-    bad = copy.copy(table)
-    bad.products = [list(row) for row in table.products]
     if kind == "empty":
-        bad.products[table.index[parse_label("u:1:0", table.k)]][rng.randrange(n)] = ()
-        return bad
+        return _with_product(table, table.index[parse_label("u:1:0", table.k)], rng.randrange(n), ())
     ia, ib = rng.randrange(n), rng.randrange(n)
-    outputs = list(bad.products[ia][ib])
+    outputs = list(table.outputs[table.ids[ia][ib]])
     pick = rng.randrange(len(outputs))
     if kind == "drop":
         del outputs[pick]
@@ -287,24 +304,24 @@ def _corrupted(table, rng, kind):
         outputs.append(outputs[pick])
     else:
         outputs[pick] = rng.choice([c for c in range(n) if c != outputs[pick]])
-    bad.products[ia][ib] = tuple(sorted(outputs))  # rows stay in canonical order
-    return bad
+    return _with_product(table, ia, ib, outputs)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep):
+def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, table_rows):
     table = verify_mod._FusionTable(k)
-    assert verify_mod._associativity(table).passed and associative_by_sweep(table.products)
+    assert verify_mod._associativity(table).passed and associative_by_sweep(table_rows(table))
     rng = random.Random(k)
     for r in range(150):
         bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
-        assert verify_mod._associativity(bad).passed == associative_by_sweep(bad.products)
+        assert verify_mod._associativity(bad).passed == associative_by_sweep(table_rows(bad))
     u10 = table.index[parse_label("u:1:0", k)]
     for _ in range(10):
         bad = _corrupted(table, rng, "empty")
-        b = table.labels[bad.products[u10].index(())]
+        rows = table_rows(bad)
+        b = table.labels[rows[u10].index(())]
         report = verify_mod._associativity(bad)
-        assert not associative_by_sweep(bad.products)
+        assert not associative_by_sweep(rows)
         # u:1:0 is a generator: its empty product with b is merged, and fails, as (u:1:0 x b) x c
         assert any(f.labels[:2] == (table.labels[u10], b) for f in report.failures)
 
@@ -330,12 +347,13 @@ def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [*range(1, 11), 20])
-def test_table_matches_the_pair_by_pair_construction(k, products_by_pair):
+def test_table_matches_the_pair_by_pair_construction(k, products_by_pair, table_rows):
     table = verify_mod._FusionTable(k)
-    assert list(table.products) == products_by_pair(k, verify_mod.fuse_irreducible)
+    assert table_rows(table) == products_by_pair(k, verify_mod.fuse_irreducible)
+    assert len(set(table.outputs)) == len(table.outputs)  # one id per distinct product
 
 
-def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair):
+def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair, table_rows):
     from orbifusion.fusion import fuse_irreducible
 
     k = 3
@@ -350,25 +368,75 @@ def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair
         return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
 
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, double_first))
-    products = verify_mod._FusionTable(k).products
+    table = verify_mod._FusionTable(k)
+    products = table_rows(table)
     first, *rest = honest[ia][ib]
     assert products[ia][ib] == (first, first, *rest)
     assert all(products[x][y] == honest[x][y] for x, y in sharers if (x, y) != (ia, ib))
-    assert list(products) == products_by_pair(k, verify_mod.fuse_irreducible)
+    assert products == products_by_pair(k, verify_mod.fuse_irreducible)
+    others = {table.ids[x][y] for x, y in sharers if (x, y) != (ia, ib)}
+    assert len(others) == 1 and table.ids[ia][ib] not in others  # the honest sharers keep one id
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_dual_and_qdim_report_as_the_pair_by_pair_sweeps_do(k, duality_by_pair, qdim_by_pair):
+@pytest.mark.parametrize("k", range(1, 9))
+def test_dual_and_qdim_report_as_the_pair_by_pair_sweeps_do(k, duality_by_pair, qdim_by_pair, table_rows):
     table = verify_mod._FusionTable(k)
     rng = random.Random(k)
     mixed_rows = 0  # rows failing both the vacuum check (ii) and an instance of (i)
-    for r in range(150):
-        bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
+    u10 = table.index[parse_label("u:1:0", k)]
+    dual_u10 = table.index[contragredient(table.labels[u10], k)]
+    seeded = (_corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4]) for r in range(150))
+    # u:1:0 x u:1:0' emptied loses its vacuum and its other outputs, so that row fails both parts
+    for bad in itertools.chain(seeded, [_with_product(table, u10, dual_u10, ())]):
+        rows = table_rows(bad)
         dual = verify_mod._duality(bad)
-        for got, want in ((dual, duality_by_pair(bad)), (verify_mod._qdim_homomorphism(bad), qdim_by_pair(bad))):
+        for got, want in (
+            (dual, duality_by_pair(bad, rows)),
+            (verify_mod._qdim_homomorphism(bad), qdim_by_pair(bad, rows)),
+        ):
             assert [f.labels for f in got.failures] == [f.labels for f in want.failures]
             assert got.failures == want.failures
             assert got.checks_run == want.checks_run
         vacuum_rows = {f.labels[0] for f in dual.failures if "^vacuum" in f.description}
         mixed_rows += any(len(f.labels) == 3 and f.labels[0] in vacuum_rows for f in dual.failures)
     assert mixed_rows > 0  # so the order in which a row's two parts report is exercised
+
+
+def test_dual_fails_exactly_when_the_pair_by_pair_sweep_does_at_level_8(duality_by_pair, table_rows):
+    table = verify_mod._FusionTable(8)
+    assert verify_mod._duality(table).passed
+    rng = random.Random(8)
+    kinds = ("drop", "add", "double", "replace", "empty")
+    failed = dict.fromkeys(kinds, 0)
+    for r in range(300):
+        kind = kinds[r % 5]
+        bad = _corrupted(table, rng, kind)
+        passed = verify_mod._duality(bad).passed
+        assert passed == duality_by_pair(bad, table_rows(bad)).passed, (r, kind)
+        failed[kind] += not passed
+    # every doubled multiplicity fails, so multiplicities are compared (only
+    # doubling b' in a x b, an instance that is its own partner, could pass)
+    assert failed["double"] == failed["empty"] == 60
+
+
+def test_table_at_level_20_holds_1089_products_for_one_fuse_per_pair(fuse_calls):
+    table = verify_mod._FusionTable(20)
+    assert all(SUITES[name](table).passed for name in SUITES if name != "oracle")
+    n = 9 * 21
+    assert len(fuse_calls) == len(set(fuse_calls)) == n * n
+    assert len(table.outputs) == len(set(table.outputs)) == 1089
+
+
+def test_dual_reports_as_the_pair_by_pair_sweep_does_when_duality_is_no_involution(
+    monkeypatch, duality_by_pair, table_rows
+):
+    def negated(lab, k):  # the dual with j negated: a permutation, but not an involution
+        d = contragredient(lab, k)
+        return d._replace(j=-d.j % 3)
+
+    monkeypatch.setattr(verify_mod, "contragredient", negated)
+    monkeypatch.setattr(sys.modules[duality_by_pair.__module__], "contragredient", negated)
+    table = verify_mod._FusionTable(2)
+    got, want = verify_mod._duality(table), duality_by_pair(table, table_rows(table))
+    assert got.failures == want.failures and got.checks_run == want.checks_run
+    assert any(len(f.labels) == 3 for f in got.failures)  # instances of (i) fail, not only (iii)
