@@ -30,19 +30,27 @@ from typing import Callable, Iterable, Union
 __all__ = ["ChebPoly", "cheb_u", "cyclotomic", "min_poly_two_cos"]
 
 
+_INT_ONLY = frozenset((int,))
+
+
 class ChebPoly:
     """Univariate polynomial with integer coefficients, ascending order.
 
     Trailing zero coefficients are stripped, so the representation (and
     equality) is canonical; the zero polynomial has an empty coefficient
     tuple.  Division is supported for divisors with unit leading
-    coefficient, which keeps everything inside the integers.
+    coefficient, which keeps everything inside the integers.  Every
+    coefficient must be an int (not a bool); anything else raises
+    ``ValueError``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        if not _INT_ONLY.issuperset(map(type, cs)):
+            bad = next(c for c in cs if type(c) is not int)
+            raise ValueError(f"polynomial coefficients must be ints, got {bad!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -61,7 +69,7 @@ class ChebPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return ChebPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return _from_ints([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "ChebPoly") -> "ChebPoly":
         if not isinstance(other, ChebPoly):
@@ -69,7 +77,7 @@ class ChebPoly:
         return self + (-other)
 
     def __neg__(self) -> "ChebPoly":
-        return ChebPoly([-c for c in self.coeffs])
+        return _from_ints([-c for c in self.coeffs])
 
     def __mul__(self, other: Union["ChebPoly", int]) -> "ChebPoly":
         if isinstance(other, int):
@@ -77,17 +85,19 @@ class ChebPoly:
         if not isinstance(other, ChebPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return ChebPoly()
+            return _from_ints([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return ChebPoly(out)
+        return _from_ints(out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, divisor: "ChebPoly") -> tuple["ChebPoly", "ChebPoly"]:
+        if not isinstance(divisor, ChebPoly):
+            return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         lead = divisor.coeffs[-1]
@@ -102,9 +112,11 @@ class ChebPoly:
                 quot[top - d] = q
                 for idx, c in enumerate(divisor.coeffs):
                     rem[top - d + idx] -= q * c
-        return ChebPoly(quot), ChebPoly(rem)
+        return _from_ints(quot), _from_ints(rem)
 
     def __mod__(self, divisor: "ChebPoly") -> "ChebPoly":
+        if not isinstance(divisor, ChebPoly):
+            return NotImplemented
         return divmod(self, divisor)[1]
 
     def __call__(self, x):
@@ -145,6 +157,20 @@ class ChebPoly:
             else:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
+
+
+def _from_ints(cs: list[int]) -> ChebPoly:
+    """The polynomial of ``cs`` without the coefficient check, stripping ``cs`` in place.
+
+    For lists that this module's own arithmetic built from the coefficients
+    of checked polynomials, which are ints by construction; a scalar from
+    outside goes through the checked constructor instead.
+    """
+    while cs and cs[-1] == 0:
+        cs.pop()
+    poly = object.__new__(ChebPoly)
+    poly.coeffs = tuple(cs)
+    return poly
 
 
 _X = ChebPoly((0, 1))
@@ -259,7 +285,7 @@ def cyclotomic(n: int) -> ChebPoly:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
     if n == 1:
         return ChebPoly((-1, 1))
-    return ChebPoly(_cyclotomic_head(n, _totient(n) + 1))
+    return _from_ints(_cyclotomic_head(n, _totient(n) + 1))
 
 
 @_cached_by_int("n")
@@ -289,4 +315,4 @@ def min_poly_two_cos(n: int) -> ChebPoly:
         below = b2 + [0, 0]  # b_{t+2}, padded to line up with x*b_{t+1}
         b1, b2 = [c[h - t] - below[0]] + [u - w for u, w in zip(b1, below[1:])], b1
     below = b2 + [0, 0]
-    return ChebPoly([c[h] - 2 * below[0]] + [u - 2 * w for u, w in zip(b1, below[1:])])
+    return _from_ints([c[h] - 2 * below[0]] + [u - 2 * w for u, w in zip(b1, below[1:])])

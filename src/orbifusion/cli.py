@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
+from json.encoder import encode_basestring_ascii
 
 import click
 import mpmath
@@ -68,6 +69,26 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+_MODULE_FIELDS = ("pretty", "weight", "qdim", "dual", "generator")
+
+
+def _catalog_json(k: int, rows: list[dict[str, str]]) -> str:
+    """The catalog document, byte for byte as ``json.dumps(doc, indent=2)`` writes it.
+
+    ``doc`` is ``{"level": k, "modules": {label: {field: value}}}`` with the
+    fields of ``_MODULE_FIELDS``, all strings, and at least one module.
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
+    so the fixed layout is written here and every string goes through json's
+    own C string encoder instead.
+    """
+    keys = [f"      {encode_basestring_ascii(field)}: " for field in _MODULE_FIELDS]
+    modules = []
+    for row in rows:
+        body = ",\n".join([key + encode_basestring_ascii(row[field]) for key, field in zip(keys, _MODULE_FIELDS)])
+        modules.append(f"    {encode_basestring_ascii(row['label'])}: {{\n{body}\n    }}")
+    return f'{{\n  "level": {k},\n  "modules": {{\n' + ",\n".join(modules) + "\n  }\n}"
+
+
 @click.group()
 def main() -> None:
     """Exact data of the Z3-orbifold affine sl2 catalog at level k."""
@@ -95,10 +116,9 @@ def catalog(k: int, fmt: str, out) -> None:
             }
         )
     if fmt == "json":
-        doc = {"level": k, "modules": {row["label"]: {key: row[key] for key in ("pretty", "weight", "qdim", "dual", "generator")} for row in rows}}
-        _emit(json.dumps(doc, indent=2), out)
+        _emit(_catalog_json(k, rows), out)
     elif fmt == "csv":
-        header = ["label", "pretty", "weight", "qdim", "dual", "generator"]
+        header = ["label", *_MODULE_FIELDS]
         _emit(_csv_table(header, [[row[h] for h in header] for row in rows]), out)
     else:
         header = ["module", "weight", "qdim", "dual", "generator"]

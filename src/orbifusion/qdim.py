@@ -46,6 +46,12 @@ def _angle(k: int, dps: int) -> tuple[mpmath.mpf, mpmath.mpf]:
         return theta, mpmath.sin(theta)
 
 
+def _check_precision(precision: int) -> None:
+    """Raise ``ValueError`` unless ``precision`` is an int (not a bool) ``>= 1``."""
+    if type(precision) is not int or precision < 1:
+        raise ValueError(f"precision must be an int >= 1, got {precision!r}")
+
+
 def reduction_modulus(k: int) -> ChebPoly:
     """Minimal polynomial of ``2*cos(pi/(k+2))``; the residue modulus at level ``k``.
 
@@ -90,6 +96,7 @@ class QDimElement:
 
     def numeric(self, precision: int = 15) -> mpmath.mpf:
         """Evaluate the residue at ``x = 2*cos(pi/(k+2))`` to ``precision`` digits."""
+        _check_precision(precision)
         dps = precision + _GUARD_DIGITS
         with mpmath.workdps(dps):
             x = 2 * mpmath.cos(_angle(self.level, dps)[0])
@@ -122,8 +129,7 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
-    if type(precision) is not int or precision < 1:
-        raise ValueError(f"precision must be an int >= 1, got {precision!r}")
+    _check_precision(precision)
     dps = precision + _GUARD_DIGITS
     with mpmath.workdps(dps):
         theta, sin1 = _angle(k, dps)

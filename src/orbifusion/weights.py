@@ -11,6 +11,16 @@ with explicit special rows (``i = 0`` in sector T1, ``i = k`` in sector T2,
 offsets — its lowest-weight vectors sit one level higher — so the whole
 18-entry level-1 table is kept as literal data.  All branches below mirror
 one table row each, so every value can be audited against its row.
+
+A twisted weight is ``a(k, i, r)`` plus a ``j``-indexed offset in 36ths;
+:func:`conformal_weight` builds it as one ``Fraction`` over the common
+denominator ``36*(k+2)``,
+
+    (9*i*(i+2) + (k+2)*(r^2*k - 6*i*r + offset)) / (36*(k+2)),
+
+so each weight costs one gcd rather than three fractions and two
+additions.  :func:`base_twist_weight` keeps the two-term sum, so the
+``catalog`` suite's base-weight check compares two independent formulas.
 """
 
 from __future__ import annotations
@@ -74,12 +84,12 @@ def conformal_weight(label: IrrLabel, k: int) -> Fraction:
             if j == 2:
                 return Fraction(4 * k + 11, 4 * (k + 2))
             return Fraction(3, 4 * (k + 2))
-        return base_twist_weight(k, i, 0)
+        return Fraction(i * (i + 2), 4 * (k + 2))
     if sector is Sector.T1:
-        offsets = _BOUNDARY_OFFSETS if i == 0 else _GENERIC_OFFSETS
-        return base_twist_weight(k, i, 1) + Fraction(offsets[j], 36)
-    offsets = _BOUNDARY_OFFSETS if i == k else _GENERIC_OFFSETS
-    return base_twist_weight(k, i, 2) + Fraction(offsets[j], 36)
+        offset = (_BOUNDARY_OFFSETS if i == 0 else _GENERIC_OFFSETS)[j]
+        return Fraction(9 * i * (i + 2) + (k + 2) * (k - 6 * i + offset), 36 * (k + 2))  # r = 1
+    offset = (_BOUNDARY_OFFSETS if i == k else _GENERIC_OFFSETS)[j]
+    return Fraction(9 * i * (i + 2) + (k + 2) * (4 * k - 12 * i + offset), 36 * (k + 2))  # r = 2
 
 
 def _vec(i: int, j: int) -> str:

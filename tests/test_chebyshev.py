@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -44,6 +45,20 @@ def test_arithmetic_with_a_foreign_operand_is_not_implemented():
         with pytest.raises(TypeError):
             op()
     assert p * 2 == 2 * p == poly(2)  # an int still scales
+
+
+def test_division_by_a_foreign_operand_is_not_implemented():
+    p = poly(1, 2)
+    assert p.__divmod__(3) is NotImplemented and p.__mod__(3) is NotImplemented
+    for op in (lambda: divmod(p, 3), lambda: p % 3, lambda: p % 1.5, lambda: divmod(p, "x")):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("coeffs", ["12", (1.5,), (1, True), (2, Fraction(1)), [0, 1, 0.0]])
+def test_a_coefficient_that_is_not_an_int_is_refused(coeffs):
+    with pytest.raises(ValueError, match="polynomial coefficients must be ints"):
+        ChebPoly(coeffs)
 
 
 def test_ring_ops_random_properties():

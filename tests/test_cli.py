@@ -136,6 +136,16 @@ def test_catalog_out_writes_file(runner, tmp_path):
     assert json.loads(target.read_text())["level"] == 1
 
 
+@pytest.mark.parametrize("k", [*range(1, 9), 20, 200])
+def test_catalog_json_is_byte_identical_to_json_dumps(runner, tmp_path, k):
+    printed = invoke(runner, "catalog", "--level", str(k)).output
+    assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+    target = tmp_path / "catalog.json"
+    result = invoke(runner, "catalog", "--level", str(k), "--format", "json", "--out", str(target))
+    assert result.exit_code == 0 and result.output == ""
+    assert target.read_text() == printed
+
+
 def test_verify_all_passes_at_level_one(runner):
     result = invoke(runner, "verify", "--level", "1")
     assert result.exit_code == 0

@@ -72,6 +72,14 @@ def test_qdim_numeric_examples():
             qdim_numeric(parse_label("u:0:0", 1), 1, precision)
 
 
+@pytest.mark.parametrize("precision", [0, -3, 1.5, True, "20", None])
+def test_element_numeric_refuses_a_bad_precision_as_qdim_numeric_does(precision):
+    element = qdim_index(1, 3)
+    with pytest.raises(ValueError, match="precision must be an int >= 1"):
+        element.numeric(precision)
+    assert element.numeric(1) == pytest.approx((1 + 5 ** 0.5) / 2, abs=0.1)
+
+
 def _uncached_qdim_numeric(i, k, precision):
     """The sine ratio at the working precision of qdim_numeric, all recomputed."""
     with mpmath.workdps(precision + 10):

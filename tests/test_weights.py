@@ -92,6 +92,30 @@ def test_table_rows_above_level_one(k):
                 assert t2 == T2_ROWS["generic"](k, i, j)
 
 
+def _composed_weight(label, k):
+    """The weight composed from the twisted lowest weight plus the j offset in
+    36ths, with the special rows and the level-1 table written out literally."""
+    sector, i, j = label
+    if k == 1:
+        return LEVEL1_TABLE[label.token()]
+    if sector is Sector.U:
+        if i == 0:
+            return F(0) if j == 0 else F(1)
+        if i == 1:
+            return F(4 * k + 11, 4 * (k + 2)) if j == 2 else F(3, 4 * (k + 2))
+        return base_twist_weight(k, i, 0)
+    r, boundary = (1, i == 0) if sector is Sector.T1 else (2, i == k)
+    offset = ((0, 48, 24) if boundary else (0, 12, 24))[j]
+    return base_twist_weight(k, i, r) + F(offset, 36)
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 200])
+def test_weight_equals_the_composed_reference(k):
+    for lab in enumerate_irreducibles(k):
+        got, expected = conformal_weight(lab, k), _composed_weight(lab, k)
+        assert type(got) is F and got == expected and str(got) == str(expected), lab.token()
+
+
 def test_individual_weight_spot_checks():
     assert conformal_weight(parse_label("t1:0:1", 1), 1) == F(49, 36)
     assert conformal_weight(parse_label("t2:1:2", 1), 1) == F(25, 36)
