@@ -40,14 +40,18 @@ class ChebPoly:
     equality) is canonical; the zero polynomial has an empty coefficient
     tuple.  Division is supported for divisors with unit leading
     coefficient, which keeps everything inside the integers.  Every
-    coefficient must be an int (not a bool); anything else raises
-    ``ValueError``.
+    coefficient must be an int (not a bool); anything else, or coefficients
+    that are not iterable, raises ``ValueError``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        try:
+            items = iter(coeffs)
+        except TypeError:
+            raise ValueError(f"polynomial coefficients must be an iterable of ints, got {coeffs!r}") from None
+        cs = list(items)
         if not _INT_ONLY.issuperset(map(type, cs)):
             bad = next(c for c in cs if type(c) is not int)
             raise ValueError(f"polynomial coefficients must be ints, got {bad!r}")

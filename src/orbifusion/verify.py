@@ -21,13 +21,14 @@ Suites run through :func:`run_suites`, which builds one integer table of
 all n^2 products, multiplicities kept, and shares it among the suites it
 runs; ``catalog`` reads only its labels.  Every distinct product has an
 integer id, and the table holds each distinct product's outputs once, by
-id, and the id of every pair (1089 ids for 35,721 pairs at k=20).  The rows
-of ids are built lazily, one row at a time with one ``fuse_irreducible``
-call per pair, and kept, so a run fuses only the rows its suites read
-(``unit`` the vacuum row, ``catalog`` none) and each ordered pair at most
-once.  A suite does its per-product work once per id: ``comm`` compares
-ids, ``assoc`` builds the right sides a x (b x c) once per id and
-generator, and ``qdim`` sums a product's quantum dimensions once per id.
+id, and the id of every pair (1089 ids for 35,721 pairs at k=20).  Its
+rows of ids live in a memo keyed by the left factor: a row is built the
+first time a suite reads it, with one ``fuse_irreducible`` call per pair,
+and kept, so a run fuses only the rows its suites read (``unit`` the
+vacuum row, ``catalog`` none) and each ordered pair at most once.  A
+suite does its per-product work once per id: ``comm`` compares ids,
+``assoc`` builds the right sides a x (b x c) once per id and generator,
+and ``qdim`` sums a product's quantum dimensions once per id.
 ``dual`` and ``qdim`` check a row at a time, ``dual`` with one list
 equality: listed in the order of the duals of their right factors, the
 row's products must equal their own columns.  A row that fails reports its
@@ -107,24 +108,6 @@ class _Memo(dict):
         return value
 
 
-class _Rows(Sequence):
-    """The rows of a fusion table: row ``a`` is built by ``build(a)`` on first use and kept."""
-
-    def __init__(self, build: Callable[[int], list[int]], n: int):
-        self.build, self.rows = build, [None] * n
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, a: int) -> list[int]:
-        row = self.rows[a]
-        if row is None:
-            row = self.rows[a] = self.build(a)
-            if None not in self.rows:
-                self.build = None  # every row is built: let go of the memo ``build`` holds
-        return row
-
-
 class _FusionTable:
     """Integer-indexed fusion products of all irreducibles at one level.
 
@@ -132,16 +115,18 @@ class _FusionTable:
     indices (into ``labels``) of product ``p``'s outputs in canonical order,
     each repeated as often as its multiplicity, so sums over a product are
     plain iteration and a wrong multiplicity is seen by every suite.
-    ``ids[a][b]`` is the id of ``labels[a] x labels[b]``.  Row ``a`` of
-    ``ids`` is built on first use, with one call of this module's
-    ``fuse_irreducible`` per pair ``(a, b)``, and kept; a product not met
-    before takes the next id, so ``outputs`` grows as rows are built (1089
-    ids for 35,721 pairs at k=20).  A product is looked up by its vector:
-    ``fuse_irreducible`` hands out one shared vector per distinct product,
-    with its hash cached, so a lookup is a cached hash and an identity
-    match.  A vector hashes and compares as its ``(label, multiplicity)``
-    items, so fresh vectors from a substituted ``fuse_irreducible`` share
-    ids too, and two pairs have one id exactly when their outputs are equal.
+    ``row[a][b]`` is the id of ``labels[a] x labels[b]``, and ``ids()``
+    lists every row.  ``row`` is a memo: row ``a`` is built on first use,
+    with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
+    and kept; a product not met before takes the next id, so ``outputs``
+    grows as rows are built (1089 ids for 35,721 pairs at k=20).  A product
+    with an output outside the level's catalog raises ``ValueError``.  A
+    product is looked up by its vector: ``fuse_irreducible`` hands out one
+    shared vector per distinct product, with its hash cached, so a lookup
+    is a cached hash and an identity match.  A vector hashes and compares
+    as its ``(label, multiplicity)`` items, so fresh vectors from a
+    substituted ``fuse_irreducible`` share ids too, and two pairs have one
+    id exactly when their outputs are equal.
     """
 
     def __init__(self, k: int):
@@ -152,11 +137,18 @@ class _FusionTable:
         self.outputs = outputs = []
 
         def new_id(product: FusionVector) -> int:
-            outputs.append(tuple([index[c] for c, m in product.items() for _ in range(m)]))
+            try:
+                outputs.append(tuple([index[c] for c, m in product.items() for _ in range(m)]))
+            except KeyError as err:
+                raise ValueError(f"fusion output {err.args[0].token()} is not a label at level {k}") from None
             return len(outputs) - 1
 
         shared = _Memo(new_id)
-        self.ids = _Rows(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels], len(labels))
+        self.row = _Memo(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels])
+
+    def ids(self) -> list[list[int]]:
+        """Every row of product ids, in label order; builds the rows not built yet."""
+        return [self.row[a] for a in range(len(self.labels))]
 
     def render(self, outputs: Sequence[int]) -> str:
         """A product's outputs as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""
@@ -170,7 +162,7 @@ def _finish(report: VerificationReport, start: float) -> VerificationReport:
 
 def _unit(table: _FusionTable) -> VerificationReport:
     """Vacuum acts as the fusion unit on every label."""
-    vac_row = table.ids[table.index[vacuum(table.k)]]
+    vac_row = table.row[table.index[vacuum(table.k)]]
     start = time.perf_counter()
     report = VerificationReport("unit", table.k)
     _check_left_unit(table, vac_row, report)
@@ -193,7 +185,7 @@ def _check_left_unit(table: _FusionTable, vac_row: list[int], report: Verificati
 
 def _commutativity(table: _FusionTable) -> VerificationReport:
     """Fusion product is symmetric: a x b = b x a, compared by product id."""
-    k, labels, ids = table.k, table.labels, list(table.ids)
+    k, labels, ids = table.k, table.labels, table.ids()
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("comm", k)
@@ -240,7 +232,7 @@ def _generators(ids: Sequence[list[int]], outputs: list[tuple[int, ...]], vac: i
 
 def _associativity(table: _FusionTable) -> VerificationReport:
     """(a x b) x c = a x (b x c) on every triple, proven from generators."""
-    k, labels, ids = table.k, table.labels, list(table.ids)
+    k, labels, ids = table.k, table.labels, table.ids()
     outputs = table.outputs
     start = time.perf_counter()
     n = len(labels)
@@ -301,7 +293,7 @@ def _duality(table: _FusionTable) -> VerificationReport:
     distinct output of each product, as a sweep over the positive
     instances would.
     """
-    k, labels, ids = table.k, table.labels, list(table.ids)
+    k, labels, ids = table.k, table.labels, table.ids()
     outputs = table.outputs
     start = time.perf_counter()
     n = len(labels)
@@ -345,40 +337,27 @@ def _duality(table: _FusionTable) -> VerificationReport:
         report.checks_run += n + sum(map(distinct.__getitem__, row))
         if involution and cols[vac] == [ia] and list(map(tuple, cols)) == by_dual:
             continue
-        # A failing row reports pair by pair: (ii) from the vacuum multiplicity of
-        # each product, and (i) from a count of N_{a,b}^c keyed b*n + c, read at
-        # (c', b') (a zero when absent), in pair order: b's vacuum check, then
-        # b's outputs as the count met them.
-        products = list(map(outputs.__getitem__, row))
-        expected = [0] * n
-        expected[dual[ia]] = 1
-        vac_mults = [product.count(vac) for product in products]
-        counts = Counter([ib * n + ic for ib, product in enumerate(products) for ic in product])
-        partners = list(map(counts.__getitem__, [dual[bc % n] * n + dual[bc // n] for bc in counts]))
-        failing = [(ib, None, m, e) for ib, (m, e) in enumerate(zip(vac_mults, expected)) if m != e]
-        failing += [(*divmod(bc, n), m, p) for (bc, m), p in zip(counts.items(), partners) if m != p]
+        # A failing row reports pair by pair, as the identities read: for each b, (ii)
+        # from the vacuum multiplicity of a x b, then (i) for each distinct c of a x b
         a = labels[ia]
-        for ib, ic, got, want in sorted(failing, key=lambda f: f[0]):  # stable, so b's vacuum check leads
-            b = labels[ib]
-            if ic is None:
-                report.failures.append(
-                    Failure(f"N_{{{a.token()},{b.token()}}}^vacuum = {got}, expected {want}", (a, b))
-                )
-            else:
-                c = labels[ic]
-                report.failures.append(
-                    Failure(
-                        f"N_{{{a.token()},{b.token()}}}^{{{c.token()}}} = {got} but "
-                        f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}} = {want}",
-                        (a, b, c),
-                    )
-                )
+        for ib, p in enumerate(row):
+            product, b = outputs[p], labels[ib]
+            n_ab = f"N_{{{a.token()},{b.token()}}}"
+            got, want = product.count(vac), int(ib == dual[ia])
+            if got != want:
+                report.failures.append(Failure(f"{n_ab}^vacuum = {got}, expected {want}", (a, b)))
+            for ic in dict.fromkeys(product):
+                got, want = product.count(ic), outputs[row[dual[ic]]].count(dual[ib])
+                if got != want:
+                    c = labels[ic]
+                    partner = f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}}"
+                    report.failures.append(Failure(f"{n_ab}^{{{c.token()}}} = {got} but {partner} = {want}", (a, b, c)))
     return _finish(report, start)
 
 
 def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
-    k, labels, ids = table.k, table.labels, list(table.ids)
+    k, labels, ids = table.k, table.labels, table.ids()
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("qdim", k)
@@ -435,7 +414,7 @@ Z18_CORRESPONDENCE: dict[str, int] = {
 
 def _lattice_oracle(table: _FusionTable) -> VerificationReport:
     """Level-1 catalog against the independent Z/18 lattice model."""
-    labels, ids, outputs = table.labels, list(table.ids), table.outputs
+    labels, ids, outputs = table.labels, table.ids(), table.outputs
     start = time.perf_counter()
     report = VerificationReport("oracle", 1)
     cosets = {lab: Z18_CORRESPONDENCE[lab.token()] for lab in labels}

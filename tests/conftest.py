@@ -53,7 +53,7 @@ def _products_by_pair(k, fuse):
 
 def _table_rows(table):
     """A fusion table's products as rows of output tuples, read through its product ids."""
-    return [[table.outputs[p] for p in row] for row in table.ids]
+    return [[table.outputs[p] for p in row] for row in table.ids()]
 
 
 def _duality_by_pair(table, products):

@@ -61,6 +61,12 @@ def test_a_coefficient_that_is_not_an_int_is_refused(coeffs):
         ChebPoly(coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [5, None, 1.5])
+def test_coefficients_that_are_not_iterable_are_refused(coeffs):
+    with pytest.raises(ValueError, match="polynomial coefficients must be an iterable of ints"):
+        ChebPoly(coeffs)
+
+
 def test_ring_ops_random_properties():
     rng = random.Random(99)
 

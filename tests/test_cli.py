@@ -163,6 +163,25 @@ def test_verify_single_suite_and_seed(runner):
     assert invoke(runner, "verify", "--level", "9", "--seed", "3").exit_code == 2
 
 
+def test_verify_failures_exit_one_and_show_the_first_twenty(runner, monkeypatch):
+    import orbifusion.verify as verify_mod
+    from orbifusion.fusion import fuse_irreducible
+    from orbifusion.labels import FusionVector, Sector
+
+    def emptied(a, b, k):  # every u:1:j x b is empty, so comm fails on each (u:1:j, b) with b not u:1:*
+        return FusionVector() if (a.sector, a.i) == (Sector.U, 1) else fuse_irreducible(a, b, k)
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", emptied)
+    result = invoke(runner, "verify", "--level", "2", "--suite", "comm")
+    assert result.exit_code == 1
+    assert result.stdout.startswith("suite=comm level=2 ") and result.stdout.endswith(" FAIL (72 failures)\n")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 21
+    assert lines[0] == "  u:0:0 x u:1:0 = {u:1:0: 1} but reversed gives {}  [labels: u:0:0, u:1:0]"
+    assert all(" but reversed gives " in line and "u:1:" in line for line in lines[:20])
+    assert lines[20] == "  ... 52 more failures"
+
+
 def test_verify_oracle_needs_level_one(runner):
     result = invoke(runner, "verify", "--level", "2", "--suite", "oracle")
     assert result.exit_code == 2

@@ -135,7 +135,7 @@ def test_oracle_catches_broken_duality(monkeypatch):
 
 def test_associativity_generators_at_level_9():
     table = verify_mod._FusionTable(9)
-    gens = verify_mod._generators(table.ids, table.outputs, table.index[vacuum(9)])
+    gens = verify_mod._generators(table.ids(), table.outputs, table.index[vacuum(9)])
     assert [table.labels[g].token() for g in gens] == ["u:0:1", "u:1:0", "t1:0:0"]
 
 
@@ -166,6 +166,14 @@ def test_doubled_multiplicity_fails_assoc_and_qdim(monkeypatch):
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:1:0", "t1:1:0"), double_first))
     reports = run_suites(["assoc", "qdim"], 2)
     assert [r.passed for r in reports] == [False, False]
+
+
+def test_a_fusion_output_outside_the_catalog_is_a_value_error(monkeypatch):
+    stray = parse_label("u:1:0", 1)._replace(i=5)  # u:5:0, not a label at level 2
+    fuse = _fuse_with(2, ("u:1:0", "u:1:0"), lambda v: FusionVector({stray: 1}))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", fuse)
+    with pytest.raises(ValueError, match="fusion output u:5:0 is not a label at level 2"):
+        run_suites(["comm"], 2)
 
 
 def test_run_suites_rejects_unknown_suites():
@@ -275,13 +283,13 @@ def _with_product(table, ia, ib, outputs):
 
     The copy has its own rows of ids and its own ``outputs``: the new
     product is appended to ``outputs`` as a new id, and the one pair's entry
-    in ``ids`` points at it.  The new tuple may equal another product's
+    in ``row`` points at it.  The new tuple may equal another product's
     outputs; ``assoc``, ``dual`` and ``qdim`` read products by value.
     """
     bad = copy.copy(table)
-    bad.ids = [list(row) for row in table.ids]  # builds every row, so ``table.outputs`` is complete
+    bad.row = dict(enumerate(map(list, table.ids())))  # builds every row, so ``table.outputs`` is complete
     bad.outputs = [*table.outputs, tuple(sorted(outputs))]  # outputs stay in canonical order
-    bad.ids[ia][ib] = len(bad.outputs) - 1
+    bad.row[ia][ib] = len(bad.outputs) - 1
     return bad
 
 
@@ -294,7 +302,7 @@ def _corrupted(table, rng, kind):
     if kind == "empty":
         return _with_product(table, table.index[parse_label("u:1:0", table.k)], rng.randrange(n), ())
     ia, ib = rng.randrange(n), rng.randrange(n)
-    outputs = list(table.outputs[table.ids[ia][ib]])
+    outputs = list(table.outputs[table.row[ia][ib]])
     pick = rng.randrange(len(outputs))
     if kind == "drop":
         del outputs[pick]
@@ -374,8 +382,8 @@ def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair
     assert products[ia][ib] == (first, first, *rest)
     assert all(products[x][y] == honest[x][y] for x, y in sharers if (x, y) != (ia, ib))
     assert products == products_by_pair(k, verify_mod.fuse_irreducible)
-    others = {table.ids[x][y] for x, y in sharers if (x, y) != (ia, ib)}
-    assert len(others) == 1 and table.ids[ia][ib] not in others  # the honest sharers keep one id
+    others = {table.row[x][y] for x, y in sharers if (x, y) != (ia, ib)}
+    assert len(others) == 1 and table.row[ia][ib] not in others  # the honest sharers keep one id
 
 
 @pytest.mark.parametrize("k", range(1, 9))
