@@ -8,7 +8,8 @@ vector; ``fuse``/``coeff``/``dual`` expose the fusion ring; ``qdim`` and
 Labels on the command line use the grammar ``u:<i>:<j>``, ``t1:<i>:<j>``,
 ``t2:<i>:<j>`` (lowercase, colon-separated).  Conformal weights are always
 printed as exact fractions, never floats.  Exit status: 0 success, 1
-verification failure, 2 usage error.
+verification failure (a failed identity, or a fault found while a suite
+runs), 2 usage error.
 """
 
 from __future__ import annotations
@@ -188,11 +189,13 @@ def glob(k: int) -> None:
 @click.option("--suite", type=click.Choice(SUITE_NAMES), default="all", show_default=True)
 def verify(k: int, suite: str) -> None:
     """Run verification suites; exit 1 if any identity fails."""
+    if suite == "oracle" and k != 1:
+        raise click.UsageError("the lattice oracle is a level-1 statement; run it with --level 1")
     names = [name for name in SUITES if name != "oracle" or k == 1] if suite == "all" else [suite]
     try:
         reports = run_suites(names, k)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    except ValueError as err:  # a fault found while a suite runs, not a usage error
+        raise click.ClickException(str(err))
     failed = False
     for report in reports:
         click.echo(report.summary())

@@ -8,6 +8,13 @@ sector and Z3 index.  Exactly, that number is ``S_i(x)`` at
 ``psi`` is the minimal polynomial, two residues are equal exactly when the
 real numbers are equal, so identities such as the fusion homomorphism
 property can be verified with zero tolerance.
+
+Indices ``i`` and ``k - i`` have the same quantum dimension, since
+``sin((i+1)t) = sin((k+1-i)t)`` at ``t = pi/(k+2)``.  So ``S_i - S_{k-i}``
+vanishes at ``x``, the monic minimal polynomial ``psi`` divides it in
+``Z[x]``, and the two have the same residue.  Residues are therefore
+reduced from ``S_{min(i, k-i)}``: the same residue, coefficient for
+coefficient, from a polynomial of degree at most ``k // 2``.
 """
 
 from __future__ import annotations
@@ -108,9 +115,14 @@ class QDimElement:
 
 
 def qdim_index(i: int, k: int) -> QDimElement:
-    """Exact quantum dimension attached to affine weight index ``i``."""
+    """Exact quantum dimension attached to affine weight index ``i``.
+
+    It is the residue of ``S_{min(i, k-i)}``, which equals the residue of
+    ``S_i`` because ``psi`` divides ``S_i - S_{k-i}`` (see the module
+    docstring); the reflected index is at most ``k // 2``.
+    """
     check_index(i, k)
-    return QDimElement(cheb_u(i) % reduction_modulus(k), k)
+    return QDimElement(cheb_u(min(i, k - i)) % reduction_modulus(k), k)
 
 
 def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
@@ -147,9 +159,12 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     is ``sum_{m=0..k} (k+1-m) * S_{2m}``.  Indices above ``k`` fold back
     because ``psi`` divides ``S_{k+1}``: ``S_{k+1} = 0`` and
     ``S_{k+1+j} = -S_{k+1-j}`` modulo ``psi`` (at ``t = pi/(k+2)``,
-    ``sin((k+2+j)t) = -sin((k+2-j)t)``).  The residues ``S_0 .. S_k`` come
-    from the recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step,
-    so the whole sum costs ``O(k * deg psi)`` integer operations.
+    ``sin((k+2+j)t) = -sin((k+2-j)t)``).  Every remaining ``S_n`` with
+    ``n <= k`` is read as ``S_{min(n, k-n)}``, which has the same residue
+    (``psi`` divides ``S_n - S_{k-n}``, see the module docstring).  So only
+    the residues ``S_0 .. S_{k//2}`` are needed; they come from the
+    recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step, and the
+    whole sum costs ``O(k * deg psi)`` integer operations.
 
     The numeric part evaluates the sum of squared sine ratios directly and
     shares no arithmetic with the residue, so it is an independent check.
@@ -158,15 +173,16 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     modulus = reduction_modulus(k)
     x = cheb_u(1)
     residues = [cheb_u(0), x % modulus]
-    for _ in range(k - 1):
+    for _ in range(k // 2 - 1):
         residues.append((x * residues[-1] - residues[-2]) % modulus)
     total = ChebPoly()
     for m in range(k + 1):
         n = 2 * m
         if n <= k:
-            total = total + (k + 1 - m) * residues[n]
+            total = total + (k + 1 - m) * residues[min(n, k - n)]
         elif n > k + 1:
-            total = total - (k + 1 - m) * residues[2 * k + 2 - n]
+            j = 2 * k + 2 - n
+            total = total - (k + 1 - m) * residues[min(j, k - j)]
     exact = QDimElement((9 * total) % modulus, k)
     with mpmath.workdps(15 + _GUARD_DIGITS):
         theta, sin1 = _angle(k, 15 + _GUARD_DIGITS)

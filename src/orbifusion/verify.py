@@ -45,7 +45,7 @@ import itertools
 import operator
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -509,17 +509,20 @@ SUITES: dict[str, Callable[[_FusionTable], VerificationReport]] = {
 }
 
 
-def run_suites(names: list[str], k: int) -> list[VerificationReport]:
+def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     """Run the named suites at level ``k``, in the order given, on one shared table.
 
     Raises ``ValueError``, before any suite runs, for a name not in
     :data:`SUITES` (a string is not a list of names) and for ``oracle`` at a
     level other than 1.
     """
-    try:
-        known = not isinstance(names, str) and set(names) <= SUITES.keys()
-    except TypeError:  # not iterable, or an unhashable name
-        known = False
+    known = False
+    if not isinstance(names, str):
+        try:
+            names = list(names)  # read once: an iterator is used up by the checks below
+            known = set(names) <= SUITES.keys()
+        except TypeError:  # not iterable, or an unhashable name
+            pass
     if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
     if "oracle" in names and k != 1:

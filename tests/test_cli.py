@@ -182,6 +182,24 @@ def test_verify_failures_exit_one_and_show_the_first_twenty(runner, monkeypatch)
     assert lines[20] == "  ... 52 more failures"
 
 
+def test_verify_fault_found_while_a_suite_runs_is_an_error_not_usage(runner, monkeypatch):
+    import orbifusion.verify as verify_mod
+    from orbifusion.fusion import fuse_irreducible
+    from orbifusion.labels import FusionVector
+
+    stray = parse_label("u:1:0", 1)._replace(i=5)  # u:5:0, not a label at level 2
+    u10 = parse_label("u:1:0", 2)
+
+    def fuse(a, b, k):
+        return FusionVector({stray: 1}) if (a, b) == (u10, u10) else fuse_irreducible(a, b, k)
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", fuse)
+    result = invoke(runner, "verify", "--level", "2", "--suite", "comm")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: fusion output u:5:0 is not a label at level 2\n"
+
+
 def test_verify_oracle_needs_level_one(runner):
     result = invoke(runner, "verify", "--level", "2", "--suite", "oracle")
     assert result.exit_code == 2

@@ -182,6 +182,12 @@ def test_run_suites_rejects_unknown_suites():
             run_suites(names, 2)
 
 
+def test_run_suites_reads_an_iterator_of_names_once():
+    reports = run_suites(iter(["unit", "comm"]), 2)
+    assert [r.suite for r in reports] == ["unit", "comm"]
+    assert all(r.passed for r in reports)
+
+
 @pytest.mark.parametrize("names", [None, 3, [["unit"]], [None], [{"unit"}]])
 def test_run_suites_rejects_names_that_are_not_a_list_of_strings(names):
     with pytest.raises(ValueError, match="not a list of known suite names"):
