@@ -102,9 +102,15 @@ class QDimElement:
         return self.residue == ChebPoly((1,))
 
     def numeric(self, precision: int = 15) -> mpmath.mpf:
-        """Evaluate the residue at ``x = 2*cos(pi/(k+2))`` to ``precision`` digits."""
+        """Evaluate the residue at ``x = 2*cos(pi/(k+2))`` to ``precision`` digits.
+
+        Horner's rule cancels on the residue's large coefficients.  Since
+        ``|x| < 2``, ``sum |c_n| * 2^n`` bounds every partial sum, so the
+        working precision adds that bound's decimal digits to the guard digits.
+        """
         _check_precision(precision)
-        dps = precision + _GUARD_DIGITS
+        bound = sum(abs(c) << n for n, c in enumerate(self.residue.coeffs))
+        dps = precision + _GUARD_DIGITS + len(str(bound))
         with mpmath.workdps(dps):
             x = 2 * mpmath.cos(_angle(self.level, dps)[0])
             value = self.residue(x)

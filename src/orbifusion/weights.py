@@ -1,25 +1,26 @@
 """Exact conformal weights and lowest-weight-vector descriptions.
 
-Every irreducible module of the level-``k`` orbifold has a rational conformal
-weight.  The general-level values follow a base-plus-offset pattern on top of
-the twisted lowest weight
+Every irreducible module ``(sector, i, j)`` of the level-``k`` orbifold has a
+rational conformal weight, and one formula gives all of them.  With
+``r = 0, 1, 2`` for the sectors U, T1, T2, the weight is the twisted lowest
+weight
 
     a(k, i, r) = i*(i+2) / (4*(k+2)) + (r^2*k - 6*i*r) / 36,
 
-with explicit special rows (``i = 0`` in sector T1, ``i = k`` in sector T2,
-``i`` in ``{0, 1}`` in sector U).  Level 1 does not fit the generic ``j = 2``
-offsets — its lowest-weight vectors sit one level higher — so the whole
-18-entry level-1 table is kept as literal data.  All branches below mirror
-one table row each, so every value can be audited against its row.
+plus ``j/3`` in a twisted sector, plus ``e`` whole units.  ``e`` is 0 except
+on these rows of the weight table, where it is 1:
 
-A twisted weight is ``a(k, i, r)`` plus a ``j``-indexed offset in 36ths;
-:func:`conformal_weight` builds it as one ``Fraction`` over the common
+* ``u:0:1``, ``u:0:2`` and ``u:1:2`` (``e = 2`` for ``u:1:2`` at ``k = 1``),
+* ``t1:0:1`` and ``t2:k:1``,
+* at ``k = 1`` only, ``t1:1:2`` and ``t2:0:2``.
+
+:func:`conformal_weight` builds the weight as one ``Fraction`` over the common
 denominator ``36*(k+2)``,
 
-    (9*i*(i+2) + (k+2)*(r^2*k - 6*i*r + offset)) / (36*(k+2)),
+    (9*i*(i+2) + (k+2)*(r^2*k - 6*i*r + o + 36*e)) / (36*(k+2)),
 
-so each weight costs one gcd rather than three fractions and two
-additions.  :func:`base_twist_weight` keeps the two-term sum, so the
+with ``o = 12*j`` in a twisted sector and 0 in U, so each weight costs one
+gcd.  :func:`base_twist_weight` keeps the two-term sum ``a(k, i, r)``, so the
 ``catalog`` suite's base-weight check compares two independent formulas.
 """
 
@@ -40,56 +41,28 @@ def base_twist_weight(k: int, i: int, r: int) -> Fraction:
     """
     check_index(i, k)
     if type(r) is not int or r not in (0, 1, 2):
-        raise ValueError(f"twist exponent must be 0, 1 or 2, got {r}")
+        raise ValueError(f"twist exponent must be 0, 1 or 2, got {r!r}")
     return Fraction(i * (i + 2), 4 * (k + 2)) + Fraction(r * r * k - 6 * i * r, 36)
-
-
-# Level 1, transcribed verbatim (canonical order: u, t1, t2 major; i; j).
-_LEVEL1_WEIGHTS: dict[tuple[Sector, int, int], Fraction] = {
-    (Sector.U, 0, 0): Fraction(0),
-    (Sector.U, 0, 1): Fraction(1),
-    (Sector.U, 0, 2): Fraction(1),
-    (Sector.U, 1, 0): Fraction(1, 4),
-    (Sector.U, 1, 1): Fraction(1, 4),
-    (Sector.U, 1, 2): Fraction(9, 4),
-    (Sector.T1, 0, 0): Fraction(1, 36),
-    (Sector.T1, 0, 1): Fraction(49, 36),
-    (Sector.T1, 0, 2): Fraction(25, 36),
-    (Sector.T1, 1, 0): Fraction(1, 9),
-    (Sector.T1, 1, 1): Fraction(4, 9),
-    (Sector.T1, 1, 2): Fraction(16, 9),
-    (Sector.T2, 0, 0): Fraction(1, 9),
-    (Sector.T2, 0, 1): Fraction(4, 9),
-    (Sector.T2, 0, 2): Fraction(16, 9),
-    (Sector.T2, 1, 0): Fraction(1, 36),
-    (Sector.T2, 1, 1): Fraction(49, 36),
-    (Sector.T2, 1, 2): Fraction(25, 36),
-}
-
-# j-indexed offsets (in 36ths) added to the twisted lowest weight at k > 1.
-_GENERIC_OFFSETS = (0, 12, 24)   # T1 with i > 0; T2 with i < k
-_BOUNDARY_OFFSETS = (0, 48, 24)  # T1 with i = 0; T2 with i = k
 
 
 def conformal_weight(label: IrrLabel, k: int) -> Fraction:
     """Exact conformal weight of ``label`` at level ``k``."""
     check_label(label, k)
-    sector, i, j = label
-    if k == 1:
-        return _LEVEL1_WEIGHTS[(sector, i, j)]
-    if sector is Sector.U:
-        if i == 0:
-            return Fraction(0) if j == 0 else Fraction(1)
-        if i == 1:
-            if j == 2:
-                return Fraction(4 * k + 11, 4 * (k + 2))
-            return Fraction(3, 4 * (k + 2))
-        return Fraction(i * (i + 2), 4 * (k + 2))
-    if sector is Sector.T1:
-        offset = (_BOUNDARY_OFFSETS if i == 0 else _GENERIC_OFFSETS)[j]
-        return Fraction(9 * i * (i + 2) + (k + 2) * (k - 6 * i + offset), 36 * (k + 2))  # r = 1
-    offset = (_BOUNDARY_OFFSETS if i == k else _GENERIC_OFFSETS)[j]
-    return Fraction(9 * i * (i + 2) + (k + 2) * (4 * k - 12 * i + offset), 36 * (k + 2))  # r = 2
+    r, i, j = label  # a Sector's integer value is its twist exponent r
+    e = 0
+    if r is Sector.U:
+        if i == 0 and j:
+            e = 1  # u:0:1, u:0:2: weight 1
+        elif i == 1 and j == 2:
+            e = 2 if k == 1 else 1  # u:1:2: (4k+11)/(4(k+2)), and 9/4 at k = 1
+    elif j == 1 and i == (0 if r is Sector.T1 else k):
+        e = 1  # t1:0:1, t2:k:1: (k+48)/36
+    elif j == 2 and k == 1 and i == (1 if r is Sector.T1 else 0):
+        e = 1  # t1:1:2, t2:0:2 at k = 1: 16/9
+    return Fraction(
+        9 * i * (i + 2) + (k + 2) * (r * r * k - 6 * i * r + (12 * j if r else 0) + 36 * e),
+        36 * (k + 2),
+    )
 
 
 def _vec(i: int, j: int) -> str:

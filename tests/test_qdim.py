@@ -64,6 +64,18 @@ def test_exact_matches_numeric_for_all_labels(k):
         assert abs(exact_value - sine_ratio(i, k)) < mpmath.mpf(10) ** -20
 
 
+@pytest.mark.parametrize("k", [*range(1, 61), 200, 400])
+def test_element_numeric_keeps_its_precision_at_every_index(k):
+    # Horner's rule on large residue coefficients cancels; the value must
+    # still carry `precision` correct digits against a sine ratio at 2p+20
+    for precision in (15, 30):
+        tolerance = mpmath.mpf(10) ** -precision
+        for i in range(k + 1):
+            expected = sine_ratio(i, k, dps=2 * precision + 20)
+            got = qdim_index(i, k).numeric(precision)
+            assert abs(got - expected) <= tolerance * expected, (i, precision)
+
+
 def test_qdim_numeric_examples():
     assert qdim_numeric(parse_label("u:1:0", 1), 1, 10) == pytest.approx(1.0, abs=1e-10)
     assert qdim_numeric(parse_label("u:1:0", 2), 2, 10) == pytest.approx(2 ** 0.5, abs=1e-10)
