@@ -163,7 +163,12 @@ class LabelSyntaxError(ValueError):
     def __init__(self, text: str, position: int, message: str):
         self.text = text
         self.position = position
+        self._message = message
         super().__init__(f"bad label {text!r}: {message} at position {position}")
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted message, so rebuild from the three fields
+        return type(self), (self.text, self.position, self._message), self.__dict__
 
 
 # One pattern both parses a label and, when it stops short, says where.
@@ -238,11 +243,7 @@ class FusionVector:
                 label, mult = entry
             except (TypeError, ValueError):
                 raise ValueError(f"not a (label, multiplicity) pair: {entry!r}") from None
-            if not isinstance(label, IrrLabel):
-                raise ValueError(f"not an irreducible label: {label!r}")
-            sector, i, j = label
-            if type(sector) is not Sector or type(i) is not int or type(j) is not int or i < 0 or not 0 <= j <= 2:
-                raise ValueError(f"not an irreducible label: {tuple(label)!r}")
+            _check_key(label)
             if type(mult) is not int:
                 raise ValueError(f"multiplicity must be an int, got {mult!r} for {label.token()}")
             if mult < 0:
@@ -273,7 +274,12 @@ class FusionVector:
         return FusionVector, (self._items,)
 
     def coefficient(self, label: IrrLabel) -> int:
-        """Multiplicity of ``label``; 0 when absent."""
+        """Multiplicity of ``label``; 0 when absent.
+
+        ``label`` must pass the check every key passes, so a non-label
+        (a string, ``None``, a plain tuple) raises ``ValueError``.
+        """
+        _check_key(label)
         for lab, mult in self._items:
             if lab == label:
                 return mult
@@ -305,6 +311,15 @@ class FusionVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{lab.token()}: {m}" for lab, m in self._items)
         return f"FusionVector({{{body}}})"
+
+
+def _check_key(label: IrrLabel) -> None:
+    """The level-free label check of a vector's keys: :func:`check_label` without ``i <= k``."""
+    if not isinstance(label, IrrLabel):
+        raise ValueError(f"not an irreducible label: {label!r}")
+    sector, i, j = label
+    if type(sector) is not Sector or type(i) is not int or type(j) is not int or i < 0 or not 0 <= j <= 2:
+        raise ValueError(f"not an irreducible label: {tuple(label)!r}")
 
 
 # The slots' own setters, which bypass the refusing ``__setattr__``.

@@ -513,8 +513,8 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     """Run the named suites at level ``k``, in the order given, on one shared table.
 
     Raises ``ValueError``, before any suite runs, for a name not in
-    :data:`SUITES` (a string is not a list of names) and for ``oracle`` at a
-    level other than 1.
+    :data:`SUITES` (a string is not a list of names), for a level that fails
+    :func:`check_level`, and for ``oracle`` at a level other than 1.
     """
     known = False
     if not isinstance(names, str):
@@ -525,6 +525,7 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
             pass
     if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
+    check_level(k)
     if "oracle" in names and k != 1:
         raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")
     table = _FusionTable(k)

@@ -386,6 +386,26 @@ def test_coefficient_of_an_absent_label_is_zero():
     assert FusionVector._from_canonical(()).coefficient(vacuum(k)) == 0
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("u:0:0", "not an irreducible label: 'u:0:0'"),
+        (None, "not an irreducible label: None"),
+        ((Sector.U, 0, 2), f"not an irreducible label: {(Sector.U, 0, 2)!r}"),
+        (IrrLabel(1, 0, 2), "not an irreducible label: (1, 0, 2)"),
+        (IrrLabel(Sector.U, -1, 0), f"not an irreducible label: {(Sector.U, -1, 0)!r}"),
+    ],
+)
+def test_coefficient_refuses_a_non_label(key, message):
+    # (Sector.U, 0, 2) equals the label u:0:2, which this product holds
+    product = fuse_irreducible(parse_label("u:0:1", 3), parse_label("u:0:1", 3), 3)
+    assert product.coefficient(parse_label("u:0:2", 3)) == 1
+    for vector in (product, FusionVector(product.items()), FusionVector()):
+        with pytest.raises(ValueError) as err:
+            vector.coefficient(key)
+        assert str(err.value) == message
+
+
 _K = 3
 _GOOD = IrrLabel(Sector.U, 1, 0)
 # Each malformed operand with the exact message its field check raises at level _K.

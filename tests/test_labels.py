@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -150,6 +152,15 @@ def test_parse_label_syntax_errors_with_position(text, position):
         parse_label(text, 3)
     assert err.value.position == position
     assert str(position) in str(err.value)
+
+
+def test_label_syntax_error_copies_and_pickles():
+    with pytest.raises(LabelSyntaxError) as err:
+        parse_label("u:1:00", 3)
+    original = err.value
+    for twin in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+        assert type(twin) is LabelSyntaxError
+        assert (twin.text, twin.position, str(twin)) == ("u:1:00", 4, str(original))
 
 
 def test_parse_label_refuses_leading_zeros():

@@ -97,6 +97,11 @@ def test_run_suites_rejects_oracle_off_level_one(fuse_calls):
         run_suites(["oracle"], 2)
     with pytest.raises(ValueError, match="level-1"):
         run_suites(["comm", "oracle"], 2)
+    # a bad level is named as such, before the oracle's level rule
+    with pytest.raises(ValueError, match=r"^level must be an integer, got 2\.0$"):
+        run_suites(["oracle"], 2.0)
+    with pytest.raises(ValueError, match="^level must be >= 1, got 0$"):
+        run_suites(["oracle"], 0)
     assert fuse_calls == []  # refused before any suite ran
 
 
