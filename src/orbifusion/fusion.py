@@ -2,44 +2,53 @@
 
 The fusion ring is built from the affine sl2 level-``k`` rule on the weight
 indices together with a Z3 bookkeeping rule on the eigenspace indices.
-For each admissible sl2 output index ``i3``, that is
-``|i1 - i2| <= i3 <= min(i1 + i2, 2k - i1 - i2)`` with ``i1 + i2 + i3`` even,
-let ``t = (i1 + i2 - i3) / 2``, and let ``e = (+1, +1, -1)``, indexed by
-sector: T2 is T_{-1} and reads its charge with the opposite sign.  The
-paper's six sector-pair formulas are one rule.  Twists add in Z/3, so the
-output sector is ``(s1 + s2) mod 3``, and with ``r = e(s1) j1 + e(s2) j2``
-each ``i3`` gives one output:
+Let ``e = (+1, +1, -1)``, indexed by sector: T2 is T_{-1} and reads its
+charge with the opposite sign.  The paper's six sector-pair formulas are
+one rule in four numbers of the pair:
 
-* no wrap, ``s1 + s2 < 3``: ``(i3, e(out) (r - t) mod 3)``;
-* wrap past sigma^3 = 1, ``s1 + s2 >= 3``: the index is reflected through
-  the simple current, ``(k - i3, (r - t + k - i3) mod 3)``.
+* ``out = s1 + s2``, from 0 to 4: twists add, and 3 and 4 wrap past
+  sigma^3 = 1;
+* ``lo = |i1 - i2|`` and ``hi = min(i1 + i2, 2k - i1 - i2)``, the ends of
+  the truncated Clebsch-Gordan range of sl2 at level ``k``;
+* ``c = (e(s1) j1 + e(s2) j2 - min(i1, i2)) mod 3``, the charge of the
+  lowest output.
 
-Each of the paper's formulas is one instance, with ``t`` reduced modulo 3:
+The sl2 outputs are ``i3 = lo + 2n`` for ``n = 0 .. (hi - lo) / 2``.  With
+``t = (i1 + i2 - i3) / 2``, which is ``min(i1, i2) - n``, output ``n``
+has charge ``c + n = e(s1) j1 + e(s2) j2 - t``, and gives one label:
 
-    U  x U   ->  U:   (i3,     j1 + j2 - t)
-    U  x T1  ->  T1:  (i3,     j1 + j2 - t)
-    U  x T2  ->  T2:  (i3,     -(j1 - j2 - t))
-    T1 x T1  ->  T2:  (i3,     -(j1 + j2 - t))
-    T1 x T2  ->  U:   (k - i3, j1 - j2 - t + k - i3)
-    T2 x T2  ->  T1:  (k - i3, -j1 - j2 - t + k - i3)
+* no wrap, ``out < 3``: ``(i3, e(out) (c + n) mod 3)`` in sector ``out``;
+* wrap, ``out >= 3``: the index is reflected through the simple current,
+  ``(k - i3, (c + n + k - i3) mod 3)`` in sector ``out - 3``.
 
-The rule is symmetric in the two operands, so it gives both orders of each
-pair: the fusion product is commutative.  In every product each output
-label occurs with multiplicity exactly 1.
+Each of the paper's formulas is one instance, with ``t`` reduced modulo 3
+and ``m = min(i1, i2)``:
 
-Each product reads ``j1`` and ``j2`` only through ``r`` modulo 3.  So
+    U  x U   ->  U:   out 0, c = j1 + j2 - m:    (i3,     j1 + j2 - t)
+    U  x T1  ->  T1:  out 1, c = j1 + j2 - m:    (i3,     j1 + j2 - t)
+    U  x T2  ->  T2:  out 2, c = j1 - j2 - m:    (i3,     -(j1 - j2 - t))
+    T1 x T1  ->  T2:  out 2, c = j1 + j2 - m:    (i3,     -(j1 + j2 - t))
+    T1 x T2  ->  U:   out 3, c = j1 - j2 - m:    (k - i3, j1 - j2 - t + k - i3)
+    T2 x T2  ->  T1:  out 4, c = -j1 - j2 - m:   (k - i3, -j1 - j2 - t + k - i3)
+
+``out``, ``lo``, ``hi`` and ``c`` are symmetric in the two operands, so the
+rule gives both orders of each pair: the fusion product is commutative.
+In every product each output label occurs with multiplicity exactly 1.
+
+A product depends on its operands only through ``(out, lo, hi, c)``.  So
 :func:`fuse_irreducible` remembers the products of one level at a time,
-keyed by ``(s1, s2, i1, i2, r)`` in sector order, and with ``i1 <= i2``
-when the sectors are equal (6,048 keys for the 35,721 ordered pairs at
-k=20).  Every call validates ``k`` and both labels before any lookup, in one
-inline test of the conditions :func:`check_level` and :func:`check_label`
-enforce.  A call at a level other than the remembered one starts a fresh,
-empty memo for its level and computes its product directly, so the memo
-fills from the second call in a row at one level on and a stream of calls
-that keeps changing level stores nothing.  The memo keeps the last level's
-products until a call at another level replaces it (about 5.25 MB after
-every ordered pair at k=50).  It holds one immutable :class:`FusionVector`
-per distinct product (1,089 at k=20), and a memo hit returns that shared
+keyed by those four numbers (1,815 keys for the 35,721 ordered pairs at
+k=20); both orders of a pair have one key.  Every call validates ``k`` and
+both labels before any lookup, in one inline test of the conditions
+:func:`check_level` and :func:`check_label` enforce.  A call at a level
+other than the remembered one starts a fresh, empty memo for its level and
+computes its product directly, so the memo fills from the second call in a
+row at one level on and a stream of calls that keeps changing level stores
+nothing.  The memo keeps the last level's products until a call at another
+level replaces it: after every ordered pair at k=50 it holds 10,140 keys
+and 6,084 products, about 2.2 MB still traced by ``tracemalloc`` once the
+results are dropped.  It holds one immutable :class:`FusionVector` per
+distinct product (1,089 at k=20), and a memo hit returns that shared
 vector as it is: it builds nothing and hashes nothing.  A call at a new
 level builds one label per output.  A miss takes its ``(label, 1)`` pairs
 from the level's own interned pairs, keyed by index and built on first use,
@@ -55,7 +64,7 @@ from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
 # (k, memo, shared, pairs) for the current level: ``memo`` maps the key
-# (s1, s2, i1, i2, r), packed into one int, to the product's vector,
+# (out, lo, hi, c), packed into one int, to the product's vector,
 # ``shared`` maps a product's items to its one vector, and ``pairs`` interns
 # the ``(label, 1)`` pairs of the level's products, keyed by the packed index
 # (sector * (k + 1) + i) * 3 + j, so it holds only the labels the level used.
@@ -91,19 +100,20 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
         _check_fields(a, k)
         _check_fields(b, k)
         (s1, i1, j1), (s2, i2, j2) = a, b
-    r = (_SIGN[s1] * j1 + _SIGN[s2] * j2) % 3
+    s, out = i1 + i2, s1 + s2
+    lo = i1 - i2 if i1 > i2 else i2 - i1
+    hi = s if s <= k else 2 * k - s
+    c = (_SIGN[s1] * j1 + _SIGN[s2] * j2 - (s - lo) // 2) % 3  # (s - lo) / 2 is min(i1, i2)
     level, memo, shared, pairs = _level_memo
     if level != k:
         _level_memo = (k, {}, {}, {})
-        sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
+        sector, out_is, out_js = _outputs(out, lo, hi, c, k)
         new = tuple.__new__
         return FusionVector._from_canonical(tuple([(new(IrrLabel, (sector, i, j)), 1) for i, j in zip(out_is, out_js)]))
-    if s1 > s2 or s1 is s2 and i1 > i2:
-        s1, i1, s2, i2 = s2, i2, s1, i1  # the rule and r are symmetric: one key covers both orders
-    key = (((s1 * 3 + s2) * (k + 1) + i1) * (k + 1) + i2) * 3 + r
+    key = ((out * (k + 1) + lo) * (k + 1) + hi) * 3 + c
     vector = memo.get(key)
     if vector is None:
-        sector, out_is, out_js = _outputs(s1, s2, i1, i2, r, k)
+        sector, out_is, out_js = _outputs(out, lo, hi, c, k)
         base = sector * (k + 1)
         items = []
         for i, j in zip(out_is, out_js):
@@ -120,35 +130,36 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     return vector
 
 
-def _outputs(s1: Sector, s2: Sector, i1: int, i2: int, r: int, k: int) -> tuple[Sector, range, list[int]]:
-    """The one fusion rule: the output sector, ``i``s and ``j``s of ``a x b``.
+def _outputs(out: int, lo: int, hi: int, c: int, k: int) -> tuple[Sector, range, list[int]]:
+    """The one fusion rule: the output sector, ``i``s and ``j``s of a product.
 
-    ``r`` is ``e(s1) j1 + e(s2) j2`` modulo 3, and ``(s - i3) // 2`` is
-    ``t`` before its reduction; every ``j`` is reduced modulo 3 once.  The
-    output sector is ``(s1 + s2) mod 3``.  Without a wrap (``s1 + s2 < 3``)
-    an output is ``(i3, e(out) (r - t))``; with one, the index is reflected
-    and an output is ``(k - i3, r - t + k - i3)``.  The rule and ``r`` are
-    symmetric in the operands, and each sector pair is one instance:
+    The product is named by ``(out, lo, hi, c)`` at level ``k``, as in the
+    module docstring; every ``j`` is reduced modulo 3 once.  The sl2
+    outputs are ``i3 = lo + 2n`` for ``n = 0 .. (hi - lo) / 2``, with
+    charge ``c + n``.  Without a wrap (``out < 3``) the output sector is
+    ``out`` and an output is ``(i3, e(out) (c + n))``.  With one, the
+    sector is ``out - 3``, the index is reflected, and an output is
+    ``(k - i3, c + n + k - i3)``.  Each sector pair is one instance, with
+    ``m = min(i1, i2)``:
 
-        U  x U   ->  U    r = j1 + j2    (i3, r - t)
-        U  x T1  ->  T1   r = j1 + j2    (i3, r - t)
-        U  x T2  ->  T2   r = j1 - j2    (i3, -(r - t))
-        T1 x T1  ->  T2   r = j1 + j2    (i3, -(r - t))
-        T1 x T2  ->  U    r = j1 - j2    (k - i3, r - t + k - i3)
-        T2 x T2  ->  T1   r = -j1 - j2   (k - i3, r - t + k - i3)
+        U  x U   ->  U    out 0   c = j1 + j2 - m    (i3, c + n)
+        U  x T1  ->  T1   out 1   c = j1 + j2 - m    (i3, c + n)
+        U  x T2  ->  T2   out 2   c = j1 - j2 - m    (i3, -(c + n))
+        T1 x T1  ->  T2   out 2   c = j1 + j2 - m    (i3, -(c + n))
+        T1 x T2  ->  U    out 3   c = j1 - j2 - m    (k - i3, c + n + k - i3)
+        T2 x T2  ->  T1   out 4   c = -j1 - j2 - m   (k - i3, c + n + k - i3)
 
-    ``i3s`` is the admissible range, ascending, and the output ``i``s
-    ascend, so the outputs, paired in order, come in canonical order: where
-    the output index is ``k - i3`` the ``j``s run over ``i3`` descending.
+    The output ``i``s ascend, so the outputs, paired in order, come in
+    canonical order: where the output index is ``k - i3`` they are listed
+    with ``i3`` descending.
     """
-    s = i1 + i2
-    i3s = range(abs(i1 - i2), min(s, 2 * k - s) + 1, 2)
-    out = s1 + s2
+    i3s = range(lo, hi + 1, 2)
     if out < 3:
         sign = _SIGN[out]
-        return _SECTORS[out], i3s, [sign * (r - (s - i3) // 2) % 3 for i3 in i3s]
-    reflected = range(k - i3s[-1], k - i3s[0] + 1, 2)  # the output index k - i3, ascending
-    return _SECTORS[out - 3], reflected, [(r - (s - i3) // 2 + k - i3) % 3 for i3 in reversed(i3s)]
+        return _SECTORS[out], i3s, [sign * (c + n) % 3 for n in range(len(i3s))]
+    # listed by i3 = hi - 2p descending: n = (hi - lo) / 2 - p, so c + n + k - i3 is start + p
+    start = c + (hi - lo) // 2 + k - hi
+    return _SECTORS[out - 3], range(k - hi, k - lo + 1, 2), [(start + p) % 3 for p in range(len(i3s))]
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:

@@ -224,10 +224,11 @@ class FusionVector:
     structural and the hash is that of the tuple.  Every assignment to an
     instance is refused, so a vector can be shared: :func:`fuse_irreducible`
     hands out one vector per distinct product of a level.  The hash is
-    computed the first time it is needed and kept in a slot.  Each key must
-    be an :class:`IrrLabel` holding a :class:`Sector`, an int ``i >= 0`` and
-    an int ``j`` in ``{0, 1, 2}``; a vector has no level, so ``i <= k`` is
-    left to the functions that take one.
+    computed when the vector is built and kept in a slot, so hashing a
+    vector reads one slot.  Each key must be an :class:`IrrLabel` holding a
+    :class:`Sector`, an int ``i >= 0`` and an int ``j`` in ``{0, 1, 2}``; a
+    vector has no level, so ``i <= k`` is left to the functions that take
+    one.
     """
 
     __slots__ = ("_items", "_hash")
@@ -250,7 +251,9 @@ class FusionVector:
                 raise ValueError(f"negative multiplicity {mult} for {label.token()}")
             if mult:
                 store[label] = store.get(label, 0) + mult
-        _set_items(self, tuple(sorted(store.items())))
+        items = tuple(sorted(store.items()))
+        _set_items(self, items)
+        _set_hash(self, hash(items))
 
     @classmethod
     def _from_canonical(cls, items: tuple[tuple[IrrLabel, int], ...]) -> "FusionVector":
@@ -262,6 +265,7 @@ class FusionVector:
         """
         vector = cls.__new__(cls)
         _set_items(vector, items)
+        _set_hash(vector, hash(items))
         return vector
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -295,12 +299,7 @@ class FusionVector:
         return self._items == other._items
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # the first hash of this vector
-            value = hash(self._items)
-            _set_hash(self, value)
-            return value
+        return self._hash
 
     def __len__(self) -> int:
         return len(self._items)

@@ -25,10 +25,12 @@ id, and the id of every pair (1089 ids for 35,721 pairs at k=20).  Its
 rows of ids live in a memo keyed by the left factor: a row is built the
 first time a suite reads it, with one ``fuse_irreducible`` call per pair,
 and kept, so a run fuses only the rows its suites read (``unit`` the
-vacuum row, ``catalog`` none) and each ordered pair at most once.  A
-suite does its per-product work once per id: ``comm`` compares ids,
-``assoc`` builds the right sides a x (b x c) once per id and generator,
-and ``qdim`` sums a product's quantum dimensions once per id.
+vacuum row, ``catalog`` none) and each ordered pair at most once.  A row
+is built without a Python-level loop: ``fuse_irreducible`` is mapped over
+the row's right factors and its vectors are mapped to ids.  A suite does
+its per-product work once per id: ``comm`` compares ids, ``assoc`` builds
+the right sides a x (b x c) once per id and generator, and ``qdim`` sums a
+product's quantum dimensions once per id.
 ``dual`` and ``qdim`` check a row at a time, ``dual`` with one list
 equality: listed in the order of the duals of their right factors, the
 row's products must equal their own columns.  A row that fails reports its
@@ -117,16 +119,18 @@ class _FusionTable:
     plain iteration and a wrong multiplicity is seen by every suite.
     ``row[a][b]`` is the id of ``labels[a] x labels[b]``, and ``ids()``
     lists every row.  ``row`` is a memo: row ``a`` is built on first use,
-    with one call of this module's ``fuse_irreducible`` per pair ``(a, b)``,
-    and kept; a product not met before takes the next id, so ``outputs``
-    grows as rows are built (1089 ids for 35,721 pairs at k=20).  A product
-    with an output outside the level's catalog raises ``ValueError``.  A
-    product is looked up by its vector: ``fuse_irreducible`` hands out one
-    shared vector per distinct product, with its hash cached, so a lookup
-    is a cached hash and an identity match.  A vector hashes and compares
-    as its ``(label, multiplicity)`` items, so fresh vectors from a
-    substituted ``fuse_irreducible`` share ids too, and two pairs have one
-    id exactly when their outputs are equal.
+    with one call of this module's ``fuse_irreducible``, looked up when the
+    row is built, per pair ``(a, b)``, and kept; the calls and the id
+    lookups are mapped over the row, with no Python-level loop.  A product
+    not met before takes the next id, so ``outputs`` grows as rows are
+    built (1089 ids for 35,721 pairs at k=20).  A product with an output
+    outside the level's catalog raises ``ValueError``.  A product is looked
+    up by its vector: ``fuse_irreducible`` hands out one shared vector per
+    distinct product, and every vector keeps the hash computed when it was
+    built, so a lookup is one slot read and an identity match.  A vector
+    hashes and compares as its ``(label, multiplicity)`` items, so fresh
+    vectors from a substituted ``fuse_irreducible`` share ids too, and two
+    pairs have one id exactly when their outputs are equal.
     """
 
     def __init__(self, k: int):
@@ -144,7 +148,10 @@ class _FusionTable:
             return len(outputs) - 1
 
         shared = _Memo(new_id)
-        self.row = _Memo(lambda a: [shared[fuse_irreducible(labels[a], b, k)] for b in labels])
+        repeat = itertools.repeat
+        self.row = _Memo(
+            lambda a: list(map(shared.__getitem__, map(fuse_irreducible, repeat(labels[a]), labels, repeat(k))))
+        )
 
     def ids(self) -> list[list[int]]:
         """Every row of product ids, in label order; builds the rows not built yet."""

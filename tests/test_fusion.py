@@ -252,6 +252,35 @@ def test_fuse_irreducible_matches_reference_in_order(k):
             assert list(got.items()) == list(want.items())
 
 
+_EPS = {Sector.U: 1, Sector.T1: 1, Sector.T2: -1}
+
+
+def _product_key(a, b, k):
+    """``(out, lo, hi, c)``: twist sum, sl2 range ends, and the signed charge at ``i3 = lo``."""
+    (s1, i1, j1), (s2, i2, j2) = a, b
+    return (
+        s1 + s2,
+        abs(i1 - i2),
+        min(i1 + i2, 2 * k - i1 - i2),
+        (_EPS[s1] * j1 + _EPS[s2] * j2 - min(i1, i2)) % 3,
+    )
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 21])
+def test_products_depend_only_on_the_range_and_the_lowest_charge(k):
+    # The memo keys a product by (out, lo, hi, c) alone, so every pair of
+    # ordered pairs with one key must have one reference product; and since
+    # the key is symmetric, both orders of a pair share one memo vector.
+    labels = enumerate_irreducibles(k)
+    by_key = {}
+    for a in labels:
+        for b in labels:
+            want = list(_reference_fuse(a, b, k).items())
+            assert by_key.setdefault(_product_key(a, b, k), want) == want, (a, b)
+    fuse_irreducible(labels[0], labels[0], k)  # so that every call below reads the memo at k
+    assert all(fuse_irreducible(a, b, k) is fuse_irreducible(b, a, k) for a in labels for b in labels)
+
+
 def test_int_sector_rejected():
     k = 3
     with pytest.raises(ValueError, match="not an irreducible label"):
@@ -289,7 +318,7 @@ def test_fuse_irreducible_vectors_cannot_corrupt_the_memo():
     first = fuse_irreducible(a, b, k)
     second = fuse_irreducible(a, b, k)  # served by the memo
     assert first == second == want
-    hash(second)  # fills the cached hash
+    hash(second)  # reads the hash kept since the vector was built
     for name, value in (("_items", ((vacuum(k), 5),)), ("_hash", 0), ("other", 1)):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(second, name, value)
@@ -310,7 +339,7 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
     again = [fuse_irreducible(a, b, k) for a in labels for b in labels]
     assert all(x is y for x, y in zip(first[1:], again[1:]))  # the first call, at a new level, is not memoised
     memo = fusion_mod._level_memo[1]
-    assert len(memo) == 6048  # keys (s1, s2, i1, i2, r), with i1 <= i2 for equal sectors
+    assert len(memo) == 1815  # keys (out, lo, hi, c): twist sum, Clebsch-Gordan range and lowest output's charge
     assert len(set(first)) == len({id(v) for v in memo.values()}) == len(set(memo.values())) == 1089
     assert {id(v) for v in again} == {id(v) for v in memo.values()}
     pairs = fusion_mod._level_memo[3]  # one interned (label, 1) pair per label the level's products use
