@@ -178,7 +178,14 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
 
 
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
-    """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory."""
-    check_level(k)
-    _check_fields(c, k)
-    return fuse_irreducible(a, b, k).coefficient(c)
+    """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory.
+
+    ``k`` and ``c`` are checked first, by :func:`check_label`, then
+    :func:`fuse_irreducible` checks ``a`` and ``b``; the product is then
+    searched for ``c`` with no further check.
+    """
+    check_label(c, k)
+    for label, mult in fuse_irreducible(a, b, k).items():
+        if label == c:
+            return mult
+    return 0

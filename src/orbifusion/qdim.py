@@ -80,7 +80,7 @@ class QDimElement:
         check_level(self.level)
         if not isinstance(self.residue, ChebPoly):
             raise ValueError(f"residue must be a ChebPoly, got {self.residue!r}")
-        if self.residue.degree >= reduction_modulus(self.level).degree:
+        if self.residue.degree >= min_poly_two_cos(self.level + 2).degree:
             raise ValueError("residue not reduced")
 
     def __mul__(self, other: "QDimElement") -> "QDimElement":
@@ -128,13 +128,18 @@ def qdim_index(i: int, k: int) -> QDimElement:
     docstring); the reflected index is at most ``k // 2``.
     """
     check_index(i, k)
-    return QDimElement(cheb_u(min(i, k - i)) % reduction_modulus(k), k)
+    return _qdim(i, k)
 
 
 def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
     """Exact quantum dimension of ``label``; depends only on ``label.i``."""
     check_label(label, k)
-    return qdim_index(label.i, k)
+    return _qdim(label.i, k)
+
+
+def _qdim(i: int, k: int) -> QDimElement:
+    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``."""
+    return QDimElement(cheb_u(min(i, k - i)) % min_poly_two_cos(k + 2), k)
 
 
 def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
@@ -142,16 +147,30 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
 
     Accurate to ``precision`` decimal digits (evaluation carries guard
     digits).  ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per
-    level and precision and kept, so each call evaluates one sine.  This
+    level and precision and kept, so a new value costs one sine.  The
+    values of the 512 most recently used ``(i, k, precision)`` are
+    remembered, about 0.25 MB traced when full at 20 digits; the memo is
+    read only after the label and the precision pass their checks, and a
+    remembered value is the same number, bit for bit, as a fresh one.  This
     route never touches the exact residues, so it doubles as an independent
     cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
     _check_precision(precision)
+    return _sine_ratio(label.i, k, precision)
+
+
+@lru_cache(maxsize=512)
+def _sine_ratio(i: int, k: int, precision: int) -> mpmath.mpf:
+    """``sin((i+1)*theta) / sin(theta)`` at ``theta = pi/(k+2)``, rounded at the working digits.
+
+    ``i`` is used as given, not reflected, so the value is the one the
+    formula gives for it; mpf values are immutable, so sharing one is safe.
+    """
     dps = precision + _GUARD_DIGITS
     with mpmath.workdps(dps):
         theta, sin1 = _angle(k, dps)
-        value = mpmath.sin((label.i + 1) * theta) / sin1
+        value = mpmath.sin((i + 1) * theta) / sin1
         return +value
 
 

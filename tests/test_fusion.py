@@ -211,6 +211,25 @@ def test_fusion_coefficient_examples():
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "a, c, k, message",
+    [
+        (vacuum(3), (Sector.U, 1, 0), 3, "not an irreducible label: (<Sector.U: 0>, 1, 0)"),
+        (vacuum(3), IrrLabel(Sector.U, 1.5, 0), 3, "not an irreducible label: (<Sector.U: 0>, 1.5, 0)"),
+        (vacuum(3), None, True, "level must be an integer, got True"),
+        (vacuum(3), vacuum(3), True, "level must be an integer, got True"),
+        (vacuum(3), IrrLabel(Sector.U, 4, 0), 3, "i out of range: 4 not in 0..3"),
+        (IrrLabel(Sector.U, 9, 0), IrrLabel(Sector.T1, 4, 0), 3, "i out of range: 4 not in 0..3"),  # c before a
+        (IrrLabel(Sector.U, 9, 0), vacuum(3), 3, "i out of range: 9 not in 0..3"),
+        (vacuum(3), IrrLabel(Sector.U, 1, 3), 3, "j out of range: 3 not in 0..2"),
+    ],
+)
+def test_fusion_coefficient_checks_each_argument_with_its_message(a, c, k, message):
+    with pytest.raises(ValueError) as err:
+        fusion_coefficient(a, vacuum(3), c, k)
+    assert str(err.value) == message
+
+
 def test_level_mismatch_rejected():
     with pytest.raises(ValueError, match="i out of range"):
         fuse_irreducible(parse_label("u:3:0", 3), parse_label("u:1:0", 2), 2)

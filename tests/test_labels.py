@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+from orbifusion import labels
 from orbifusion.fusion import contragredient, fusion_coefficient
 from orbifusion.labels import (
     FusionVector,
     IrrLabel,
     LabelSyntaxError,
     Sector,
+    _check_fields,
+    check_label,
+    check_level,
     enumerate_irreducibles,
     make_label,
     parse_label,
@@ -117,9 +121,11 @@ def test_parse_label_accepts_grammar():
 
 
 def test_parse_label_round_trips_every_token():
-    for k in (1, 2, 7):
+    for k in (*range(1, 31), 200):
         for lab in enumerate_irreducibles(k):
-            assert parse_label(lab.token(), k) == lab
+            parsed = parse_label(lab.token(), k)
+            assert parsed == lab == make_label(lab.sector, lab.i, lab.j, k)
+            assert type(parsed) is IrrLabel and type(parsed.sector) is Sector
 
 
 @pytest.mark.parametrize(
@@ -148,10 +154,14 @@ def test_parse_label_round_trips_every_token():
     ],
 )
 def test_parse_label_syntax_errors_with_position(text, position):
-    with pytest.raises(LabelSyntaxError) as err:
-        parse_label(text, 3)
-    assert err.value.position == position
-    assert str(position) in str(err.value)
+    messages = []
+    for _ in range(2):  # a text that raises is never remembered: the second call raises the same
+        with pytest.raises(LabelSyntaxError) as err:
+            parse_label(text, 3)
+        assert err.value.position == position
+        assert str(position) in str(err.value)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_label_syntax_error_copies_and_pickles():
@@ -175,6 +185,86 @@ def test_parse_label_refuses_leading_zeros():
 def test_parse_label_range_error_delegated():
     with pytest.raises(ValueError, match="i out of range"):
         parse_label("u:4:0", 3)
+    # the memo is keyed by the text alone: the level is checked on every call
+    assert parse_label("u:5:0", 9) == IrrLabel(Sector.U, 5, 0)
+    with pytest.raises(ValueError, match=r"i out of range: 5 not in 0\.\.3"):
+        parse_label("u:5:0", 3)
+    for k in (0, True, "9"):
+        with pytest.raises(ValueError, match="level must be"):
+            parse_label("u:5:0", k)
+
+
+def _raised(call):
+    """The type and message ``call()`` raises, or None when it returns."""
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
+        return type(err), str(err)
+    return None
+
+
+class _LabelSubclass(IrrLabel):
+    pass
+
+
+_BAD_LEVELS = [True, 0, -1, 1.0, "3"]
+_BAD_LABELS = [
+    (Sector.U, 1, 0),              # a plain tuple
+    None,
+    IrrLabel(0, 1, 0),              # an int sector
+    IrrLabel(True, 1, 0),           # a bool sector
+    IrrLabel(Sector.U, True, 0),
+    IrrLabel(Sector.U, 1.0, 0),
+    IrrLabel(Sector.U, 1, False),
+    IrrLabel(Sector.U, 1, 1.0),
+    IrrLabel(Sector.T1, 4, 0),      # i = k + 1 at k = 3
+    IrrLabel(Sector.T2, 1, 3),
+    IrrLabel(Sector.U, 1, -1),
+]
+_GOOD_LABELS = [IrrLabel(Sector.U, 1, 0), _LabelSubclass(Sector.T1, 2, 1)]
+
+
+@pytest.mark.parametrize("label", _BAD_LABELS + _GOOD_LABELS)
+@pytest.mark.parametrize("k", _BAD_LEVELS + [3])
+def test_check_label_raises_what_its_slow_path_raises(label, k):
+    def slow():
+        check_level(k)
+        _check_fields(label, k)
+
+    expected = _raised(slow)
+    assert (expected is None) == (k == 3 and any(label is good for good in _GOOD_LABELS))
+    assert _raised(lambda: check_label(label, k)) == expected
+
+
+def test_check_label_accepts_every_label_and_refuses_the_next_index():
+    for k in (1, 2, 9):
+        for lab in enumerate_irreducibles(k):
+            check_label(lab, k)
+            check_label(_LabelSubclass(*lab), k)
+        with pytest.raises(ValueError, match=f"i out of range: {k + 1} not in 0..{k}"):
+            check_label(IrrLabel(Sector.U, k + 1, 0), k)
+
+
+class _Text(str):
+    pass
+
+
+def test_parse_memo_is_bounded_and_takes_only_short_exact_strings():
+    memo = labels._parse_text
+    assert memo.cache_info().maxsize == 1024
+    memo.cache_clear()
+    with pytest.raises(LabelSyntaxError) as err:
+        parse_label(["u:0:0"], 3)  # unhashable: parsed afresh, not a TypeError
+    assert err.value.position == 0
+    assert parse_label(_Text("t2:1:1"), 3) == IrrLabel(Sector.T2, 1, 1)
+    assert parse_label("u:" + "1" * 30 + ":0", 10 ** 31) == IrrLabel(Sector.U, int("1" * 30), 0)
+    for text in ("u:01:0", "u:1:5"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="leading zero|j out of range"):
+                parse_label(text, 3)
+    assert memo.cache_info().currsize == 0
+    assert parse_label("t2:1:1", 3) is parse_label("t2:1:1", 3)
+    assert memo.cache_info().currsize == 1
 
 
 def test_fusion_vector_drops_zeros_and_sorts():
