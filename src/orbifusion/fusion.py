@@ -181,11 +181,8 @@ def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory.
 
     ``k`` and ``c`` are checked first, by :func:`check_label`, then
-    :func:`fuse_irreducible` checks ``a`` and ``b``; the product is then
-    searched for ``c`` with no further check.
+    :func:`fuse_irreducible` checks ``a`` and ``b``; ``c`` is then looked
+    up in the product with no further check.
     """
     check_label(c, k)
-    for label, mult in fuse_irreducible(a, b, k).items():
-        if label == c:
-            return mult
-    return 0
+    return fuse_irreducible(a, b, k)._coefficient(c)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -206,27 +205,10 @@ def parse_label(text: str, k: int) -> IrrLabel:
     with the offending position; for a leading zero that is the position of
     the zero.  Out-of-range indices raise ``ValueError``: ``j`` must be 0, 1
     or 2 as written (it is not reduced modulo 3, unlike in
-    :func:`make_label`), and then ``k`` must pass :func:`check_level` and
-    ``i`` must be at most ``k``.  A ``text`` that is not a string is a
-    syntax error at position 0.
-
-    The parse does not depend on ``k``, so the labels of the 1024 most
-    recently parsed texts are remembered, keyed by the text alone: about
-    0.15 MB traced when full.  Only an exact ``str`` of at most 24
-    characters is looked up; any other ``text`` is parsed afresh, so it
-    can neither fill the memo nor fail to hash.  A text that raises is
-    never stored, and the level and ``i <= k`` are checked on every call,
-    after the parse and outside the memo.
+    :func:`make_label`), and then the label must pass :func:`check_label`
+    at ``k``.  A ``text`` that is not a string is a syntax error at
+    position 0.
     """
-    label = _parse_text(text) if type(text) is str and len(text) <= 24 else _parse(text)
-    if type(k) is not int or k < 1 or label.i > k:
-        check_level(k)
-        _check_range(label.i, k)
-    return label
-
-
-def _parse(text: str) -> IrrLabel:
-    """The label ``text`` names, at no level: the grammar and ``j <= 2``, not ``i <= k``."""
     if not isinstance(text, str):
         raise LabelSyntaxError(text, 0, "expected a string")
     match = _LABEL.match(text)
@@ -237,15 +219,13 @@ def _parse(text: str) -> IrrLabel:
         j = int(match[5])
         if j > 2:
             raise ValueError(f"j out of range: {j} not in 0..2")
-        # the grammar fixes the sector and makes i and j non-negative ints
-        return tuple.__new__(IrrLabel, (_TAG_SECTORS[match[1]], int(match[3]), j))
+        # the grammar fixes the sector and makes i and j non-negative ints, so nothing is reduced
+        label = tuple.__new__(IrrLabel, (_TAG_SECTORS[match[1]], int(match[3]), j))
+        check_label(label, k)
+        return label
     if last in (2, 4) and text.startswith("0", end):
         raise LabelSyntaxError(text, end, "unexpected leading zero")
     raise LabelSyntaxError(text, end, _EXPECTED[last])
-
-
-# ``lru_cache`` stores only returned labels, so a text that raises is parsed again on every call.
-_parse_text = lru_cache(maxsize=1024)(_parse)
 
 
 class FusionVector:
@@ -316,6 +296,10 @@ class FusionVector:
         (a string, ``None``, a plain tuple) raises ``ValueError``.
         """
         _check_key(label)
+        return self._coefficient(label)
+
+    def _coefficient(self, label: IrrLabel) -> int:
+        """:meth:`coefficient` of a ``label`` its caller has already checked."""
         for lab, mult in self._items:
             if lab == label:
                 return mult

@@ -147,30 +147,16 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
 
     Accurate to ``precision`` decimal digits (evaluation carries guard
     digits).  ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per
-    level and precision and kept, so a new value costs one sine.  The
-    values of the 512 most recently used ``(i, k, precision)`` are
-    remembered, about 0.25 MB traced when full at 20 digits; the memo is
-    read only after the label and the precision pass their checks, and a
-    remembered value is the same number, bit for bit, as a fresh one.  This
+    level and precision and kept, so each call evaluates one sine.  This
     route never touches the exact residues, so it doubles as an independent
     cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
     _check_precision(precision)
-    return _sine_ratio(label.i, k, precision)
-
-
-@lru_cache(maxsize=512)
-def _sine_ratio(i: int, k: int, precision: int) -> mpmath.mpf:
-    """``sin((i+1)*theta) / sin(theta)`` at ``theta = pi/(k+2)``, rounded at the working digits.
-
-    ``i`` is used as given, not reflected, so the value is the one the
-    formula gives for it; mpf values are immutable, so sharing one is safe.
-    """
     dps = precision + _GUARD_DIGITS
     with mpmath.workdps(dps):
         theta, sin1 = _angle(k, dps)
-        value = mpmath.sin((i + 1) * theta) / sin1
+        value = mpmath.sin((label.i + 1) * theta) / sin1
         return +value
 
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from orbifusion import labels
 from orbifusion.fusion import contragredient, fusion_coefficient
 from orbifusion.labels import (
     FusionVector,
@@ -147,6 +146,7 @@ def test_parse_label_round_trips_every_token():
         (5, 0),              # not a string at all
         (None, 0),
         (b"u:0:0", 0),
+        (["u:0:0"], 0),
         ("u:01:0", 2),       # leading zeros: the position of the zero
         ("u:1:00", 4),
         ("t2:007:1", 3),
@@ -154,14 +154,10 @@ def test_parse_label_round_trips_every_token():
     ],
 )
 def test_parse_label_syntax_errors_with_position(text, position):
-    messages = []
-    for _ in range(2):  # a text that raises is never remembered: the second call raises the same
-        with pytest.raises(LabelSyntaxError) as err:
-            parse_label(text, 3)
-        assert err.value.position == position
-        assert str(position) in str(err.value)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    with pytest.raises(LabelSyntaxError) as err:
+        parse_label(text, 3)
+    assert err.value.position == position
+    assert str(position) in str(err.value)
 
 
 def test_label_syntax_error_copies_and_pickles():
@@ -185,7 +181,6 @@ def test_parse_label_refuses_leading_zeros():
 def test_parse_label_range_error_delegated():
     with pytest.raises(ValueError, match="i out of range"):
         parse_label("u:4:0", 3)
-    # the memo is keyed by the text alone: the level is checked on every call
     assert parse_label("u:5:0", 9) == IrrLabel(Sector.U, 5, 0)
     with pytest.raises(ValueError, match=r"i out of range: 5 not in 0\.\.3"):
         parse_label("u:5:0", 3)
@@ -243,28 +238,6 @@ def test_check_label_accepts_every_label_and_refuses_the_next_index():
             check_label(_LabelSubclass(*lab), k)
         with pytest.raises(ValueError, match=f"i out of range: {k + 1} not in 0..{k}"):
             check_label(IrrLabel(Sector.U, k + 1, 0), k)
-
-
-class _Text(str):
-    pass
-
-
-def test_parse_memo_is_bounded_and_takes_only_short_exact_strings():
-    memo = labels._parse_text
-    assert memo.cache_info().maxsize == 1024
-    memo.cache_clear()
-    with pytest.raises(LabelSyntaxError) as err:
-        parse_label(["u:0:0"], 3)  # unhashable: parsed afresh, not a TypeError
-    assert err.value.position == 0
-    assert parse_label(_Text("t2:1:1"), 3) == IrrLabel(Sector.T2, 1, 1)
-    assert parse_label("u:" + "1" * 30 + ":0", 10 ** 31) == IrrLabel(Sector.U, int("1" * 30), 0)
-    for text in ("u:01:0", "u:1:5"):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="leading zero|j out of range"):
-                parse_label(text, 3)
-    assert memo.cache_info().currsize == 0
-    assert parse_label("t2:1:1", 3) is parse_label("t2:1:1", 3)
-    assert memo.cache_info().currsize == 1
 
 
 def test_fusion_vector_drops_zeros_and_sorts():
