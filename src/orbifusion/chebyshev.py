@@ -85,7 +85,8 @@ class ChebPoly:
 
     def __mul__(self, other: Union["ChebPoly", int]) -> "ChebPoly":
         if isinstance(other, int):
-            return ChebPoly([c * other for c in self.coeffs])
+            factor = int(other)  # a bool or other int subclass multiplies as a plain int
+            return _from_ints([c * factor for c in self.coeffs])
         if not isinstance(other, ChebPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -167,8 +168,9 @@ def _from_ints(cs: list[int]) -> ChebPoly:
     """The polynomial of ``cs`` without the coefficient check, stripping ``cs`` in place.
 
     For lists that this module's own arithmetic built from the coefficients
-    of checked polynomials, which are ints by construction; a scalar from
-    outside goes through the checked constructor instead.
+    of checked polynomials and plain int scalars, which are ints by
+    construction; coefficients from outside go through the checked
+    constructor instead.
     """
     while cs and cs[-1] == 0:
         cs.pop()

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -46,10 +45,34 @@ def _label(text: str, k: int) -> IrrLabel:
 
 
 def _fixed(value: mpmath.mpf, decimals: int) -> str:
-    """Render a non-negative value with exactly ``decimals`` decimal places."""
-    digits = mpmath.nstr(value, decimals + 15)
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(digits).quantize(quantum, rounding=ROUND_HALF_EVEN))
+    """Render ``value`` with exactly ``decimals`` decimal places, rounded exactly.
+
+    The mpf is the binary fraction ``man * 2**exp``; the printed number is
+    that fraction times ``10**decimals`` rounded half-even to an integer,
+    in integer arithmetic, then written with the decimal point
+    ``decimals`` places from the right.  So the digits are the exact
+    rounding of the value ``value`` holds, for any ``decimals`` (no limit
+    of a decimal context).  How close that value is to the true number is
+    up to the precision it was computed at.  A negative value is written
+    with a leading ``-``, as ``-0.00`` when it rounds to zero; an infinity
+    or NaN raises ``ValueError``.
+    """
+    negative, man, exp, _ = value._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot render {value} with fixed decimals")
+    sign = "-" if negative else ""
+    scaled = man * 10 ** decimals
+    if exp >= 0:
+        units = scaled << exp
+    else:
+        units, rest = divmod(scaled, 1 << -exp)
+        half = 1 << (-exp - 1)
+        if rest > half or (rest == half and units & 1):
+            units += 1
+    if not decimals:
+        return f"{sign}{units}"
+    digits = str(units).rjust(decimals + 1, "0")
+    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
 def _emit(text: str, out) -> None:

@@ -173,8 +173,8 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
     check_label(label, k)
     sector, i, j = label
     if sector is Sector.U:
-        return IrrLabel(Sector.U, i, (i - j) % 3)
-    return IrrLabel(_SECTORS[3 - sector], k - i, j)
+        return tuple.__new__(IrrLabel, (Sector.U, i, (i - j) % 3))
+    return tuple.__new__(IrrLabel, (_SECTORS[3 - sector], k - i, j))
 
 
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:

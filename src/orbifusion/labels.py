@@ -43,11 +43,14 @@ class Sector(enum.IntEnum):
     @property
     def tag(self) -> str:
         """Lowercase token used in the textual label grammar."""
-        return _SECTOR_TAGS[self]
+        return _TAGS[self]
 
 
-_SECTOR_TAGS = {Sector.U: "u", Sector.T1: "t1", Sector.T2: "t2"}
-_TAG_SECTORS = {tag: sec for sec, tag in _SECTOR_TAGS.items()}
+# Tag and name of each sector, indexed by its value: a tuple lookup is
+# cheaper than the ``tag`` property or the Enum ``name`` descriptor.
+_TAGS = ("u", "t1", "t2")
+_NAMES = tuple(sector.name for sector in Sector)
+_TAG_SECTORS = {tag: sector for sector, tag in zip(Sector, _TAGS)}
 
 
 def check_level(k: int) -> int:
@@ -94,16 +97,19 @@ class IrrLabel(NamedTuple):
 
     def token(self) -> str:
         """Canonical machine-readable form, e.g. ``t1:0:2``."""
-        return f"{self.sector.tag}:{self.i}:{self.j}"
+        sector, i, j = self
+        return f"{_TAGS[sector]}:{i}:{j}"
 
     def pretty(self, k: int) -> str:
         """Display form, e.g. ``L(3,0)^{T1,2}`` or ``L(3,1)^2``."""
-        if self.sector is Sector.U:
-            return f"L({k},{self.i})^{self.j}"
-        return f"L({k},{self.i})^{{{self.sector.name},{self.j}}}"
+        sector, i, j = self
+        if sector is Sector.U:
+            return f"L({k},{i})^{j}"
+        return f"L({k},{i})^{{{_NAMES[sector]},{j}}}"
 
     def __repr__(self) -> str:
-        return f"IrrLabel({self.sector.name}, {self.i}, {self.j})"
+        sector, i, j = self
+        return f"IrrLabel({_NAMES[sector]}, {i}, {j})"
 
 
 def check_label(label: IrrLabel, k: int) -> None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, mpf_mul_int, mpf_sin, mpf_sum, round_nearest
 
 from .labels import IrrLabel, check_index, check_label, check_level
 from .chebyshev import ChebPoly, cheb_u, min_poly_two_cos
@@ -40,17 +41,19 @@ __all__ = [
 #: Extra working digits used internally by all numeric evaluations.
 _GUARD_DIGITS = 10
 
+_make_mpf = mpmath.mp.make_mpf
+
 
 @lru_cache(maxsize=1024)
-def _angle(k: int, dps: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """``theta = pi/(k+2)`` and ``sin(theta)``, rounded at ``dps`` working digits.
+def _angle(k: int, dps: int) -> tuple[tuple, tuple]:
+    """Raw mpf tuples of ``theta = pi/(k+2)`` and ``sin(theta)`` at ``dps`` working digits.
 
-    Callers read them inside ``mpmath.workdps(dps)``, so the values are the
-    ones they would compute themselves; mpf values are immutable.
+    They are the values a caller inside ``mpmath.workdps(dps)`` would
+    compute itself; the tuples are immutable.
     """
     with mpmath.workdps(dps):
         theta = mpmath.pi / (k + 2)
-        return theta, mpmath.sin(theta)
+        return theta._mpf_, mpmath.sin(theta)._mpf_
 
 
 def _check_precision(precision: int) -> None:
@@ -112,7 +115,7 @@ class QDimElement:
         bound = sum(abs(c) << n for n, c in enumerate(self.residue.coeffs))
         dps = precision + _GUARD_DIGITS + len(str(bound))
         with mpmath.workdps(dps):
-            x = 2 * mpmath.cos(_angle(self.level, dps)[0])
+            x = 2 * mpmath.cos(_make_mpf(_angle(self.level, dps)[0]))
             value = self.residue(x)
             return +value
 
@@ -142,22 +145,41 @@ def _qdim(i: int, k: int) -> QDimElement:
     return QDimElement(cheb_u(min(i, k - i)) % min_poly_two_cos(k + 2), k)
 
 
+def _sine_ratio(n: int, theta: tuple, sin1: tuple, prec: int) -> tuple:
+    """Raw mpf of ``sin(n*theta)/sin1`` at ``prec`` bits, one rounding per step.
+
+    ``theta`` and ``sin1`` are raw mpf tuples.  The steps and roundings are
+    those of ``mpmath.sin(n * theta) / sin1`` inside a context of ``prec``
+    bits and mpmath's default rounding to nearest, so the bits are the same,
+    without entering a context or building intermediate mpf objects.
+    """
+    angle = mpf_mul_int(theta, n, prec, round_nearest)
+    return mpf_div(mpf_sin(angle, prec, round_nearest), sin1, prec, round_nearest)
+
+
 def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     """Numeric quantum dimension ``sin((i+1)*pi/(k+2))/sin(pi/(k+2))``.
 
-    Accurate to ``precision`` decimal digits (evaluation carries guard
-    digits).  ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per
-    level and precision and kept, so each call evaluates one sine.  This
-    route never touches the exact residues, so it doubles as an independent
-    cross-check of :func:`qdim_exact`.
+    The value is computed at ``precision`` plus 10 guard decimal digits
+    (``dps_to_prec`` of that many bits) by mpmath's integer core: the angle
+    ``(i+1)*theta``, its sine and the quotient by ``sin(theta)`` are each
+    rounded to nearest at that working precision, exactly as the same
+    expression inside ``mpmath.workdps`` would round them, so the returned
+    mpf has the same bits.  ``precision`` is the number of significant
+    decimal digits the result is meant to carry; the guard digits absorb
+    the few roundings, but no bound on the error is certified.  mpmath's
+    global precision is neither read nor changed.
+
+    ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per level and
+    precision and kept, so each call evaluates one sine.  This route never
+    touches the exact residues, so it doubles as an independent cross-check
+    of :func:`qdim_exact`.
     """
     check_label(label, k)
     _check_precision(precision)
     dps = precision + _GUARD_DIGITS
-    with mpmath.workdps(dps):
-        theta, sin1 = _angle(k, dps)
-        value = mpmath.sin((label.i + 1) * theta) / sin1
-        return +value
+    theta, sin1 = _angle(k, dps)
+    return _make_mpf(_sine_ratio(label.i + 1, theta, sin1, dps_to_prec(dps)))
 
 
 def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
@@ -174,11 +196,21 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     ``n <= k`` is read as ``S_{min(n, k-n)}``, which has the same residue
     (``psi`` divides ``S_n - S_{k-n}``, see the module docstring).  So only
     the residues ``S_0 .. S_{k//2}`` are needed; they come from the
-    recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step, and the
-    whole sum costs ``O(k * deg psi)`` integer operations.
+    recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step.  Their
+    weights are collected per residue, and the weighted coefficients are
+    summed in one int list, which becomes one :class:`ChebPoly`; it is
+    already reduced, being a sum of reduced residues.  The whole sum costs
+    ``O(k * deg psi)`` integer operations.
 
     The numeric part evaluates the sum of squared sine ratios directly and
     shares no arithmetic with the residue, so it is an independent check.
+    It is computed by mpmath's integer core at 25 significant decimal
+    digits (15 plus the guard digits): each ratio as in
+    :func:`qdim_numeric`, squared and rounded, the squares summed with one
+    rounding and the sum multiplied by 9 with another.  These are the
+    roundings of ``9 * mpmath.fsum(ratio ** 2 ...)`` inside
+    ``mpmath.workdps(25)``, so the returned mpf has the same bits; mpmath's
+    global precision is neither read nor changed.
     """
     check_level(k)
     modulus = reduction_modulus(k)
@@ -186,22 +218,29 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     residues = [cheb_u(0), x % modulus]
     for _ in range(k // 2 - 1):
         residues.append((x * residues[-1] - residues[-2]) % modulus)
-    total = ChebPoly()
+    weights = [0] * len(residues)
     for m in range(k + 1):
         n = 2 * m
         if n <= k:
-            total = total + (k + 1 - m) * residues[min(n, k - n)]
+            weights[min(n, k - n)] += 9 * (k + 1 - m)
         elif n > k + 1:
             j = 2 * k + 2 - n
-            total = total - (k + 1 - m) * residues[min(j, k - j)]
-    exact = QDimElement((9 * total) % modulus, k)
-    with mpmath.workdps(15 + _GUARD_DIGITS):
-        theta, sin1 = _angle(k, 15 + _GUARD_DIGITS)
-        numeric = 9 * mpmath.fsum(
-            (mpmath.sin((i + 1) * theta) / sin1) ** 2 for i in range(k + 1)
-        )
-        numeric = +numeric
-    return exact, numeric
+            weights[min(j, k - j)] -= 9 * (k + 1 - m)
+    total = [0] * modulus.degree
+    for weight, residue in zip(weights, residues):
+        if weight:
+            for power, c in enumerate(residue.coeffs):
+                total[power] += weight * c
+    exact = QDimElement(ChebPoly(total), k)
+    dps = 15 + _GUARD_DIGITS
+    prec = dps_to_prec(dps)
+    theta, sin1 = _angle(k, dps)
+    squares = []
+    for n in range(1, k + 2):
+        ratio = _sine_ratio(n, theta, sin1, prec)
+        squares.append(mpf_mul(ratio, ratio, prec, round_nearest))
+    numeric = mpf_mul_int(mpf_sum(squares, prec, round_nearest), 9, prec, round_nearest)
+    return exact, _make_mpf(numeric)
 
 
 def has_unit_qdim(label: IrrLabel, k: int) -> bool:

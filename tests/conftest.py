@@ -1,5 +1,7 @@
 import itertools
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
+import mpmath
 import pytest
 
 from orbifusion.fusion import contragredient
@@ -161,3 +163,64 @@ def duality_by_pair():
 @pytest.fixture
 def qdim_by_pair():
     return _qdim_by_pair
+
+
+def _context_qdim_numeric(i, k, precision):
+    """Reference for ``qdim_numeric``: the sine ratio through mpmath's context, all recomputed.
+
+    ``theta``, its sine, the angle ``(i+1)*theta``, its sine and the
+    quotient are each rounded at ``precision + 10`` working digits inside
+    ``mpmath.workdps``.
+    """
+    with mpmath.workdps(precision + 10):
+        theta = mpmath.pi / (k + 2)
+        return +(mpmath.sin((i + 1) * theta) / mpmath.sin(theta))
+
+
+def _context_global_numeric(k):
+    """Reference for the numeric half of ``global_dimension``: ``9 * fsum`` of squared ratios at 25 digits."""
+    with mpmath.workdps(25):
+        theta = mpmath.pi / (k + 2)
+        sin1 = mpmath.sin(theta)
+        return +(9 * mpmath.fsum((mpmath.sin((i + 1) * theta) / sin1) ** 2 for i in range(k + 1)))
+
+
+def _decimal_fixed(value, decimals):
+    """Reference for ``cli._fixed``: the exact binary value of ``value``, rounded half-even by ``decimal``.
+
+    ``man * 2**exp`` is ``man * 5**-exp`` times ``10**exp`` when ``exp < 0``,
+    and a Decimal read from a string holds that exactly; the context carries
+    every digit of the rounded result, and ``format(..., "f")`` writes it
+    without an exponent.
+    """
+    negative, man, exp, _ = value._mpf_
+    coefficient, exponent = (man << exp, 0) if exp >= 0 else (man * 5 ** -exp, exp)
+    exact = Decimal(f"{'-' if negative else ''}{coefficient}E{exponent}")
+    context = Context(prec=len(str(man)) + max(exp, 0) + decimals + 10)
+    return format(exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN, context=context), "f")
+
+
+def _nstr_fixed(value, decimals):
+    """Reference for ``cli._fixed`` where the output is fixed: ``nstr`` to ``decimals + 15`` digits, then ``Decimal``."""
+    digits = mpmath.nstr(value, decimals + 15)
+    return str(Decimal(digits).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN))
+
+
+@pytest.fixture
+def context_qdim_numeric():
+    return _context_qdim_numeric
+
+
+@pytest.fixture
+def context_global_numeric():
+    return _context_global_numeric
+
+
+@pytest.fixture
+def decimal_fixed():
+    return _decimal_fixed
+
+
+@pytest.fixture
+def nstr_fixed():
+    return _nstr_fixed

@@ -47,6 +47,20 @@ def test_arithmetic_with_a_foreign_operand_is_not_implemented():
     assert p * 2 == 2 * p == poly(2)  # an int still scales
 
 
+def test_scaling_by_an_int_builds_int_coefficients_without_the_checked_constructor(monkeypatch):
+    p = poly(3, -1, 2)
+
+    def refuse(self, coeffs=()):
+        raise AssertionError("the checked constructor ran")
+
+    monkeypatch.setattr(ChebPoly, "__init__", refuse)
+    for factor, expected in ((2, (6, -2, 4)), (-1, (-3, 1, -2)), (True, (3, -1, 2)), (False, ()), (0, ())):
+        for scaled in (p * factor, factor * p):
+            assert scaled.coeffs == expected
+            assert all(type(c) is int for c in scaled.coeffs)
+    assert (p * 10 ** 30).coeffs == (3 * 10 ** 30, -(10 ** 30), 2 * 10 ** 30)
+
+
 def test_division_by_a_foreign_operand_is_not_implemented():
     p = poly(1, 2)
     assert p.__divmod__(3) is NotImplemented and p.__mod__(3) is NotImplemented

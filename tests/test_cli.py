@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import random
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
+import orbifusion.cli as cli
 from orbifusion.cli import _fixed, main, run
-from orbifusion.labels import parse_label
-from orbifusion.qdim import qdim_numeric
+from orbifusion.labels import IrrLabel, Sector, parse_label
+from orbifusion.qdim import global_dimension, qdim_numeric
 
 
 @pytest.fixture()
@@ -51,6 +54,73 @@ def test_qdim_digits(runner):
     assert result.output.strip() == "1.4142135624"
     result = invoke(runner, "qdim", "--level", "1", "u:1:0")
     assert result.output.strip() == "1.000000000000"
+
+
+@pytest.mark.parametrize("k, label", [(7, "u:3:0"), (200, "u:100:0"), (200, "t1:37:2")])
+@pytest.mark.parametrize("digits", [28, 40, 100])
+def test_qdim_prints_any_number_of_digits_correctly_rounded(runner, decimal_fixed, k, label, digits):
+    # beyond 27 digits a 28-digit decimal context used to overflow; the value
+    # is checked against a sine ratio carried to 2 * digits + 20 digits
+    result = invoke(runner, "qdim", "--level", str(k), label, "--digits", str(digits))
+    assert result.exit_code == 0, result.output
+    i = parse_label(label, k).i
+    with mpmath.workdps(2 * digits + 20):
+        theta = mpmath.pi / (k + 2)
+        expected = mpmath.sin((i + 1) * theta) / mpmath.sin(theta)
+    assert result.output == decimal_fixed(expected, digits) + "\n"
+    assert len(result.output.strip().split(".")[1]) == digits
+
+
+@pytest.mark.parametrize(
+    "value, decimals, text",
+    [
+        (0.125, 2, "0.12"),  # exact binary ties go to the even neighbour
+        (0.375, 2, "0.38"),
+        (2.5, 0, "2"),
+        (3.5, 0, "4"),
+        (1, 12, "1.000000000000"),
+        (0, 3, "0.000"),
+        (1024, 1, "1024.0"),
+        (64.0625, 3, "64.062"),
+        (10.999999, 4, "11.0000"),
+        (-0.375, 2, "-0.38"),
+    ],
+)
+def test_fixed_examples(value, decimals, text):
+    assert _fixed(mpmath.mpf(value), decimals) == text
+
+
+def test_fixed_is_the_exact_half_even_rounding_of_the_binary_value(decimal_fixed):
+    rng = random.Random(20)
+    values = [mpmath.mpf((rng.getrandbits(rng.randint(1, 200)) | 1, rng.randint(-300, 40))) for _ in range(3000)]
+    values += [mpmath.mpf(n) for n in (1, 9, 10, 11, 99, 100, 12345)]
+    values += [qdim_numeric(IrrLabel(Sector.U, i, 0), 200, 20) for i in range(0, 201, 7)]
+    for value in values:
+        for decimals in (0, 1, 2, 7, 12, 27, 28, 40, 100):
+            assert _fixed(value, decimals) == decimal_fixed(value, decimals), (value, decimals)
+            assert _fixed(-value, decimals) == decimal_fixed(-value, decimals), (value, decimals)
+
+
+def test_fixed_rounds_exact_binary_ties_to_even(decimal_fixed):
+    # (2m+1) / 2^(d+1) times 10^d is (2m+1) 5^d / 2, an exact tie at d decimals
+    rng = random.Random(21)
+    parities = set()
+    for decimals in range(60):
+        for _ in range(4):
+            odd = 2 * rng.getrandbits(40) + 1
+            value = mpmath.mpf((odd, -(decimals + 1)))
+            below = (odd * 10 ** decimals) >> (decimals + 1)
+            parities.add(below % 2)
+            text = _fixed(value, decimals)
+            assert int(text.replace(".", "")) == below + below % 2
+            assert text == decimal_fixed(value, decimals)
+    assert parities == {0, 1}
+
+
+def test_fixed_refuses_values_without_digits():
+    for value in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError, match="fixed decimals"):
+            _fixed(value, 3)
 
 
 def test_dual_and_coeff(runner):
@@ -218,3 +288,34 @@ def test_run_helper_exit_codes(capsys):
     capsys.readouterr()
     assert run(["fuse", "--level", "1", "u:9:0", "u:0:0"]) == 2
     capsys.readouterr()
+
+
+def _token_by_property(label):
+    return f"{label.sector.tag}:{label.i}:{label.j}"
+
+
+def _pretty_by_name(label, k):
+    if label.sector is Sector.U:
+        return f"L({k},{label.i})^{label.j}"
+    return f"L({k},{label.i})^{{{label.sector.name},{label.j}}}"
+
+
+@pytest.mark.parametrize("k", [*range(1, 61), 100, 199, 200, 201])
+def test_catalog_and_glob_match_the_reference_path_byte_for_byte(
+    runner, monkeypatch, k, context_qdim_numeric, context_global_numeric, nstr_fixed
+):
+    """The integer-core numerics and tuple-indexed labels print what the
+    context-path numerics, the nstr-and-Decimal rounding and the Enum-based
+    label rendering print."""
+    commands = [["catalog", "--level", str(k), "-f", fmt] for fmt in ("json", "csv", "markdown")]
+    commands.append(["glob", "--level", str(k)])
+    fast = [invoke(runner, *command) for command in commands]
+    monkeypatch.setattr(cli, "qdim_numeric", lambda lab, k, precision: context_qdim_numeric(lab.i, k, precision))
+    monkeypatch.setattr(cli, "global_dimension", lambda k: (global_dimension(k)[0], context_global_numeric(k)))
+    monkeypatch.setattr(cli, "_fixed", nstr_fixed)
+    monkeypatch.setattr(IrrLabel, "token", _token_by_property)
+    monkeypatch.setattr(IrrLabel, "pretty", _pretty_by_name)
+    reference = [invoke(runner, *command) for command in commands]
+    for command, got, expected in zip(commands, fast, reference):
+        assert got.exit_code == expected.exit_code == 0, command
+        assert got.output == expected.output, command

@@ -13,6 +13,7 @@ from orbifusion.labels import (
     FusionVector,
     IrrLabel,
     Sector,
+    check_label,
     enumerate_irreducibles,
     make_label,
     parse_label,
@@ -190,6 +191,15 @@ def test_contragredient_untwisted_cases_by_residue():
 def test_contragredient_is_involution(k):
     for lab in enumerate_irreducibles(k):
         assert contragredient(contragredient(lab, k), k) == lab
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+def test_contragredient_returns_a_label_that_passes_check_label(k):
+    for lab in enumerate_irreducibles(k):
+        dual = contragredient(lab, k)
+        assert type(dual) is IrrLabel and type(dual.sector) is Sector
+        check_label(dual, k)
+        assert repr(dual) == f"IrrLabel({dual.sector.name}, {dual.i}, {dual.j})"
 
 
 @pytest.mark.parametrize("k", range(1, 7))

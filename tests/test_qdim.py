@@ -95,24 +95,45 @@ def test_element_numeric_refuses_a_bad_precision_as_qdim_numeric_does(precision)
     assert element.numeric(1) == pytest.approx((1 + 5 ** 0.5) / 2, abs=0.1)
 
 
-def _uncached_qdim_numeric(i, k, precision):
-    """The sine ratio at the working precision of qdim_numeric, all recomputed."""
-    with mpmath.workdps(precision + 10):
-        theta = mpmath.pi / (k + 2)
-        return +(mpmath.sin((i + 1) * theta) / mpmath.sin(theta))
-
-
-def test_qdim_numeric_is_bit_identical_to_the_uncached_formula():
+def test_qdim_numeric_is_bit_identical_to_the_uncached_formula(context_qdim_numeric):
     for k in range(1, 201):
         indices = sorted({0, 1, k // 3, k // 2, k - 1, k})
         for precision in (5, 20, 40):
             for i in indices:
                 got = qdim_numeric(make_label(Sector.U, i, 0, k), k, precision)
-                assert got.man_exp == _uncached_qdim_numeric(i, k, precision).man_exp, (k, i, precision)
+                assert got.man_exp == context_qdim_numeric(i, k, precision).man_exp, (k, i, precision)
     # an ambient precision does not leak into the kept angle
     with mpmath.workdps(60):
         got = qdim_numeric(make_label(Sector.T1, 2, 1, 7), 7, 5)
-    assert got.man_exp == _uncached_qdim_numeric(2, 7, 5).man_exp
+    assert got.man_exp == context_qdim_numeric(2, 7, 5).man_exp
+
+
+BIT_IDENTITY_LEVELS = [*range(1, 81), 100, 199, 200, 201, 400]
+
+
+@pytest.mark.parametrize("k", BIT_IDENTITY_LEVELS)
+def test_qdim_numeric_has_the_bits_of_the_context_path_at_every_index(k, context_qdim_numeric):
+    # the libmp route rounds where mpmath's context operators round, so the
+    # raw mpf, sign included, is the same at every index and precision
+    for precision in (1, 5, 15, 20, 30, 50):
+        for i in range(k + 1):
+            got = qdim_numeric(make_label(Sector.T2, i, 1, k), k, precision)
+            assert got._mpf_ == context_qdim_numeric(i, k, precision)._mpf_, (i, precision)
+
+
+@pytest.mark.parametrize("k", BIT_IDENTITY_LEVELS)
+def test_global_dimension_numeric_has_the_bits_of_fsum(k, context_global_numeric):
+    assert global_dimension(k)[1]._mpf_ == context_global_numeric(k)._mpf_
+
+
+def test_numeric_entry_points_leave_the_global_precision_alone():
+    with mpmath.workdps(60):
+        qdim_numeric(make_label(Sector.U, 3, 0, 7), 7, 5)
+        global_dimension(7)
+        assert mpmath.mp.dps == 60
+    before = mpmath.mp.prec
+    qdim_numeric(make_label(Sector.U, 3, 0, 7), 7, 200)
+    assert mpmath.mp.prec == before
 
 
 @pytest.mark.parametrize("i", [1.0, True, "1", None, -1, 4])
@@ -201,7 +222,7 @@ def _global_dimension_by_squares(k):
     return (9 * total) % modulus
 
 
-@pytest.mark.parametrize("k", [*range(1, 41), 99, 200])
+@pytest.mark.parametrize("k", [*range(1, 61), 99, 100, 199, 200, 201])
 def test_global_dimension_matches_sum_of_squares(k):
     assert global_dimension(k)[0].residue == _global_dimension_by_squares(k)
 
