@@ -68,7 +68,6 @@ def test_qdim_prints_any_number_of_digits_correctly_rounded(runner, decimal_fixe
         theta = mpmath.pi / (k + 2)
         expected = mpmath.sin((i + 1) * theta) / mpmath.sin(theta)
     assert result.output == decimal_fixed(expected, digits) + "\n"
-    assert len(result.output.strip().split(".")[1]) == digits
 
 
 @pytest.mark.parametrize(

@@ -126,16 +126,6 @@ def test_global_dimension_numeric_has_the_bits_of_fsum(k, context_global_numeric
     assert global_dimension(k)[1]._mpf_ == context_global_numeric(k)._mpf_
 
 
-def test_numeric_entry_points_leave_the_global_precision_alone():
-    with mpmath.workdps(60):
-        qdim_numeric(make_label(Sector.U, 3, 0, 7), 7, 5)
-        global_dimension(7)
-        assert mpmath.mp.dps == 60
-    before = mpmath.mp.prec
-    qdim_numeric(make_label(Sector.U, 3, 0, 7), 7, 200)
-    assert mpmath.mp.prec == before
-
-
 @pytest.mark.parametrize("i", [1.0, True, "1", None, -1, 4])
 def test_qdim_index_rejects_malformed_index(i):
     with pytest.raises(ValueError, match="weight index must be an int|i out of range"):
