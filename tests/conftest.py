@@ -7,7 +7,7 @@ import pytest
 from orbifusion.fusion import contragredient
 from orbifusion.labels import enumerate_irreducibles, vacuum
 from orbifusion.qdim import qdim_exact
-from orbifusion.verify import Failure, VerificationReport
+from orbifusion.verify import Failure, VerificationReport, _generators
 from orbifusion.weights import conformal_weight
 
 
@@ -37,6 +37,49 @@ def _associative_by_sweep(products):
 @pytest.fixture
 def associative_by_sweep():
     return _associative_by_sweep
+
+
+def _associativity_by_triple(table, products):
+    """Reference for ``assoc``'s failures: the vacuum as left unit, then one triple (g, b, c) at a time.
+
+    ``products`` is ``table``'s integer rows.  The generators g are the
+    suite's own, read from ``table``; both sides of every triple are built
+    afresh as sorted lists and compared, and a failure carries the suite's
+    text.
+    """
+    k, labels = table.k, table.labels
+    n = len(labels)
+    report = VerificationReport("assoc", k)
+    vac = table.index[vacuum(k)]
+    for ib, lab in enumerate(labels):
+        report.checks_run += 1
+        if products[vac][ib] != (ib,):
+            report.failures.append(
+                Failure(
+                    f"vacuum x {lab.token()} = {table.render(products[vac][ib])}, expected {{{lab.token()}: 1}}",
+                    (lab,),
+                )
+            )
+    for ia in _generators(table.ids(), table.outputs, vac):
+        for ib, ic in itertools.product(range(n), repeat=2):
+            report.checks_run += 1
+            left = sorted(d for t in products[ia][ib] for d in products[t][ic])
+            right = sorted(d for t in products[ib][ic] for d in products[ia][t])
+            if left != right:
+                a, b, c = labels[ia], labels[ib], labels[ic]
+                report.failures.append(
+                    Failure(
+                        f"({a.token()} x {b.token()}) x {c.token()} = {table.render(left)} "
+                        f"but {a.token()} x ({b.token()} x {c.token()}) = {table.render(right)}",
+                        (a, b, c),
+                    )
+                )
+    return report
+
+
+@pytest.fixture
+def associativity_by_triple():
+    return _associativity_by_triple
 
 
 def _products_by_pair(k, fuse):

@@ -304,15 +304,16 @@ def _with_product(table, ia, ib, outputs):
     return bad
 
 
-def _corrupted(table, rng, kind):
+def _corrupted(table, rng, kind, ia=None):
     """A copy of ``table`` with one output of one product dropped, added, doubled or replaced.
 
+    The product is in row ``ia``, or in a random row when ``ia`` is None.
     The kind ``empty`` drops every output of one product u:1:0 x b instead.
     """
     n = len(table.labels)
     if kind == "empty":
         return _with_product(table, table.index[parse_label("u:1:0", table.k)], rng.randrange(n), ())
-    ia, ib = rng.randrange(n), rng.randrange(n)
+    ia, ib = rng.randrange(n) if ia is None else ia, rng.randrange(n)
     outputs = list(table.outputs[table.row[ia][ib]])
     pick = rng.randrange(len(outputs))
     if kind == "drop":
@@ -326,14 +327,42 @@ def _corrupted(table, rng, kind):
     return _with_product(table, ia, ib, outputs)
 
 
+def _unmatched_left_sum(table, rng):
+    """A copy of ``table`` in which one left side (u:1:0 x b) x c, with u:1:0 x b two labels, is no product's multiset.
+
+    The first output of s1 x c, where u:1:0 x b = s1 + s2, is replaced by
+    a random other label, for the first (b, c) in a random order whose new
+    left side is neither a product of the copy nor any u:1:0 x p.
+    """
+    k, n = table.k, len(table.labels)
+    u10, vac = table.index[parse_label("u:1:0", k)], table.index[vacuum(k)]
+    pairs = list(itertools.product(range(n), repeat=2))
+    rng.shuffle(pairs)
+    for ib, ic in pairs:
+        ab = table.outputs[table.row[u10][ib]]
+        if len(ab) != 2:
+            continue
+        s1, s2 = ab
+        first, *rest = table.outputs[table.row[s1][ic]]
+        bad = _with_product(table, s1, ic, [rng.choice([c for c in range(n) if c != first]), *rest])
+        rows = [[bad.outputs[p] for p in row] for row in bad.ids()]
+        left = tuple(sorted(rows[s1][ic] + rows[s2][ic]))
+        rights = {tuple(sorted(d for t in out for d in rows[u10][t])) for out in bad.outputs}
+        if left not in rights and left not in bad.outputs and u10 in verify_mod._generators(bad.ids(), bad.outputs, vac):
+            return bad
+    raise AssertionError("no left side of u:1:0 can be made unmatched")
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, table_rows):
+def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, associativity_by_triple, table_rows):
     table = verify_mod._FusionTable(k)
     assert verify_mod._associativity(table).passed and associative_by_sweep(table_rows(table))
     rng = random.Random(k)
     for r in range(150):
         bad = _corrupted(table, rng, ("drop", "add", "double", "replace")[r % 4])
-        assert verify_mod._associativity(bad).passed == associative_by_sweep(table_rows(bad))
+        report = verify_mod._associativity(bad)
+        assert report.passed == associative_by_sweep(table_rows(bad))
+        assert report.failures == associativity_by_triple(bad, table_rows(bad)).failures
     u10 = table.index[parse_label("u:1:0", k)]
     for _ in range(10):
         bad = _corrupted(table, rng, "empty")
@@ -343,6 +372,52 @@ def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, table_
         assert not associative_by_sweep(rows)
         # u:1:0 is a generator: its empty product with b is merged, and fails, as (u:1:0 x b) x c
         assert any(f.labels[:2] == (table.labels[u10], b) for f in report.failures)
+        assert report.failures == associativity_by_triple(bad, rows).failures
+    # on the row of the generator u:1:0, doubling or adding an output makes a x b two or three labels
+    widths = set()
+    for r in range(20):
+        bad = _corrupted(table, rng, ("double", "add")[r % 2], ia=u10)
+        widths.add(len(bad.outputs[-1]))
+        report = verify_mod._associativity(bad)
+        assert report.passed == associative_by_sweep(table_rows(bad))
+        assert report.failures == associativity_by_triple(bad, table_rows(bad)).failures
+    assert {2, 3} <= widths
+    # a left sum that is no right side of u:1:0 equals none of them
+    bad = _unmatched_left_sum(table, rng)
+    report = verify_mod._associativity(bad)
+    assert not report.passed and report.failures == associativity_by_triple(bad, table_rows(bad)).failures
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_assoc_reads_equal_outputs_under_two_ids_as_one_product(k, associative_by_sweep, table_rows):
+    table = verify_mod._FusionTable(k)
+    rows = table_rows(table)
+    honest = associative_by_sweep(rows)
+    n = len(table.labels)
+    rng = random.Random(k)
+    u10 = table.index[parse_label("u:1:0", k)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)] + [(u10, rng.randrange(n)) for _ in range(10)]
+    for ia, ib in pairs:
+        bad = _with_product(table, ia, ib, table.outputs[table.row[ia][ib]])  # the same outputs under a new id
+        assert table_rows(bad) == rows and bad.row[ia][ib] == len(table.outputs)
+        assert verify_mod._associativity(bad).passed == honest
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("fuse", ["honest", "doubled"])
+def test_assoc_leaves_the_shared_table_alone(k, fuse, monkeypatch):
+    if fuse == "doubled":  # every multiplicity of u:1:0 x t1:1:0 doubled: assoc, dual and qdim fail
+        double = _fuse_with(k, ("u:1:0", "t1:1:0"), lambda v: FusionVector((lab, 2 * m) for lab, m in v.items()))
+        monkeypatch.setattr(verify_mod, "fuse_irreducible", double)
+    table = verify_mod._FusionTable(k)
+    rows = copy.deepcopy(table.ids())
+    outputs = list(table.outputs)
+    verify_mod._associativity(table)
+    assert table.outputs == outputs and table.ids() == rows
+    together = run_suites(["assoc", "dual", "qdim"], k)
+    alone = [run_suites([name], k)[0] for name in ("assoc", "dual", "qdim")]
+    assert [r.passed for r in together] == [fuse == "honest"] * 3
+    assert [(r.suite, r.checks_run, r.failures) for r in together] == [(r.suite, r.checks_run, r.failures) for r in alone]
 
 
 def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
