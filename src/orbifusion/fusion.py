@@ -21,6 +21,14 @@ has charge ``c + n = e(s1) j1 + e(s2) j2 - t``, and gives one label:
 * wrap, ``out >= 3``: the index is reflected through the simple current,
   ``(k - i3, (c + n + k - i3) mod 3)`` in sector ``out - 3``.
 
+Either way the outputs are one progression, named by their own
+``(sector, lo, hi, c)``: output ``n`` is ``(lo + 2n, e(sector) (c + n) mod
+3)`` in ``sector``, for ``n = 0 .. (hi - lo) / 2``, so ``c`` is the charge
+of the first output.  Without a wrap that is ``(out, lo, hi, c)``.  A wrap
+lists the outputs with ``i3`` descending, so its sector is ``out - 3``
+(U or T1, where ``e`` is +1), its range ``k - hi .. k - lo`` and its
+charge ``(c + k - (lo + hi) / 2) mod 3``, the one at ``i3 = hi``.
+
 Each of the paper's formulas is one instance, with ``t`` reduced modulo 3
 and ``m = min(i1, i2)``:
 
@@ -35,26 +43,25 @@ and ``m = min(i1, i2)``:
 rule gives both orders of each pair: the fusion product is commutative.
 In every product each output label occurs with multiplicity exactly 1.
 
-A product depends on its operands only through ``(out, lo, hi, c)``.  So
-:func:`fuse_irreducible` remembers the products of one level at a time,
-keyed by those four numbers (1,815 keys for the 35,721 ordered pairs at
-k=20); both orders of a pair have one key.  Every call validates ``k`` and
-both labels before any lookup, in one inline test of the conditions
+A product's outputs name it, so :func:`fuse_irreducible` remembers the
+products of one level at a time keyed by ``(sector, lo, hi, c)``: one key
+per distinct product (1,089 keys for the 35,721 ordered pairs at k=20), and
+both orders of a pair have one key.  Every call validates ``k`` and both
+labels before any lookup, in one inline test of the conditions
 :func:`check_level` and :func:`check_label` enforce.  A call at a level
 other than the remembered one starts a fresh, empty memo for its level and
 computes its product directly, so the memo fills from the second call in a
 row at one level on and a stream of calls that keeps changing level stores
 nothing.  The memo keeps the last level's products until a call at another
-level replaces it: after every ordered pair at k=50 it holds 10,140 keys
-and 6,084 products, about 2.2 MB still traced by ``tracemalloc`` once the
-results are dropped.  It holds one immutable :class:`FusionVector` per
-distinct product (1,089 at k=20), and a memo hit returns that shared
-vector as it is: it builds nothing and hashes nothing.  A call at a new
-level builds one label per output.  A miss takes its ``(label, 1)`` pairs
-from the level's own interned pairs, keyed by index and built on first use,
-so the work and memory of a call grow with its outputs and a level's memo
-with the products it holds, never with ``k`` alone; it then looks its
-output tuple up among the level's products to find the one vector for it.
+level replaces it: after every ordered pair at k=50 it holds 6,084
+products, about 1.8 MB still traced by ``tracemalloc`` once the results are
+dropped.  Each is one immutable :class:`FusionVector`, and a memo hit
+returns that shared vector as it is: it builds nothing and hashes nothing.
+A call at a new level builds one label per output.  A miss takes its
+``(label, 1)`` pairs from the level's own interned pairs, keyed by index
+and built on first use, so the work and memory of a call grow with its
+outputs and a level's memo with the products it holds, never with ``k``
+alone.
 """
 
 from __future__ import annotations
@@ -63,15 +70,15 @@ from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, 
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
-# (k, memo, shared, pairs) for the current level: ``memo`` maps the key
-# (out, lo, hi, c), packed into one int, to the product's vector,
-# ``shared`` maps a product's items to its one vector, and ``pairs`` interns
-# the ``(label, 1)`` pairs of the level's products, keyed by the packed index
-# (sector * (k + 1) + i) * 3 + j, so it holds only the labels the level used.
+# (k, memo, pairs) for the current level: ``memo`` maps the key
+# (sector, lo, hi, c) of a product's outputs, packed into one int, to the
+# product's vector, and ``pairs`` interns the ``(label, 1)`` pairs of the
+# level's products, keyed by the packed index (sector * (k + 1) + i) * 3 + j,
+# so it holds only the labels the level used.
 # ``fuse_irreducible`` reads the binding once and only ever replaces it
 # whole, so a concurrent switch of levels can never serve a product from
 # another level.
-_level_memo: tuple = (0, {}, {}, {})
+_level_memo: tuple = (0, {}, {})
 _SIGN = (1, 1, -1)  # e(sector): T2 reads its charge with the opposite sign
 _SECTORS = tuple(Sector)  # indexing a tuple is faster than calling Sector(...)
 
@@ -86,6 +93,8 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     immutable and may be shared with other calls.
     """
     global _level_memo
+    # inline rather than two check_label calls, which add 110-170 ns to a warm call of about 1 us
+    # (k=20, 2-vCPU x86-64 Xeon, Python 3.11)
     if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
         (s1, i1, j1), (s2, i2, j2) = a, b
         valid = (
@@ -104,62 +113,38 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     lo = i1 - i2 if i1 > i2 else i2 - i1
     hi = s if s <= k else 2 * k - s
     c = (_SIGN[s1] * j1 + _SIGN[s2] * j2 - (s - lo) // 2) % 3  # (s - lo) / 2 is min(i1, i2)
-    level, memo, shared, pairs = _level_memo
+    if out >= 3:  # a wrap: the outputs, reflected, start at i3 = hi (see the module docstring)
+        out -= 3
+        c = (c + k - (lo + hi) // 2) % 3
+        lo, hi = k - hi, k - lo
+    level, memo, pairs = _level_memo
     if level != k:
-        _level_memo = (k, {}, {}, {})
-        sector, out_is, out_js = _outputs(out, lo, hi, c, k)
-        new = tuple.__new__
-        return FusionVector._from_canonical(tuple([(new(IrrLabel, (sector, i, j)), 1) for i, j in zip(out_is, out_js)]))
+        _level_memo = (k, {}, {})
+        sector, new = _SECTORS[out], tuple.__new__
+        return FusionVector._from_canonical(tuple([(new(IrrLabel, (sector, i, j)), 1) for i, j in _outputs(out, lo, hi, c)]))
     key = ((out * (k + 1) + lo) * (k + 1) + hi) * 3 + c
     vector = memo.get(key)
     if vector is None:
-        sector, out_is, out_js = _outputs(out, lo, hi, c, k)
-        base = sector * (k + 1)
+        sector, base = _SECTORS[out], out * (k + 1)
         items = []
-        for i, j in zip(out_is, out_js):
+        for i, j in _outputs(out, lo, hi, c):
             index = (base + i) * 3 + j
             pair = pairs.get(index)
             if pair is None:
                 pair = pairs[index] = (tuple.__new__(IrrLabel, (sector, i, j)), 1)
             items.append(pair)
-        items = tuple(items)
-        vector = shared.get(items)
-        if vector is None:
-            vector = shared[items] = FusionVector._from_canonical(items)
-        memo[key] = vector
+        vector = memo[key] = FusionVector._from_canonical(tuple(items))
     return vector
 
 
-def _outputs(out: int, lo: int, hi: int, c: int, k: int) -> tuple[Sector, range, list[int]]:
-    """The one fusion rule: the output sector, ``i``s and ``j``s of a product.
+def _outputs(out: int, lo: int, hi: int, c: int) -> zip:
+    """The ``(i, j)`` of each output of the product named ``(out, lo, hi, c)``.
 
-    The product is named by ``(out, lo, hi, c)`` at level ``k``, as in the
-    module docstring; every ``j`` is reduced modulo 3 once.  The sl2
-    outputs are ``i3 = lo + 2n`` for ``n = 0 .. (hi - lo) / 2``, with
-    charge ``c + n``.  Without a wrap (``out < 3``) the output sector is
-    ``out`` and an output is ``(i3, e(out) (c + n))``.  With one, the
-    sector is ``out - 3``, the index is reflected, and an output is
-    ``(k - i3, c + n + k - i3)``.  Each sector pair is one instance, with
-    ``m = min(i1, i2)``:
-
-        U  x U   ->  U    out 0   c = j1 + j2 - m    (i3, c + n)
-        U  x T1  ->  T1   out 1   c = j1 + j2 - m    (i3, c + n)
-        U  x T2  ->  T2   out 2   c = j1 - j2 - m    (i3, -(c + n))
-        T1 x T1  ->  T2   out 2   c = j1 + j2 - m    (i3, -(c + n))
-        T1 x T2  ->  U    out 3   c = j1 - j2 - m    (k - i3, c + n + k - i3)
-        T2 x T2  ->  T1   out 4   c = -j1 - j2 - m   (k - i3, c + n + k - i3)
-
-    The output ``i``s ascend, so the outputs, paired in order, come in
-    canonical order: where the output index is ``k - i3`` they are listed
-    with ``i3`` descending.
+    Output ``n`` is ``(lo + 2n, e(out) (c + n) mod 3)`` in sector ``out``,
+    for ``n = 0 .. (hi - lo) / 2``: one progression, in canonical order.
     """
-    i3s = range(lo, hi + 1, 2)
-    if out < 3:
-        sign = _SIGN[out]
-        return _SECTORS[out], i3s, [sign * (c + n) % 3 for n in range(len(i3s))]
-    # listed by i3 = hi - 2p descending: n = (hi - lo) / 2 - p, so c + n + k - i3 is start + p
-    start = c + (hi - lo) // 2 + k - hi
-    return _SECTORS[out - 3], range(k - hi, k - lo + 1, 2), [(start + p) % 3 for p in range(len(i3s))]
+    sign = _SIGN[out]
+    return zip(range(lo, hi + 1, 2), [sign * (c + n) % 3 for n in range((hi - lo) // 2 + 1)])
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:

@@ -295,19 +295,37 @@ def _product_key(a, b, k):
     )
 
 
+def _output_key(a, b, k):
+    """``(sector, lo, hi, c)`` of the outputs: ``_product_key`` with a wrap reflected into the range."""
+    out, lo, hi, c = _product_key(a, b, k)
+    if out < 3:
+        return out, lo, hi, c
+    return out - 3, k - hi, k - lo, (c + k - (lo + hi) // 2) % 3
+
+
 @pytest.mark.parametrize("k", [*range(1, 13), 20, 21])
 def test_products_depend_only_on_the_range_and_the_lowest_charge(k):
-    # The memo keys a product by (out, lo, hi, c) alone, so every pair of
-    # ordered pairs with one key must have one reference product; and since
-    # the key is symmetric, both orders of a pair share one memo vector.
+    # Every pair of ordered pairs with one (out, lo, hi, c) must have one
+    # reference product, and so must every pair with one key of its outputs,
+    # (sector, lo, hi, c), which the memo uses: the first output is
+    # (sector, lo, e(sector) c) and the last has index hi.  Conversely there
+    # are as many output keys as distinct products, so no product has two
+    # memo entries; and since the key is symmetric, both orders of a pair
+    # share one vector.
     labels = enumerate_irreducibles(k)
-    by_key = {}
+    by_key, by_output_key = {}, {}
     for a in labels:
         for b in labels:
             want = list(_reference_fuse(a, b, k).items())
             assert by_key.setdefault(_product_key(a, b, k), want) == want, (a, b)
+            sector, lo, hi, c = key = _output_key(a, b, k)
+            assert (want[0][0], want[-1][0].i) == ((sector, lo, _EPS[Sector(sector)] * c % 3), hi), (a, b)
+            assert by_output_key.setdefault(key, want) == want, (a, b)
+    products = {tuple(want) for want in by_key.values()}
+    assert len(by_output_key) == len(products)
     fuse_irreducible(labels[0], labels[0], k)  # so that every call below reads the memo at k
     assert all(fuse_irreducible(a, b, k) is fuse_irreducible(b, a, k) for a in labels for b in labels)
+    assert len(fusion_mod._level_memo[1]) == len(products)
 
 
 def test_int_sector_rejected():
@@ -368,10 +386,10 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
     again = [fuse_irreducible(a, b, k) for a in labels for b in labels]
     assert all(x is y for x, y in zip(first[1:], again[1:]))  # the first call, at a new level, is not memoised
     memo = fusion_mod._level_memo[1]
-    assert len(memo) == 1815  # keys (out, lo, hi, c): twist sum, Clebsch-Gordan range and lowest output's charge
+    assert len(memo) == 1089  # keys (sector, lo, hi, c) of the outputs: one per distinct product
     assert len(set(first)) == len({id(v) for v in memo.values()}) == len(set(memo.values())) == 1089
     assert {id(v) for v in again} == {id(v) for v in memo.values()}
-    pairs = fusion_mod._level_memo[3]  # one interned (label, 1) pair per label the level's products use
+    pairs = fusion_mod._level_memo[2]  # one interned (label, 1) pair per label the level's products use
     assert len(pairs) == len(labels)
     assert {id(p) for v in memo.values() for p in v.items()} == {id(p) for p in pairs.values()}
 

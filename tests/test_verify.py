@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,8 @@ def test_oracle_catches_broken_duality(monkeypatch):
     assert not report.passed
     # self-dual labels (cosets 0 and 9) still pass; the other 16 fail
     assert len(report.failures) == 16
+    lab = parse_label("u:0:1", 1)  # coset 6, whose dual is on coset 12
+    assert report.failures[0] == Failure("dual of u:0:1 is on coset 6, lattice model says 12", (lab,))
 
 
 def test_associativity_generators_at_level_9():
@@ -150,6 +153,72 @@ def test_catalog_suite_counts_simple_current_checks_at_level_one():
     assert report.checks_run == 2 + 18 + 8 + 18
 
 
+def _weights_with(changes):
+    """Honest conformal weights, except that the weight of each token in ``changes`` goes through its change."""
+    from orbifusion.weights import conformal_weight
+
+    def weight(lab, k):
+        w = conformal_weight(lab, k)
+        change = changes.get(lab.token())
+        return w if change is None else change(w)
+
+    return weight
+
+
+@pytest.mark.parametrize(
+    "change, want",
+    [
+        (lambda labels: labels[:-1], "catalog has 17 labels, expected 18"),
+        (lambda labels: [*labels[:-1], labels[0]], "catalog contains duplicate labels"),
+    ],
+)
+def test_catalog_reports_a_wrong_label_list(monkeypatch, change, want):
+    honest = verify_mod.enumerate_irreducibles
+    monkeypatch.setattr(verify_mod, "enumerate_irreducibles", lambda k: change(honest(k)))
+    report = run_suites(["catalog"], 1)[0]
+    assert report.failures == [Failure(want, ())]
+
+
+@pytest.mark.parametrize(
+    "weight, want",
+    [
+        (Fraction(-3, 16), "negative weight -3/16 at u:1:0"),
+        (Fraction(0), "weight 0 at non-vacuum label u:1:0"),
+    ],
+)
+def test_catalog_reports_a_wrong_untwisted_weight(monkeypatch, weight, want):
+    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:1:0": lambda w: weight}))
+    report = run_suites(["catalog"], 2)[0]
+    assert report.failures == [Failure(want, (parse_label("u:1:0", 2),))]
+
+
+def test_catalog_reports_a_broken_twisted_pairing(monkeypatch):
+    k = 2
+    t1, t2 = parse_label("t1:0:1", k), parse_label("t2:2:1", k)  # i and k - i, one j
+    w = verify_mod.conformal_weight(t1, k)
+    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"t2:2:1": lambda x: x + 1}))
+    report = run_suites(["catalog"], k)[0]
+    assert report.failures == [Failure(f"twisted weight pairing broken at i=0, j=1: {w} != {w + 1}", (t1, t2))]
+
+
+def test_catalog_reports_a_t1_base_weight_off_the_twist_formula(monkeypatch):
+    k = 2
+    lab = parse_label("t1:1:0", k)
+    w = verify_mod.conformal_weight(lab, k)
+    honest = verify_mod.base_twist_weight
+    monkeypatch.setattr(verify_mod, "base_twist_weight", lambda k, i, r: honest(k, i, r) + (i == 1))
+    report = run_suites(["catalog"], k)[0]
+    assert report.failures == [Failure(f"T1 base weight at i=1 is {w}, twist formula gives {w + 1}", (lab,))]
+
+
+def test_catalog_reports_a_label_that_is_no_simple_current_at_level_one(monkeypatch):
+    lab = parse_label("t2:1:0", 1)
+    honest = verify_mod.has_unit_qdim
+    monkeypatch.setattr(verify_mod, "has_unit_qdim", lambda x, k: x != lab and honest(x, k))
+    report = run_suites(["catalog"], 1)[0]
+    assert report.failures == [Failure("t2:1:0 is not a simple current at level 1", (lab,))]
+
+
 def _fuse_with(k, pair, change):
     """Honest fusion, except that the product of ``pair`` goes through ``change``."""
     from orbifusion.fusion import fuse_irreducible
@@ -161,6 +230,34 @@ def _fuse_with(k, pair, change):
         return change(honest) if (a, b) == target else honest
 
     return fuse
+
+
+def test_oracle_reports_a_product_on_the_wrong_coset(monkeypatch):
+    a, b, c = (parse_label(tok, 1) for tok in ("u:0:0", "u:0:1", "u:0:2"))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(1, ("u:0:0", "u:0:1"), lambda v: FusionVector({c: 1})))
+    report = run_suites(["oracle"], 1)[0]
+    assert report.failures == [Failure("u:0:0 x u:0:1 lands on coset 12, lattice model says 6", (a, b, c))]
+
+
+def test_oracle_reports_a_weight_off_the_lattice(monkeypatch):
+    lab = parse_label("u:1:0", 1)  # coset 15: weight 1/4, which is 15^2/36 modulo 1
+    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:1:0": lambda w: w + Fraction(1, 36)}))
+    report = run_suites(["oracle"], 1)[0]
+    assert report.failures == [Failure("weight(u:1:0) = 5/18 is not 15^2/36 modulo 1", (lab,))]
+
+
+def test_dual_reports_a_qdim_that_changes_under_dual(monkeypatch):
+    from orbifusion.qdim import qdim_exact
+
+    k = 2
+    lab, d = parse_label("t1:0:0", k), parse_label("t2:2:0", k)  # duals of each other
+    q = qdim_exact(lab, k)
+    monkeypatch.setattr(verify_mod, "qdim_exact", lambda x, k: q + q if x == lab else qdim_exact(x, k))
+    report = run_suites(["dual"], k)[0]
+    assert report.failures == [
+        Failure(f"qdim changes under dual: t1:0:0 -> {q + q}, t2:2:0 -> {q}", (lab, d)),
+        Failure(f"qdim changes under dual: t2:2:0 -> {q}, t1:0:0 -> {q + q}", (d, lab)),
+    ]
 
 
 def test_doubled_multiplicity_fails_assoc_and_qdim(monkeypatch):
