@@ -7,20 +7,19 @@ vector; ``fuse``/``coeff``/``dual`` expose the fusion ring; ``qdim`` and
 
 Labels on the command line use the grammar ``u:<i>:<j>``, ``t1:<i>:<j>``,
 ``t2:<i>:<j>`` (lowercase, colon-separated).  Conformal weights are always
-printed as exact fractions, never floats.  Exit status: 0 success, 1
-verification failure (a failed identity, or a fault found while a suite
-runs), 2 usage error.
+printed as exact fractions, never floats.  Exit status: 0 success; 1 a failed
+identity, a closed stdout, or a fault (found while a suite runs, or an ``--out``
+file that cannot be opened) printed as ``Error: <message>``; 2 a usage error,
+printed as argparse's usage line and ``orbifusion <command>: error: <message>``.
 """
 
-from __future__ import annotations
-
+import argparse
 import csv
 import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-import click
 import mpmath
 
 from .labels import IrrLabel, enumerate_irreducibles, parse_label
@@ -29,19 +28,22 @@ from .qdim import global_dimension, qdim_numeric
 from .fusion import contragredient, fuse_irreducible, fusion_coefficient
 from .verify import SUITES, run_suites
 
-FORMATS = click.Choice(["json", "csv", "markdown"])
-SUITE_NAMES = [*SUITES, "all"]
 
-_level_option = click.option(
-    "--level", "-k", "k", type=click.IntRange(min=1), required=True, help="Level k of the catalog."
-)
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
 
 
 def _label(text: str, k: int) -> IrrLabel:
     try:
         return parse_label(text, k)
     except ValueError as err:
-        raise click.UsageError(str(err))
+        raise argparse.ArgumentError(None, str(err)) from None  # a usage error: run lets argparse print it
 
 
 def _fixed(value: mpmath.mpf, decimals: int) -> str:
@@ -75,22 +77,29 @@ def _fixed(value: mpmath.mpf, decimals: int) -> str:
     return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
-def _emit(text: str, out) -> None:
-    click.echo(text, file=out)  # click writes to stdout when out is None
+def _emit(text: str, out: str) -> int:
+    """Print ``text`` to stdout (``out`` is ``-``) or to the file ``out``, opened only now; the exit status."""
+    if out == "-":
+        print(text)
+        return 0
+    try:
+        stream = open(out, "w")
+    except OSError as err:
+        print(f"Error: Could not open file {out!r}: {err.strerror}", file=sys.stderr)
+        return 1
+    with stream:
+        stream.write(text + "\n")
+    return 0
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |", "|" + "|".join(" --- " for _ in header) + "|"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines)
-
-
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+def _table(fmt: str, header: list[str], rows: list[list[str]]) -> str:
+    """``rows`` under ``header`` as CSV (``fmt`` is ``csv``) or as a markdown table."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([header, *rows])
+        return buffer.getvalue().rstrip("\n")
+    lines = [header, ["---" for _ in header], *rows]
+    return "\n".join("| " + " | ".join(row) + " |" for row in lines)
 
 
 _MODULE_FIELDS = ("pretty", "weight", "qdim", "dual", "generator")
@@ -113,134 +122,125 @@ def _catalog_json(k: int, rows: list[dict[str, str]]) -> str:
     return f'{{\n  "level": {k},\n  "modules": {{\n' + ",\n".join(modules) + "\n  }\n}"
 
 
-@click.group()
-def main() -> None:
-    """Exact data of the Z3-orbifold affine sl2 catalog at level k."""
+_parser = argparse.ArgumentParser(prog="orbifusion", allow_abbrev=False,
+                                  description="Exact data of the Z3-orbifold affine sl2 catalog at level k.")
+_subparsers = _parser.add_subparsers(metavar="COMMAND", required=True)
+_FORMAT = "-f --format", {"dest": "fmt", "choices": ("json", "csv", "markdown"), "default": "json", "metavar": "FORMAT",
+                          "help": "json, csv or markdown (default: json)"}
+_OUT = "--out", {"default": "-", "metavar": "FILE", "help": "write the document to FILE (default: -, stdout)"}
 
 
-@main.command()
-@_level_option
-@click.option("--format", "-f", "fmt", type=FORMATS, default="json", show_default=True)
-@click.option("--out", type=click.File("w"), default=None, help="Write the document to a file.")
-def catalog(k: int, fmt: str, out) -> None:
+def _command(labels: str, *options: tuple[str, dict]):
+    """Bind the function's name to a new subcommand parser whose ``callback`` is the function; the parser
+    takes ``--level``, one label argument per letter of ``labels`` (``"AB"``: A and B) and ``options``."""
+
+    def add(callback) -> argparse.ArgumentParser:
+        doc = callback.__doc__
+        command = _subparsers.add_parser(callback.__name__, help=doc, description=doc, allow_abbrev=False)
+        command.add_argument("-k", "--level", dest="k", metavar="K", type=_at_least_one, required=True,
+                             help="level k of the catalog, at least 1")
+        for name in labels:
+            command.add_argument(name.lower(), metavar=name, help="a label such as u:0:0, t1:1:2 or t2:0:1")
+        for flags, settings in options:
+            command.add_argument(*flags.split(), **settings)
+        command.set_defaults(command=command)
+        command.callback = callback
+        return command
+
+    return add
+
+
+@_command("", _FORMAT, _OUT)
+def catalog(k: int, fmt: str, out: str) -> int:
     """List all 9(k+1) irreducible modules with their invariants."""
     rows = []
     qdims: dict[int, str] = {}  # qdim_numeric reads label.i only
     for lab in enumerate_irreducibles(k):
         if lab.i not in qdims:
             qdims[lab.i] = _fixed(qdim_numeric(lab, k, precision=20), 12)
-        rows.append(
-            {
-                "label": lab.token(),
-                "pretty": lab.pretty(k),
-                "weight": str(conformal_weight(lab, k)),
-                "qdim": qdims[lab.i],
-                "dual": contragredient(lab, k).token(),
-                "generator": generator_desc(lab, k),
-            }
-        )
+        rows.append({"label": lab.token(), "pretty": lab.pretty(k), "weight": str(conformal_weight(lab, k)),
+                     "qdim": qdims[lab.i], "dual": contragredient(lab, k).token(), "generator": generator_desc(lab, k)})
     if fmt == "json":
-        _emit(_catalog_json(k, rows), out)
-    elif fmt == "csv":
+        return _emit(_catalog_json(k, rows), out)
+    if fmt == "csv":
         header = ["label", *_MODULE_FIELDS]
-        _emit(_csv_table(header, [[row[h] for h in header] for row in rows]), out)
-    else:
-        header = ["module", "weight", "qdim", "dual", "generator"]
-        dual_pretty = {row["label"]: row["pretty"] for row in rows}
-        body = [[row["pretty"], row["weight"], row["qdim"], dual_pretty[row["dual"]], row["generator"]] for row in rows]
-        _emit(_markdown_table(header, body), out)
+        return _emit(_table(fmt, header, [[row[h] for h in header] for row in rows]), out)
+    header = ["module", "weight", "qdim", "dual", "generator"]
+    dual_pretty = {row["label"]: row["pretty"] for row in rows}
+    body = [[row["pretty"], row["weight"], row["qdim"], dual_pretty[row["dual"]], row["generator"]] for row in rows]
+    return _emit(_table(fmt, header, body), out)
 
 
-@main.command()
-@_level_option
-@click.argument("a")
-@click.argument("b")
-@click.option("--format", "-f", "fmt", type=FORMATS, default="json", show_default=True)
-@click.option("--out", type=click.File("w"), default=None, help="Write the document to a file.")
-def fuse(k: int, a: str, b: str, fmt: str, out) -> None:
+@_command("AB", _FORMAT, _OUT)
+def fuse(k: int, a: str, b: str, fmt: str, out: str) -> int:
     """Fusion product A x B as a multiplicity vector."""
     product = fuse_irreducible(_label(a, k), _label(b, k), k)
-    entries = [(lab.token(), mult) for lab, mult in product.items()]
     if fmt == "json":
-        _emit(json.dumps(dict(entries)), out)
-    elif fmt == "csv":
-        _emit(_csv_table(["label", "multiplicity"], [[tok, str(m)] for tok, m in entries]), out)
-    else:
-        pretty = {lab.token(): lab.pretty(k) for lab in product}
-        _emit(_markdown_table(["module", "multiplicity"], [[pretty[tok], str(m)] for tok, m in entries]), out)
+        return _emit(json.dumps({lab.token(): mult for lab, mult in product.items()}), out)
+    rows = [[lab.token() if fmt == "csv" else lab.pretty(k), str(mult)] for lab, mult in product.items()]
+    return _emit(_table(fmt, ["label" if fmt == "csv" else "module", "multiplicity"], rows), out)
 
 
-@main.command()
-@_level_option
-@click.argument("a")
-@click.argument("b")
-@click.argument("c")
+@_command("ABC")
 def coeff(k: int, a: str, b: str, c: str) -> None:
     """Fusion coefficient: multiplicity of C in A x B."""
-    click.echo(fusion_coefficient(_label(a, k), _label(b, k), _label(c, k), k))
+    print(fusion_coefficient(_label(a, k), _label(b, k), _label(c, k), k))
 
 
-@main.command()
-@_level_option
-@click.argument("a")
+@_command("A")
 def dual(k: int, a: str) -> None:
     """Label of the contragredient module of A."""
-    click.echo(contragredient(_label(a, k), k).token())
+    print(contragredient(_label(a, k), k).token())
 
 
-@main.command()
-@_level_option
-@click.argument("a")
-@click.option("--digits", type=click.IntRange(min=1), default=12, show_default=True,
-              help="Decimal places to print.")
+@_command("A", ("--digits", {"type": _at_least_one, "default": 12, "help": "decimal places to print (default: 12)"}))
 def qdim(k: int, a: str, digits: int) -> None:
     """Quantum dimension of A, printed to the requested precision."""
-    value = qdim_numeric(_label(a, k), k, precision=digits + 5)
-    click.echo(_fixed(value, digits))
+    print(_fixed(qdim_numeric(_label(a, k), k, precision=digits + 5), digits))
 
 
-@main.command()
-@_level_option
+@_command("")
 def glob(k: int) -> None:
     """Global dimension 9 * sum of squared quantum dimensions."""
     exact, numeric = global_dimension(k)
-    click.echo(json.dumps({"level": k, "exact": str(exact), "numeric": _fixed(numeric, 12)}))
+    print(json.dumps({"level": k, "exact": str(exact), "numeric": _fixed(numeric, 12)}))
 
 
-@main.command()
-@_level_option
-@click.option("--suite", type=click.Choice(SUITE_NAMES), default="all", show_default=True)
-def verify(k: int, suite: str) -> None:
+@_command("", ("--suite", {"choices": [*SUITES, "all"], "default": "all", "help": "suite to run (default: all)"}))
+def verify(k: int, suite: str) -> int:
     """Run verification suites; exit 1 if any identity fails."""
     if suite == "oracle" and k != 1:
-        raise click.UsageError("the lattice oracle is a level-1 statement; run it with --level 1")
+        raise argparse.ArgumentError(None, "the lattice oracle is a level-1 statement; run it with --level 1")
     names = [name for name in SUITES if name != "oracle" or k == 1] if suite == "all" else [suite]
     try:
         reports = run_suites(names, k)
     except ValueError as err:  # a fault found while a suite runs, not a usage error
-        raise click.ClickException(str(err))
-    failed = False
+        print(f"Error: {err}", file=sys.stderr)
+        return 1
     for report in reports:
-        click.echo(report.summary())
-        if not report.passed:
-            failed = True
-            for failure in report.failures[:20]:
-                click.echo(f"  {failure.render()}", err=True)
-            if len(report.failures) > 20:
-                click.echo(f"  ... {len(report.failures) - 20} more failures", err=True)
-    if failed:
-        sys.exit(1)
+        print(report.summary(), flush=True)  # before its failures, as a merged stdout and stderr show them
+        for failure in report.failures[:20]:
+            print(f"  {failure.render()}", file=sys.stderr)
+        if len(report.failures) > 20:
+            print(f"  ... {len(report.failures) - 20} more failures", file=sys.stderr)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Invoke the command line programmatically, returning the exit status."""
+    """Run one command line (default ``sys.argv[1:]``) and return its exit status."""
     try:
-        main.main(args=argv, prog_name="orbifusion", standalone_mode=True)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 1
-    return 0
+        options = vars(_parser.parse_args(argv))
+        command = options.pop("command")
+        try:
+            status = command.callback(**options)
+        except argparse.ArgumentError as err:  # a label or suite the level does not have
+            command.error(str(err))
+        sys.stdout.flush()  # so that a closed pipe is seen here
+    except SystemExit as exc:  # --help, or argparse's usage error
+        return exc.code
+    except BrokenPipeError:  # the reader has gone
+        return 1
+    return status or 0
 
 
 if __name__ == "__main__":

@@ -525,7 +525,9 @@ def _catalog(table: _FusionTable) -> VerificationReport:
         w = conformal_weight(lab, k)
         if w < 0:
             report.failures.append(Failure(f"negative weight {w} at {lab.token()}", (lab,)))
-        elif (w == 0) != (lab == vac):
+        elif lab == vac and w != 0:
+            report.failures.append(Failure(f"vacuum {lab.token()} has weight {w}, expected 0", (lab,)))
+        elif w == 0 and lab != vac:
             report.failures.append(Failure(f"weight 0 at non-vacuum label {lab.token()}", (lab,)))
     for i in range(k + 1):
         for j in range(3):

@@ -1,9 +1,11 @@
 import itertools
 from decimal import ROUND_HALF_EVEN, Context, Decimal
+from typing import NamedTuple
 
 import mpmath
 import pytest
 
+from orbifusion.cli import run
 from orbifusion.fusion import contragredient
 from orbifusion.labels import enumerate_irreducibles, vacuum
 from orbifusion.qdim import qdim_exact
@@ -267,3 +269,22 @@ def decimal_fixed():
 @pytest.fixture
 def nstr_fixed():
     return _nstr_fixed
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def invoke(capsys):
+    """Run one ``orbifusion`` command line through ``cli.run``: its exit status, stdout and stderr."""
+
+    def invoke(*args):
+        capsys.readouterr()
+        code = run(list(args))
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
+
+    return invoke

@@ -11,10 +11,8 @@ import time
 from fractions import Fraction as F
 
 import mpmath
-from click.testing import CliRunner
 
 from orbifusion.chebyshev import ChebPoly
-from orbifusion.cli import main
 from orbifusion.labels import Sector, enumerate_irreducibles, make_label, vacuum
 from orbifusion.weights import conformal_weight
 from orbifusion.qdim import global_dimension, has_unit_qdim, qdim_exact, qdim_numeric
@@ -28,12 +26,12 @@ TABLE1_FRACTIONS = [
 ]
 
 
-def test_criterion_1_level1_weight_table_exact():
+def test_criterion_1_level1_weight_table_exact(invoke):
     """All 18 level-1 weights, bit-exact, via the CLI catalog; < 1 s."""
     start = time.perf_counter()
-    result = CliRunner().invoke(main, ["catalog", "--level", "1"])
+    result = invoke("catalog", "--level", "1")
     assert result.exit_code == 0
-    emitted = [row["weight"] for row in json.loads(result.output)["modules"].values()]
+    emitted = [row["weight"] for row in json.loads(result.stdout)["modules"].values()]
     assert [F(w) for w in emitted] == TABLE1_FRACTIONS
     # and directly from the library, same order, exact Fractions
     direct = [conformal_weight(lab, 1) for lab in enumerate_irreducibles(1)]

@@ -192,6 +192,12 @@ def test_catalog_reports_a_wrong_untwisted_weight(monkeypatch, weight, want):
     assert report.failures == [Failure(want, (parse_label("u:1:0", 2),))]
 
 
+def test_catalog_reports_a_vacuum_whose_weight_is_not_zero(monkeypatch):
+    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:0:0": lambda w: Fraction(1, 8)}))
+    report = run_suites(["catalog"], 2)[0]
+    assert report.failures == [Failure("vacuum u:0:0 has weight 1/8, expected 0", (parse_label("u:0:0", 2),))]
+
+
 def test_catalog_reports_a_broken_twisted_pairing(monkeypatch):
     k = 2
     t1, t2 = parse_label("t1:0:1", k), parse_label("t2:2:1", k)  # i and k - i, one j
