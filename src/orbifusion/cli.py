@@ -229,8 +229,11 @@ def verify(k: int, suite: str) -> int:
 def run(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit status."""
     try:
-        options = vars(_parser.parse_args(argv))
+        parsed, extra = _parser.parse_known_args(argv)
+        options = vars(parsed)
         command = options.pop("command")
+        if extra:  # argparse hands a subcommand's leftovers up to the root; report them with the subcommand's usage
+            command.error(f"unrecognized arguments: {' '.join(extra)}")
         try:
             status = command.callback(**options)
         except argparse.ArgumentError as err:  # a label or suite the level does not have

@@ -14,12 +14,14 @@ Indices ``i`` and ``k - i`` have the same quantum dimension, since
 vanishes at ``x``, the monic minimal polynomial ``psi`` divides it in
 ``Z[x]``, and the two have the same residue.  Residues are therefore
 reduced from ``S_{min(i, k-i)}``: the same residue, coefficient for
-coefficient, from a polynomial of degree at most ``k // 2``.
+coefficient, from a polynomial of degree at most ``k // 2``.  When that
+degree is already below ``psi``'s, ``S_{min(i, k-i)}`` is its own residue
+and no division is done; only the indices whose reflected degree reaches
+``deg psi`` are divided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -72,19 +74,46 @@ def reduction_modulus(k: int) -> ChebPoly:
     return min_poly_two_cos(k + 2)
 
 
-@dataclass(frozen=True)
 class QDimElement:
-    """Exact quantum dimension: a residue in ``Z[x]/(psi)`` at a fixed level."""
+    """Exact quantum dimension: a residue in ``Z[x]/(psi)`` at a fixed level.
 
-    residue: ChebPoly
-    level: int
+    Frozen: assigning or deleting an attribute raises ``AttributeError``.
+    Two elements are equal, and hash alike, exactly when their residues and
+    levels are.  The constructor checks the level, that the residue is a
+    :class:`ChebPoly` and that it is reduced (degree below ``psi``'s).
+    """
 
-    def __post_init__(self) -> None:
-        check_level(self.level)
-        if not isinstance(self.residue, ChebPoly):
-            raise ValueError(f"residue must be a ChebPoly, got {self.residue!r}")
-        if self.residue.degree >= min_poly_two_cos(self.level + 2).degree:
+    __slots__ = ("residue", "level")
+    __match_args__ = ("residue", "level")
+
+    def __init__(self, residue: ChebPoly, level: int) -> None:
+        check_level(level)
+        if not isinstance(residue, ChebPoly):
+            raise ValueError(f"residue must be a ChebPoly, got {residue!r}")
+        if residue.degree >= min_poly_two_cos(level + 2).degree:
             raise ValueError("residue not reduced")
+        _set_residue(self, residue)
+        _set_level(self, level)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.residue == other.residue and self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.residue, self.level))
+
+    def __repr__(self) -> str:
+        return f"QDimElement(residue={self.residue!r}, level={self.level!r})"
+
+    def __reduce__(self) -> tuple:
+        return QDimElement, (self.residue, self.level)
 
     def __mul__(self, other: "QDimElement") -> "QDimElement":
         if not isinstance(other, QDimElement):
@@ -123,6 +152,11 @@ class QDimElement:
         return str(self.residue)
 
 
+# the slots' own setters, which the frozen ``__setattr__`` leaves usable to ``__init__``
+_set_residue = QDimElement.residue.__set__
+_set_level = QDimElement.level.__set__
+
+
 def qdim_index(i: int, k: int) -> QDimElement:
     """Exact quantum dimension attached to affine weight index ``i``.
 
@@ -141,8 +175,13 @@ def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
 
 
 def _qdim(i: int, k: int) -> QDimElement:
-    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``."""
-    return QDimElement(cheb_u(min(i, k - i)) % min_poly_two_cos(k + 2), k)
+    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``.
+
+    ``S_m`` is its own residue when its degree ``m`` is below ``psi``'s, so
+    it is divided only otherwise.
+    """
+    poly, modulus = cheb_u(min(i, k - i)), min_poly_two_cos(k + 2)
+    return QDimElement(poly if poly.degree < modulus.degree else poly % modulus, k)
 
 
 def _sine_ratio(n: int, theta: tuple, sin1: tuple, prec: int) -> tuple:

@@ -41,12 +41,18 @@ the row's right factors and its vectors are mapped to ids.  A suite does
 its per-product work once per id: ``comm`` compares ids, ``assoc`` names
 the right sides a x (b x c) once per id and generator, and ``qdim`` sums a
 product's quantum dimensions once per id.
+The table also keeps three per-label memos, ``weight``, ``qdim`` and
+``dual``, keyed by label and filled on first use by ``conformal_weight``,
+``qdim_exact`` and ``contragredient``; ``catalog``, ``dual``, ``qdim`` and
+``oracle`` read them, so one run evaluates each function at most once per
+label.  A dual outside the catalog raises ``ValueError`` naming both labels.
 ``dual`` and ``qdim`` check a row at a time, ``dual`` with one list
 equality: listed in the order of the duals of their right factors, the
 row's products must equal their own columns.  A row that fails reports its
 failures pair by pair, in the order and with the texts of a pair-by-pair
-sweep.  No table outlives the call that built it, so a substituted
-``fuse_irreducible`` is always what is verified.  A report's ``elapsed``
+sweep.  No table, and so no memo, outlives the call that built it, so a
+substituted ``fuse_irreducible``, ``conformal_weight``, ``qdim_exact`` or
+``contragredient`` is always what is verified.  A report's ``elapsed``
 times the checks only: a suite builds the rows it reads before its clock
 starts.
 """
@@ -58,7 +64,6 @@ import operator
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -85,15 +90,42 @@ class Failure(NamedTuple):
         return f"{self.description}  [labels: {toks}]"
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one verification suite at one level."""
+    """Outcome of one verification suite at one level.
 
-    suite: str
-    level: int
-    checks_run: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    elapsed: float = 0.0
+    A mutable record of five fields; ``failures`` defaults to a new empty
+    list.  Two reports are equal when all five fields are, and a report is
+    unhashable.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        suite: str,
+        level: int,
+        checks_run: int = 0,
+        failures: list[Failure] | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.suite = suite
+        self.level = level
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.level, self.checks_run, self.failures, self.elapsed) == (
+            other.suite, other.level, other.checks_run, other.failures, other.elapsed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(suite={self.suite!r}, level={self.level!r}, checks_run={self.checks_run!r}, "
+            f"failures={self.failures!r}, elapsed={self.elapsed!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -141,6 +173,13 @@ class _FusionTable:
     hashes and compares as its ``(label, multiplicity)`` items, so fresh
     vectors from a substituted ``fuse_irreducible`` share ids too, and two
     pairs have one id exactly when their outputs are equal.
+
+    ``weight``, ``qdim`` and ``dual`` are per-label memos, keyed by the
+    label itself (never by its index or ``i``), filled by this module's
+    ``conformal_weight``, ``qdim_exact`` and ``contragredient``, each looked
+    up when it fills, so the suites of one run evaluate each of them at
+    most once per label.  A dual that is not a label of ``labels`` raises
+    ``ValueError``.
     """
 
     def __init__(self, k: int):
@@ -157,11 +196,20 @@ class _FusionTable:
                 raise ValueError(f"fusion output {err.args[0].token()} is not a label at level {k}") from None
             return len(outputs) - 1
 
+        def dual_of(lab: IrrLabel) -> IrrLabel:
+            d = contragredient(lab, k)
+            if d not in index:
+                raise ValueError(f"dual of {lab.token()} is {d.token()}, not a label at level {k}")
+            return d
+
         shared = _Memo(new_id)
         repeat = itertools.repeat
         self.row = _Memo(
             lambda a: list(map(shared.__getitem__, map(fuse_irreducible, repeat(labels[a]), labels, repeat(k))))
         )
+        self.weight = _Memo(lambda lab: conformal_weight(lab, k))
+        self.qdim = _Memo(lambda lab: qdim_exact(lab, k))
+        self.dual = _Memo(dual_of)
 
     def ids(self) -> list[list[int]]:
         """Every row of product ids, in label order; builds the rows not built yet."""
@@ -357,28 +405,23 @@ def _duality(table: _FusionTable) -> VerificationReport:
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("dual", k)
-    duals = {lab: contragredient(lab, k) for lab in labels}
+    duals, weight, qdim = table.dual, table.weight, table.qdim
 
     for lab in labels:  # part (iii)
         report.checks_run += 3
         d = duals[lab]
-        if contragredient(d, k) != lab:
-            report.failures.append(Failure(f"dual(dual({lab.token()})) = {contragredient(d, k).token()}", (lab,)))
-        if conformal_weight(d, k) != conformal_weight(lab, k):
+        if duals[d] != lab:
+            report.failures.append(Failure(f"dual(dual({lab.token()})) = {duals[d].token()}", (lab,)))
+        if weight[d] != weight[lab]:
             report.failures.append(
                 Failure(
-                    f"weight changes under dual: {lab.token()} has {conformal_weight(lab, k)}, "
-                    f"{d.token()} has {conformal_weight(d, k)}",
+                    f"weight changes under dual: {lab.token()} has {weight[lab]}, {d.token()} has {weight[d]}",
                     (lab, d),
                 )
             )
-        if qdim_exact(d, k) != qdim_exact(lab, k):
+        if qdim[d] != qdim[lab]:
             report.failures.append(
-                Failure(
-                    f"qdim changes under dual: {lab.token()} -> {qdim_exact(lab, k)}, "
-                    f"{d.token()} -> {qdim_exact(d, k)}",
-                    (lab, d),
-                )
+                Failure(f"qdim changes under dual: {lab.token()} -> {qdim[lab]}, {d.token()} -> {qdim[d]}", (lab, d))
             )
 
     dual = [table.index[duals[lab]] for lab in labels]
@@ -424,7 +467,7 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     # that wrongly depended on a label's sector or j would still be caught.
     # Equal results are one object, so a row compares by identity.
     value_id: dict[QDimElement, int] = {}
-    vid = [value_id.setdefault(qdim_exact(lab, k), len(value_id)) for lab in labels]
+    vid = [value_id.setdefault(table.qdim[lab], len(value_id)) for lab in labels]
     values = list(value_id)
     canon: dict[QDimElement | None, QDimElement | None] = {}
 
@@ -494,14 +537,14 @@ def _lattice_oracle(table: _FusionTable) -> VerificationReport:
                 )
     for lab, s in cosets.items():
         report.checks_run += 1
-        dual_coset = cosets[contragredient(lab, 1)]
+        dual_coset = cosets[table.dual[lab]]
         if dual_coset != (18 - s) % 18:
             report.failures.append(
                 Failure(f"dual of {lab.token()} is on coset {dual_coset}, lattice model says {(18 - s) % 18}", (lab,))
             )
     for lab, s in cosets.items():
         report.checks_run += 1
-        weight = conformal_weight(lab, 1)
+        weight = table.weight[lab]
         if (weight - Fraction(s * s, 36)) % 1 != 0:
             report.failures.append(
                 Failure(f"weight({lab.token()}) = {weight} is not {s}^2/36 modulo 1", (lab,))
@@ -514,6 +557,7 @@ def _catalog(table: _FusionTable) -> VerificationReport:
     start = time.perf_counter()
     k, labels = table.k, table.labels
     report = VerificationReport("catalog", k)
+    weight = table.weight
     report.checks_run += 2
     if len(labels) != 9 * (k + 1):
         report.failures.append(Failure(f"catalog has {len(labels)} labels, expected {9 * (k + 1)}", ()))
@@ -522,7 +566,7 @@ def _catalog(table: _FusionTable) -> VerificationReport:
     vac = vacuum(k)
     for lab in labels:
         report.checks_run += 1
-        w = conformal_weight(lab, k)
+        w = weight[lab]
         if w < 0:
             report.failures.append(Failure(f"negative weight {w} at {lab.token()}", (lab,)))
         elif lab == vac and w != 0:
@@ -532,8 +576,8 @@ def _catalog(table: _FusionTable) -> VerificationReport:
     for i in range(k + 1):
         for j in range(3):
             report.checks_run += 1
-            t1 = conformal_weight(make_label(Sector.T1, i, j, k), k)
-            t2 = conformal_weight(make_label(Sector.T2, k - i, j, k), k)
+            t1 = weight[make_label(Sector.T1, i, j, k)]
+            t2 = weight[make_label(Sector.T2, k - i, j, k)]
             if t1 != t2:
                 report.failures.append(
                     Failure(
@@ -542,7 +586,7 @@ def _catalog(table: _FusionTable) -> VerificationReport:
                     )
                 )
         report.checks_run += 1
-        base = conformal_weight(make_label(Sector.T1, i, 0, k), k)
+        base = weight[make_label(Sector.T1, i, 0, k)]
         if base != base_twist_weight(k, i, 1):
             report.failures.append(
                 Failure(

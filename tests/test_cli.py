@@ -296,6 +296,19 @@ def test_usage_errors_print_only_to_stderr(invoke, args):
     assert "error: " in result.stderr and result.stderr.startswith("usage: orbifusion")
 
 
+@pytest.mark.parametrize(
+    "args, usage",
+    [
+        (("glob", "--level", "2", "--bogus"), "usage: orbifusion glob [-h] -k K\n"),
+        (("dual", "--level", "2", "u:0:0", "extra"), "usage: orbifusion dual [-h] -k K A\n"),
+    ],
+)
+def test_unknown_arguments_are_reported_with_the_subcommand_usage(invoke, args, usage):
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{usage}orbifusion {args[0]}: error: unrecognized arguments: {args[-1]}\n"
+
+
 def test_short_level_option_and_options_after_the_labels(invoke):
     expected = invoke("fuse", "--level", "7", "t1:3:2", "t2:4:1", "--format", "csv")
     assert expected.exit_code == 0 and expected.stdout.startswith("label,multiplicity\r\n")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,5 +232,71 @@ def test_cold_index_needs_no_deep_recursion():
         "sys.setrecursionlimit(150); value = qdim_index(200, 400).numeric(precision=60); "
         "mpmath.mp.dps = 60; assert abs(value - 1 / mpmath.sin(mpmath.pi / 402)) < mpmath.mpf(10) ** -40"
     )
+    src = str(Path(orbifusion.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+@pytest.mark.parametrize("k", range(1, 61))
+def test_residue_of_every_index_is_s_i_reduced_modulo_psi(k):
+    from orbifusion.chebyshev import min_poly_two_cos
+    from orbifusion.qdim import _qdim
+
+    modulus = min_poly_two_cos(k + 2)
+    for i in range(k + 1):
+        assert _qdim(i, k).residue == cheb_u(i) % modulus, i
+
+
+def test_both_residue_paths_occur_below_level_sixty_one():
+    # S_m with m = min(i, k - i) is its own residue when deg S_m < deg psi, and is divided otherwise
+    degrees = [(min(i, k - i), reduction_modulus(k).degree) for k in range(1, 61) for i in range(k + 1)]
+    assert any(m < d for m, d in degrees) and any(m >= d for m, d in degrees)
+
+
+def test_qdim_element_is_frozen_and_has_no_dict():
+    q = qdim_index(1, 3)
+    for name in ("residue", "level", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert (q.residue, q.level) == (cheb_u(1), 3)
+    assert not hasattr(q, "__dict__")
+
+
+def test_qdim_element_equality_and_hash_are_by_residue_and_level():
+    q = QDimElement(cheb_u(1), 3)
+    assert q == QDimElement(ChebPoly((0, 1)), 3) and hash(q) == hash(QDimElement(ChebPoly((0, 1)), 3))
+    assert q != QDimElement(cheb_u(1), 4) and q != QDimElement(ONE, 3)
+    assert q != (q.residue, q.level) and q.__eq__((q.residue, q.level)) is NotImplemented
+    assert len({q, QDimElement(cheb_u(1), 3), QDimElement(ONE, 3)}) == 2
+
+
+def test_qdim_element_repr_and_copies():
+    import copy
+    import pickle
+
+    q = qdim_index(1, 20)
+    assert repr(q) == "QDimElement(residue=ChebPoly([0, 1]), level=20)"
+    assert str(q) == str(q.residue)
+    for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert twin == q and type(twin) is QDimElement
+
+
+@pytest.mark.parametrize(
+    "residue, level, message",
+    [
+        (ONE, 0, "level must be >= 1, got 0"),
+        (ONE, 2.0, "level must be an integer, got 2.0"),
+        ((1,), 2, "residue must be a ChebPoly, got (1,)"),
+        (cheb_u(5), 2, "residue not reduced"),
+    ],
+)
+def test_qdim_element_constructor_checks(residue, level, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QDimElement(residue, level)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, orbifusion.cli; loaded = {'click', 'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
     src = str(Path(orbifusion.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)

@@ -637,3 +637,64 @@ def test_dual_reports_as_the_pair_by_pair_sweep_does_when_duality_is_no_involuti
     got, want = verify_mod._duality(table), duality_by_pair(table, table_rows(table))
     assert got.failures == want.failures and got.checks_run == want.checks_run
     assert any(len(f.labels) == 3 for f in got.failures)  # instances of (i) fail, not only (iii)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_every_suite_evaluates_each_per_label_function_once_per_label(k, monkeypatch):
+    calls = {name: [] for name in ("conformal_weight", "qdim_exact", "contragredient")}
+
+    def counting(name):
+        honest = getattr(verify_mod, name)
+
+        def wrapper(lab, level):
+            calls[name].append(lab)
+            return honest(lab, level)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify_mod, name, counting(name))
+    names = [name for name in SUITES if name != "oracle" or k == 1]
+    assert all(r.passed for r in run_suites(names, k))
+    labels = enumerate_irreducibles(k)
+    for name, labs in calls.items():
+        assert sorted(labs) == sorted(labels), name  # every label, each once
+
+
+def _dual_leaves_the_catalog(monkeypatch):
+    """At level 2, send u:1:0 to u:5:0, which is not a label there."""
+    u10 = parse_label("u:1:0", 2)
+    stray = u10._replace(i=5)
+    monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: stray if lab == u10 else contragredient(lab, k))
+
+
+def test_a_dual_outside_the_catalog_is_a_value_error_naming_both_labels(monkeypatch):
+    _dual_leaves_the_catalog(monkeypatch)
+    with pytest.raises(ValueError, match=r"^dual of u:1:0 is u:5:0, not a label at level 2$"):
+        run_suites(["dual"], 2)
+
+
+def test_a_dual_outside_the_catalog_is_an_error_from_the_cli(monkeypatch, invoke):
+    _dual_leaves_the_catalog(monkeypatch)
+    result = invoke("verify", "--level", "2")
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "Error: dual of u:1:0 is u:5:0, not a label at level 2\n"
+
+
+def test_verification_report_defaults_equality_and_repr():
+    report = verify_mod.VerificationReport("unit", 2)
+    assert (report.suite, report.level, report.checks_run, report.failures, report.elapsed) == ("unit", 2, 0, [], 0.0)
+    assert report.failures is not verify_mod.VerificationReport("unit", 2).failures  # a new list each
+    failure = Failure("x", ())
+    full = verify_mod.VerificationReport("dual", 3, checks_run=4, failures=[failure], elapsed=0.5)
+    assert full == verify_mod.VerificationReport("dual", 3, 4, [failure], 0.5)
+    for changed in (("comm", 3, 4, [failure], 0.5), ("dual", 4, 4, [failure], 0.5), ("dual", 3, 5, [failure], 0.5),
+                    ("dual", 3, 4, [], 0.5), ("dual", 3, 4, [failure], 0.25)):
+        assert full != verify_mod.VerificationReport(*changed), changed
+    assert full != ("dual", 3, 4, [failure], 0.5)
+    assert repr(full) == (
+        "VerificationReport(suite='dual', level=3, checks_run=4, "
+        "failures=[Failure(description='x', labels=())], elapsed=0.5)"
+    )
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(full)
