@@ -10,7 +10,8 @@ Labels on the command line use the grammar ``u:<i>:<j>``, ``t1:<i>:<j>``,
 printed as exact fractions, never floats.  Exit status: 0 success; 1 a failed
 identity, a closed stdout, or a fault (found while a suite runs, or an ``--out``
 file that cannot be opened) printed as ``Error: <message>``; 2 a usage error,
-printed as argparse's usage line and ``orbifusion <command>: error: <message>``.
+printed as argparse's usage line and ``orbifusion <command>: error: <message>``
+(``orbifusion: error: <message>`` for an error before the command).
 """
 
 import argparse
@@ -122,9 +123,23 @@ def _catalog_json(k: int, rows: list[dict[str, str]]) -> str:
     return f'{{\n  "level": {k},\n  "modules": {{\n' + ",\n".join(modules) + "\n  }\n}"
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports its own unrecognized arguments with its own usage.
+
+    argparse parses a subcommand with ``parse_known_args`` and hands what is
+    left up to the root parser, which would report it with the root usage.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed, extra
+
+
 _parser = argparse.ArgumentParser(prog="orbifusion", allow_abbrev=False,
                                   description="Exact data of the Z3-orbifold affine sl2 catalog at level k.")
-_subparsers = _parser.add_subparsers(metavar="COMMAND", required=True)
+_subparsers = _parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_CommandParser)
 _FORMAT = "-f --format", {"dest": "fmt", "choices": ("json", "csv", "markdown"), "default": "json", "metavar": "FORMAT",
                           "help": "json, csv or markdown (default: json)"}
 _OUT = "--out", {"default": "-", "metavar": "FILE", "help": "write the document to FILE (default: -, stdout)"}
@@ -229,11 +244,8 @@ def verify(k: int, suite: str) -> int:
 def run(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit status."""
     try:
-        parsed, extra = _parser.parse_known_args(argv)
-        options = vars(parsed)
+        options = vars(_parser.parse_args(argv))
         command = options.pop("command")
-        if extra:  # argparse hands a subcommand's leftovers up to the root; report them with the subcommand's usage
-            command.error(f"unrecognized arguments: {' '.join(extra)}")
         try:
             status = command.callback(**options)
         except argparse.ArgumentError as err:  # a label or suite the level does not have

@@ -44,37 +44,34 @@ rule gives both orders of each pair: the fusion product is commutative.
 In every product each output label occurs with multiplicity exactly 1.
 
 A product's outputs name it, so :func:`fuse_irreducible` remembers the
-products of one level at a time keyed by ``(sector, lo, hi, c)``: one key
-per distinct product (1,089 keys for the 35,721 ordered pairs at k=20), and
-both orders of a pair have one key.  Every call validates ``k`` and both
-labels before any lookup, in one inline test of the conditions
-:func:`check_level` and :func:`check_label` enforce.  A call at a level
-other than the remembered one starts a fresh, empty memo for its level and
-computes its product directly, so the memo fills from the second call in a
-row at one level on and a stream of calls that keeps changing level stores
-nothing.  The memo keeps the last level's products until a call at another
-level replaces it: after every ordered pair at k=50 it holds 6,084
-products, about 1.8 MB still traced by ``tracemalloc`` once the results are
-dropped.  Each is one immutable :class:`FusionVector`, and a memo hit
-returns that shared vector as it is: it builds nothing and hashes nothing.
-A call at a new level builds one label per output.  A miss takes its
-``(label, 1)`` pairs from the level's own interned pairs, keyed by index
-and built on first use, so the work and memory of a call grow with its
-outputs and a level's memo with the products it holds, never with ``k``
-alone.
+products of one level at a time, keyed by the tuple ``(sector, lo, hi,
+c)``: one key per distinct product (1,089 keys for the 35,721 ordered pairs
+at k=20), and both orders of a pair have one key.  Every call validates
+``k`` and both labels before any lookup, in one inline test of the
+conditions :func:`check_level` and :func:`check_label` enforce.  A call at
+a level other than the remembered one first replaces the memo with a fresh,
+empty one for its level; every call then reads the memo and, on a miss,
+builds its product and stores it.  The memo keeps the last level's products
+until a call at another level replaces it: after every ordered pair at k=50
+it holds 6,084 products, about 2.0 MB still traced by ``tracemalloc`` once
+the results are dropped.  Each is one immutable :class:`FusionVector`, and
+a memo hit returns that shared vector as it is: it builds nothing and
+hashes nothing but its key.  A miss takes its ``(label, 1)`` pairs from the
+level's interned pairs, keyed by the label and built on first use, so the
+work and memory of a call grow with its outputs and a level's memo with
+the products it holds, never with ``k`` alone.
 """
 
 from __future__ import annotations
 
-from .labels import FusionVector, IrrLabel, Sector, _check_fields, check_label, check_level
+from .labels import FusionVector, IrrLabel, Sector, check_label
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
 # (k, memo, pairs) for the current level: ``memo`` maps the key
-# (sector, lo, hi, c) of a product's outputs, packed into one int, to the
-# product's vector, and ``pairs`` interns the ``(label, 1)`` pairs of the
-# level's products, keyed by the packed index (sector * (k + 1) + i) * 3 + j,
-# so it holds only the labels the level used.
+# (sector, lo, hi, c) of a product's outputs to the product's vector, and
+# ``pairs`` maps each label the level's products used to its one interned
+# ``(label, 1)`` pair.
 # ``fuse_irreducible`` reads the binding once and only ever replaces it
 # whole, so a concurrent switch of levels can never serve a product from
 # another level.
@@ -88,9 +85,11 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
 
     ``k``, ``a`` and ``b`` are validated on every call, before the current
     level's memo (see the module docstring) is read: one inline test of
-    what :func:`check_level` and :func:`check_label` check, and those
-    functions, for their messages, when it fails.  The returned vector is
-    immutable and may be shared with other calls.
+    what :func:`check_label` checks, and ``check_label(a, k)`` then
+    ``check_label(b, k)``, for their messages, when it fails.  Every
+    product, the first at a new level too, is built once into that memo
+    and looked up there; the returned vector is immutable and shared with
+    every call that has the same key.
     """
     global _level_memo
     # inline rather than two check_label calls, which add 110-170 ns to a warm call of about 1 us
@@ -105,9 +104,8 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     else:
         valid = False
     if not valid:  # raises the checks' own messages; an IrrLabel subclass passes them
-        check_level(k)
-        _check_fields(a, k)
-        _check_fields(b, k)
+        check_label(a, k)
+        check_label(b, k)
         (s1, i1, j1), (s2, i2, j2) = a, b
     s, out = i1 + i2, s1 + s2
     lo = i1 - i2 if i1 > i2 else i2 - i1
@@ -119,32 +117,16 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
         lo, hi = k - hi, k - lo
     level, memo, pairs = _level_memo
     if level != k:
-        _level_memo = (k, {}, {})
-        sector, new = _SECTORS[out], tuple.__new__
-        return FusionVector._from_canonical(tuple([(new(IrrLabel, (sector, i, j)), 1) for i, j in _outputs(out, lo, hi, c)]))
-    key = ((out * (k + 1) + lo) * (k + 1) + hi) * 3 + c
+        level, memo, pairs = _level_memo = (k, {}, {})
+    key = (out, lo, hi, c)
     vector = memo.get(key)
     if vector is None:
-        sector, base = _SECTORS[out], out * (k + 1)
-        items = []
-        for i, j in _outputs(out, lo, hi, c):
-            index = (base + i) * 3 + j
-            pair = pairs.get(index)
-            if pair is None:
-                pair = pairs[index] = (tuple.__new__(IrrLabel, (sector, i, j)), 1)
-            items.append(pair)
+        sector, sign, items = _SECTORS[out], _SIGN[out], []
+        for n, i in enumerate(range(lo, hi + 1, 2)):  # output n is (lo + 2n, e(out) (c + n) mod 3)
+            label = tuple.__new__(IrrLabel, (sector, i, sign * (c + n) % 3))
+            items.append(pairs.setdefault(label, (label, 1)))
         vector = memo[key] = FusionVector._from_canonical(tuple(items))
     return vector
-
-
-def _outputs(out: int, lo: int, hi: int, c: int) -> zip:
-    """The ``(i, j)`` of each output of the product named ``(out, lo, hi, c)``.
-
-    Output ``n`` is ``(lo + 2n, e(out) (c + n) mod 3)`` in sector ``out``,
-    for ``n = 0 .. (hi - lo) / 2``: one progression, in canonical order.
-    """
-    sign = _SIGN[out]
-    return zip(range(lo, hi + 1, 2), [sign * (c + n) % 3 for n in range((hi - lo) // 2 + 1)])
 
 
 def contragredient(label: IrrLabel, k: int) -> IrrLabel:

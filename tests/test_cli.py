@@ -309,6 +309,12 @@ def test_unknown_arguments_are_reported_with_the_subcommand_usage(invoke, args, 
     assert result.stderr == f"{usage}orbifusion {args[0]}: error: unrecognized arguments: {args[-1]}\n"
 
 
+def test_an_unknown_option_before_the_command_is_reported_with_the_root_usage(invoke):
+    result = invoke("--bogus", "glob", "--level", "2")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "usage: orbifusion [-h] COMMAND ...\norbifusion: error: unrecognized arguments: --bogus\n"
+
+
 def test_short_level_option_and_options_after_the_labels(invoke):
     expected = invoke("fuse", "--level", "7", "t1:3:2", "t2:4:1", "--format", "csv")
     assert expected.exit_code == 0 and expected.stdout.startswith("label,multiplicity\r\n")

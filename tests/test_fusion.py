@@ -323,7 +323,6 @@ def test_products_depend_only_on_the_range_and_the_lowest_charge(k):
             assert by_output_key.setdefault(key, want) == want, (a, b)
     products = {tuple(want) for want in by_key.values()}
     assert len(by_output_key) == len(products)
-    fuse_irreducible(labels[0], labels[0], k)  # so that every call below reads the memo at k
     assert all(fuse_irreducible(a, b, k) is fuse_irreducible(b, a, k) for a in labels for b in labels)
     assert len(fusion_mod._level_memo[1]) == len(products)
 
@@ -384,7 +383,7 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
     fuse_irreducible(labels[0], labels[0], k + 1)  # the next call starts a fresh memo at k
     first = [fuse_irreducible(a, b, k) for a in labels for b in labels]
     again = [fuse_irreducible(a, b, k) for a in labels for b in labels]
-    assert all(x is y for x, y in zip(first[1:], again[1:]))  # the first call, at a new level, is not memoised
+    assert all(x is y for x, y in zip(first, again))  # the first call, at a new level, is memoised too
     memo = fusion_mod._level_memo[1]
     assert len(memo) == 1089  # keys (sector, lo, hi, c) of the outputs: one per distinct product
     assert len(set(first)) == len({id(v) for v in memo.values()}) == len(set(memo.values())) == 1089
@@ -394,14 +393,27 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
     assert {id(p) for v in memo.values() for p in v.items()} == {id(p) for p in pairs.values()}
 
 
+@pytest.mark.parametrize("k", [3, 20])
+@pytest.mark.parametrize("a, b", [("u:0:0", "u:0:0"), ("u:2:1", "t1:3:2"), ("t1:1:2", "t2:2:1"), ("t2:3:0", "t2:1:1")])
+def test_the_first_call_at_a_new_level_stores_its_product(k, a, b):
+    a, b = parse_label(a, k), parse_label(b, k)
+    fuse_irreducible(a, b, k + 1)  # so that the next call is the first at k
+    vector = fuse_irreducible(a, b, k)
+    level, memo, pairs = fusion_mod._level_memo
+    assert level == k and vector == _reference_fuse(a, b, k)
+    assert list(memo) == [_output_key(a, b, k)] and memo[_output_key(a, b, k)] is vector
+    assert list(pairs) == list(vector) and all(pairs[c] is pair for c, pair in zip(vector, vector.items()))
+    assert fuse_irreducible(b, a, k) is vector and len(memo) == 1
+
+
 def _peak_bytes_of_small_products(k):
     """Peak bytes traced while fusing small products at level ``k``, and their results."""
     vac, gen = parse_label("u:0:0", k), parse_label("u:2:1", k)
     tracemalloc.start()
     try:
         fuse_irreducible(vac, vac, k + 1)  # so that the calls at k start a fresh memo
-        first = fuse_irreducible(vac, vac, k)  # a new level: computed directly
-        again = fuse_irreducible(vac, vac, k)  # a memo miss
+        first = fuse_irreducible(vac, vac, k)  # a new level: a fresh memo and a miss
+        again = fuse_irreducible(vac, vac, k)  # a memo hit
         wide = fuse_irreducible(gen, gen, k)  # a memo miss with three outputs
         coefficient = fusion_coefficient(vac, vac, vac, k)
         peak = tracemalloc.get_traced_memory()[1]
@@ -430,8 +442,9 @@ def test_fusion_vector_copies_and_pickles_as_a_value():
 
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_vectors_from_every_constructor_agree(k):
-    # From __init__, from _from_canonical, from a call at a new level (no
-    # memo) and from a memo hit: equal, equal hashes, equal items.
+    # From __init__, from _from_canonical, from a memo miss (the first call
+    # at a new level among them) and from a memo hit: equal, equal hashes,
+    # equal items.
     labels = enumerate_irreducibles(k)
     fuse_irreducible(labels[0], labels[0], k + 1)  # the next call starts a fresh memo at k
     for a in labels:

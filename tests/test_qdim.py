@@ -232,8 +232,13 @@ def test_cold_index_needs_no_deep_recursion():
         "sys.setrecursionlimit(150); value = qdim_index(200, 400).numeric(precision=60); "
         "mpmath.mp.dps = 60; assert abs(value - 1 / mpmath.sin(mpmath.pi / 402)) < mpmath.mpf(10) ** -40"
     )
-    src = str(Path(orbifusion.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    _run_python(code)
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter with this orbifusion's source first on the inherited ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(Path(orbifusion.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 @pytest.mark.parametrize("k", range(1, 61))
@@ -297,6 +302,9 @@ def test_qdim_element_constructor_checks(residue, level, message):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = "import sys, orbifusion.cli; loaded = {'click', 'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
-    src = str(Path(orbifusion.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    # only the modules the import adds: some interpreters load inspect at startup, before orbifusion
+    code = (
+        "import sys; before = set(sys.modules); import orbifusion.cli; "
+        "loaded = {'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before); assert not loaded, loaded"
+    )
+    _run_python(code)
