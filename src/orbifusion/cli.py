@@ -124,17 +124,46 @@ def _catalog_json(k: int, rows: list[dict[str, str]]) -> str:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it reports its own unrecognized arguments with its own usage.
+    """A subcommand's parser: it reports its own unrecognized arguments with its own usage, first.
 
     argparse parses a subcommand with ``parse_known_args`` and hands what is
     left up to the root parser, which would report it with the root usage.
+    It also checks required arguments before it returns what is left, so
+    ``verify --lev 3`` would be told that ``--level`` is missing.  So on an
+    error the arguments are parsed again with nothing required, and what
+    that leaves over, if anything, is reported instead.
     """
 
+    _probing = False
+
     def parse_known_args(self, args=None, namespace=None):
+        self._args = args
         parsed, extra = super().parse_known_args(args, namespace)
         if extra:
             self.error(f"unrecognized arguments: {' '.join(extra)}")
         return parsed, extra
+
+    def error(self, message):
+        if self._probing:
+            raise _ProbeFailed
+        required = [action for action in self._actions if action.required]
+        self._probing = True
+        for action in required:
+            action.required = False
+        try:
+            # the same steps as the parse that failed, up to its required check, so no help is printed
+            extra = super().parse_known_args(self._args)[1]
+        except _ProbeFailed:
+            extra = []
+        finally:
+            self._probing = False
+            for action in required:
+                action.required = True
+        super().error(f"unrecognized arguments: {' '.join(extra)}" if extra else message)
+
+
+class _ProbeFailed(Exception):
+    """An error met by :class:`_CommandParser`'s second parse, which is not reported."""
 
 
 _parser = argparse.ArgumentParser(prog="orbifusion", allow_abbrev=False,

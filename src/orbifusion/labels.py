@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -214,7 +215,20 @@ def parse_label(text: str, k: int) -> IrrLabel:
     :func:`make_label`), and then the label must pass :func:`check_label`
     at ``k``.  A ``text`` that is not a string is a syntax error at
     position 0.
+
+    The label read from a text does not depend on ``k``, so for an exact
+    ``str`` it is memoised per text, 1024 texts at most; only successes are
+    kept, so a malformed text is read again on every call.  The check
+    against ``k`` runs on every call, hit or miss.
     """
+    label = _read_label(text) if type(text) is str else _read_label.__wrapped__(text)
+    check_label(label, k)
+    return label
+
+
+@lru_cache(maxsize=1024)
+def _read_label(text: str) -> IrrLabel:
+    """The label spelt by ``text``, without the level check: :func:`parse_label`'s syntax and ``j`` checks."""
     if not isinstance(text, str):
         raise LabelSyntaxError(text, 0, "expected a string")
     match = _LABEL.match(text)
@@ -226,9 +240,7 @@ def parse_label(text: str, k: int) -> IrrLabel:
         if j > 2:
             raise ValueError(f"j out of range: {j} not in 0..2")
         # the grammar fixes the sector and makes i and j non-negative ints, so nothing is reduced
-        label = tuple.__new__(IrrLabel, (_TAG_SECTORS[match[1]], int(match[3]), j))
-        check_label(label, k)
-        return label
+        return tuple.__new__(IrrLabel, (_TAG_SECTORS[match[1]], int(match[3]), j))
     if last in (2, 4) and text.startswith("0", end):
         raise LabelSyntaxError(text, end, "unexpected leading zero")
     raise LabelSyntaxError(text, end, _EXPECTED[last])

@@ -18,6 +18,12 @@ coefficient, from a polynomial of degree at most ``k // 2``.  When that
 degree is already below ``psi``'s, ``S_{min(i, k-i)}`` is its own residue
 and no division is done; only the indices whose reflected degree reaches
 ``deg psi`` are divided.
+
+Both values depend only on the level and the index, so each is kept in a
+bounded memo of 1024 entries (``functools.lru_cache``, least recently used
+first out): the exact element per reflected index ``(min(i, k-i), k)`` and
+the numeric sine ratio per ``(k, i+1, working digits)``.  Every call still
+checks its arguments first; a miss computes the value as described here.
 """
 
 from __future__ import annotations
@@ -169,18 +175,31 @@ def qdim_index(i: int, k: int) -> QDimElement:
 
 
 def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
-    """Exact quantum dimension of ``label``; depends only on ``label.i``."""
+    """Exact quantum dimension of ``label``; depends only on ``label.i``.
+
+    ``label`` and ``k`` are checked on every call; the element comes from a
+    memo keyed by ``(min(i, k-i), k)`` with 1024 entries at most, so calls
+    that share that key share one immutable element.
+    """
     check_label(label, k)
     return _qdim(label.i, k)
 
 
 def _qdim(i: int, k: int) -> QDimElement:
-    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``.
+    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``."""
+    return _reflected_qdim(min(i, k - i), k)
 
-    ``S_m`` is its own residue when its degree ``m`` is below ``psi``'s, so
-    it is divided only otherwise.
+
+@lru_cache(maxsize=1024)
+def _reflected_qdim(m: int, k: int) -> QDimElement:
+    """The element of ``S_m`` at level ``k``, for a reflected index ``m = min(i, k-i)``.
+
+    Memoised per ``(m, k)``, 1024 entries at most, so the reduction and the
+    element's checks run once per distinct residue.  ``S_m`` is its own
+    residue when its degree ``m`` is below ``psi``'s, so it is divided only
+    otherwise.
     """
-    poly, modulus = cheb_u(min(i, k - i)), min_poly_two_cos(k + 2)
+    poly, modulus = cheb_u(m), min_poly_two_cos(k + 2)
     return QDimElement(poly if poly.degree < modulus.degree else poly % modulus, k)
 
 
@@ -209,16 +228,25 @@ def qdim_numeric(label: IrrLabel, k: int, precision: int = 15) -> mpmath.mpf:
     the few roundings, but no bound on the error is certified.  mpmath's
     global precision is neither read nor changed.
 
-    ``theta = pi/(k+2)`` and ``sin(theta)`` are computed once per level and
-    precision and kept, so each call evaluates one sine.  This route never
-    touches the exact residues, so it doubles as an independent cross-check
-    of :func:`qdim_exact`.
+    ``label``, ``k`` and ``precision`` are checked on every call, and every
+    call returns a new mpf.  Its bits are memoised per ``(k, i+1, dps)``,
+    1024 entries at most, so a miss evaluates one sine and a hit none;
+    ``theta = pi/(k+2)`` and ``sin(theta)`` are kept per level and precision
+    in a memo of the same bound.  The key is ``i``, not ``min(i, k-i)``:
+    the two sines are equal as real numbers but need not round alike.  This
+    route never touches the exact residues, so it doubles as an independent
+    cross-check of :func:`qdim_exact`.
     """
     check_label(label, k)
     _check_precision(precision)
-    dps = precision + _GUARD_DIGITS
+    return _make_mpf(_numeric_ratio(k, label.i + 1, precision + _GUARD_DIGITS))
+
+
+@lru_cache(maxsize=1024)
+def _numeric_ratio(k: int, n: int, dps: int) -> tuple:
+    """Raw mpf of ``sin(n*theta)/sin(theta)`` with ``theta = pi/(k+2)``, at ``dps`` working digits."""
     theta, sin1 = _angle(k, dps)
-    return _make_mpf(_sine_ratio(label.i + 1, theta, sin1, dps_to_prec(dps)))
+    return _sine_ratio(n, theta, sin1, dps_to_prec(dps))
 
 
 def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:

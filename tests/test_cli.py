@@ -309,6 +309,34 @@ def test_unknown_arguments_are_reported_with_the_subcommand_usage(invoke, args, 
     assert result.stderr == f"{usage}orbifusion {args[0]}: error: unrecognized arguments: {args[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("verify", "--lev", "3"), ("verify", "--suite", "unit", "--lev", "3"), ("dual", "u:0:0", "--lev", "3")],
+)
+def test_a_misspelt_level_is_reported_as_unrecognized_not_as_missing(invoke, args):
+    # argparse checks required options before leftovers; the leftovers are reported first
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    usage = getattr(cli, args[0]).format_usage()
+    assert "[-k K]" not in usage and " -k K" in usage  # the second parse's relaxed requirement is restored
+    assert result.stderr == f"{usage}orbifusion {args[0]}: error: unrecognized arguments: --lev 3\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("verify",), "the following arguments are required: -k/--level"),
+        (("dual", "--level", "2"), "the following arguments are required: A"),
+        (("verify", "--level", "0", "--lev"), "argument -k/--level: 0 is not in the range x>=1"),
+        (("dual", "--level", "2", "u:9:0"), "i out of range: 9 not in 0..2"),
+    ],
+)
+def test_other_usage_errors_keep_their_messages(invoke, args, message):
+    result = invoke(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{getattr(cli, args[0]).format_usage()}orbifusion {args[0]}: error: {message}\n"
+
+
 def test_an_unknown_option_before_the_command_is_reported_with_the_root_usage(invoke):
     result = invoke("--bogus", "glob", "--level", "2")
     assert (result.exit_code, result.stdout) == (2, "")

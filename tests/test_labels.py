@@ -189,6 +189,37 @@ def test_parse_label_range_error_delegated():
             parse_label("u:5:0", k)
 
 
+def test_parse_label_memo_checks_the_level_on_every_call():
+    assert parse_label("u:150:0", 200) == IrrLabel(Sector.U, 150, 0)
+    with pytest.raises(ValueError, match=r"^i out of range: 150 not in 0\.\.3$"):
+        parse_label("u:150:0", 3)
+    with pytest.raises(ValueError, match="^level must be >= 1, got 0$"):
+        parse_label("u:150:0", 0)
+
+
+@pytest.mark.parametrize("text, position", [("u:01:0", 2), ("t1:1:2 ", 6), ("x", 0), ("u:1", 3)])
+def test_parse_label_raises_the_same_syntax_error_on_every_call(text, position):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(LabelSyntaxError) as err:
+            parse_label(text, 3)
+        errors.append((err.value.text, err.value.position, str(err.value)))
+    assert errors[0] == errors[1] and errors[0][1] == position
+
+
+def test_parse_label_memo_keeps_only_exact_strings():
+    from orbifusion.labels import _read_label
+
+    class Text(str):
+        pass
+
+    _read_label.cache_clear()
+    assert parse_label("t2:3:1", 5) == parse_label(Text("t2:3:1"), 5) == IrrLabel(Sector.T2, 3, 1)
+    assert _read_label.cache_info()[:4] == (0, 1, 1024, 1)  # (hits, misses, maxsize, currsize)
+    parse_label("t2:3:1", 4)
+    assert _read_label.cache_info()[:2] == (1, 1)
+
+
 def _raised(call):
     """The type and message ``call()`` raises, or None when it returns."""
     try:

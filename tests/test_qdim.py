@@ -122,6 +122,50 @@ def test_qdim_numeric_has_the_bits_of_the_context_path_at_every_index(k, context
             assert got._mpf_ == context_qdim_numeric(i, k, precision)._mpf_, (i, precision)
 
 
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 50])
+def test_qdim_numeric_memo_gives_the_same_bits_on_a_miss_and_on_a_hit(k, context_qdim_numeric):
+    from orbifusion.qdim import _numeric_ratio
+
+    for precision in (15, 20, 30):
+        for i in range(k + 1):
+            label = make_label(Sector.U, i, 2, k)
+            _numeric_ratio.cache_clear()
+            miss = qdim_numeric(label, k, precision)
+            hit = qdim_numeric(label, k, precision)
+            assert _numeric_ratio.cache_info()[:2] == (1, 1)  # (hits, misses)
+            assert hit is not miss and type(hit) is mpmath.mpf
+            assert miss._mpf_ == hit._mpf_ == context_qdim_numeric(i, k, precision)._mpf_, (i, precision)
+
+
+def test_qdim_numeric_memo_keys_i_and_k_minus_i_apart():
+    from orbifusion.qdim import _numeric_ratio
+
+    k = 9
+    _numeric_ratio.cache_clear()
+    for i in (2, k - 2, 2):
+        qdim_numeric(make_label(Sector.T1, i, 0, k), k, 20)
+    assert _numeric_ratio.cache_info()[:4] == (1, 2, 1024, 2)  # (hits, misses, maxsize, currsize)
+
+
+def test_qdim_exact_memo_keys_i_and_k_minus_i_together():
+    from orbifusion.qdim import _reflected_qdim
+
+    k = 9
+    _reflected_qdim.cache_clear()
+    low, high = qdim_exact(make_label(Sector.U, 2, 0, k), k), qdim_exact(make_label(Sector.T2, k - 2, 1, k), k)
+    assert high is low and low == QDimElement(cheb_u(2), k)
+    assert _reflected_qdim.cache_info()[:2] == (1, 1)
+    with pytest.raises(ValueError, match=r"^i out of range: 10 not in 0\.\.9$"):
+        qdim_exact(make_label(Sector.U, 10, 0, 10), k)  # the label is checked before the memo is read
+
+
+def test_every_memo_is_bounded_at_1024_entries():
+    from orbifusion.labels import _read_label
+    from orbifusion.qdim import _angle, _numeric_ratio, _reflected_qdim
+
+    assert [memo.cache_info().maxsize for memo in (_read_label, _reflected_qdim, _numeric_ratio, _angle)] == [1024] * 4
+
+
 @pytest.mark.parametrize("k", BIT_IDENTITY_LEVELS)
 def test_global_dimension_numeric_has_the_bits_of_fsum(k, context_global_numeric):
     assert global_dimension(k)[1]._mpf_ == context_global_numeric(k)._mpf_
