@@ -129,41 +129,42 @@ class _CommandParser(argparse.ArgumentParser):
     argparse parses a subcommand with ``parse_known_args`` and hands what is
     left up to the root parser, which would report it with the root usage.
     It also checks required arguments before it returns what is left, so
-    ``verify --lev 3`` would be told that ``--level`` is missing.  So on an
-    error the arguments are parsed again with nothing required, and what
-    that leaves over, if anything, is reported instead.
+    ``verify --lev 3`` would be told that ``--level`` is missing.  So when a
+    parse fails, its arguments are parsed once more with nothing required,
+    and what that leaves over, if anything, is reported instead.
     """
 
-    _probing = False
+    _args = None  # the arguments while a parse runs, () while the second parse runs
 
     def parse_known_args(self, args=None, namespace=None):
         self._args = args
-        parsed, extra = super().parse_known_args(args, namespace)
+        try:
+            parsed, extra = super().parse_known_args(args, namespace)
+        finally:
+            self._args = None
         if extra:
             self.error(f"unrecognized arguments: {' '.join(extra)}")
         return parsed, extra
 
     def error(self, message):
-        if self._probing:
-            raise _ProbeFailed
-        required = [action for action in self._actions if action.required]
-        self._probing = True
-        for action in required:
-            action.required = False
-        try:
-            # the same steps as the parse that failed, up to its required check, so no help is printed
-            extra = super().parse_known_args(self._args)[1]
-        except _ProbeFailed:
-            extra = []
-        finally:
-            self._probing = False
+        args = self._args
+        if args == ():  # the second parse failed too: report the first error
+            raise argparse.ArgumentError(None, message)
+        if args is not None:
+            self._args = ()
+            required = [action for action in self._actions if action.required]
             for action in required:
-                action.required = True
-        super().error(f"unrecognized arguments: {' '.join(extra)}" if extra else message)
-
-
-class _ProbeFailed(Exception):
-    """An error met by :class:`_CommandParser`'s second parse, which is not reported."""
+                action.required = False
+            try:
+                extra = super().parse_known_args(args)[1]
+            except argparse.ArgumentError:
+                extra = []
+            finally:
+                for action in required:
+                    action.required = True
+            if extra:
+                message = f"unrecognized arguments: {' '.join(extra)}"
+        super().error(message)
 
 
 _parser = argparse.ArgumentParser(prog="orbifusion", allow_abbrev=False,

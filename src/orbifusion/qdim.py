@@ -171,7 +171,7 @@ def qdim_index(i: int, k: int) -> QDimElement:
     docstring); the reflected index is at most ``k // 2``.
     """
     check_index(i, k)
-    return _qdim(i, k)
+    return _qdim(min(i, k - i), k)
 
 
 def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
@@ -182,17 +182,13 @@ def qdim_exact(label: IrrLabel, k: int) -> QDimElement:
     that share that key share one immutable element.
     """
     check_label(label, k)
-    return _qdim(label.i, k)
-
-
-def _qdim(i: int, k: int) -> QDimElement:
-    """:func:`qdim_index` for an index already checked: the residue of the reflected ``S_i``."""
-    return _reflected_qdim(min(i, k - i), k)
+    i = label.i
+    return _qdim(min(i, k - i), k)
 
 
 @lru_cache(maxsize=1024)
-def _reflected_qdim(m: int, k: int) -> QDimElement:
-    """The element of ``S_m`` at level ``k``, for a reflected index ``m = min(i, k-i)``.
+def _qdim(m: int, k: int) -> QDimElement:
+    """The element of ``S_m`` at level ``k``, for a checked reflected index ``m = min(i, k-i)``.
 
     Memoised per ``(m, k)``, 1024 entries at most, so the reduction and the
     element's checks run once per distinct residue.  ``S_m`` is its own

@@ -320,6 +320,7 @@ def test_a_misspelt_level_is_reported_as_unrecognized_not_as_missing(invoke, arg
     usage = getattr(cli, args[0]).format_usage()
     assert "[-k K]" not in usage and " -k K" in usage  # the second parse's relaxed requirement is restored
     assert result.stderr == f"{usage}orbifusion {args[0]}: error: unrecognized arguments: --lev 3\n"
+    assert getattr(cli, args[0])._args is None  # no parse is left marked as running
 
 
 @pytest.mark.parametrize(
@@ -335,6 +336,7 @@ def test_other_usage_errors_keep_their_messages(invoke, args, message):
     result = invoke(*args)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{getattr(cli, args[0]).format_usage()}orbifusion {args[0]}: error: {message}\n"
+    assert getattr(cli, args[0])._args is None  # no parse is left marked as running
 
 
 def test_an_unknown_option_before_the_command_is_reported_with_the_root_usage(invoke):

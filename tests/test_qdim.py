@@ -148,22 +148,22 @@ def test_qdim_numeric_memo_keys_i_and_k_minus_i_apart():
 
 
 def test_qdim_exact_memo_keys_i_and_k_minus_i_together():
-    from orbifusion.qdim import _reflected_qdim
+    from orbifusion.qdim import _qdim
 
     k = 9
-    _reflected_qdim.cache_clear()
+    _qdim.cache_clear()
     low, high = qdim_exact(make_label(Sector.U, 2, 0, k), k), qdim_exact(make_label(Sector.T2, k - 2, 1, k), k)
     assert high is low and low == QDimElement(cheb_u(2), k)
-    assert _reflected_qdim.cache_info()[:2] == (1, 1)
+    assert _qdim.cache_info()[:2] == (1, 1)
     with pytest.raises(ValueError, match=r"^i out of range: 10 not in 0\.\.9$"):
         qdim_exact(make_label(Sector.U, 10, 0, 10), k)  # the label is checked before the memo is read
 
 
 def test_every_memo_is_bounded_at_1024_entries():
     from orbifusion.labels import _read_label
-    from orbifusion.qdim import _angle, _numeric_ratio, _reflected_qdim
+    from orbifusion.qdim import _angle, _numeric_ratio, _qdim
 
-    assert [memo.cache_info().maxsize for memo in (_read_label, _reflected_qdim, _numeric_ratio, _angle)] == [1024] * 4
+    assert [memo.cache_info().maxsize for memo in (_read_label, _qdim, _numeric_ratio, _angle)] == [1024] * 4
 
 
 @pytest.mark.parametrize("k", BIT_IDENTITY_LEVELS)
