@@ -42,9 +42,14 @@ class ChebPoly:
     coefficient, which keeps everything inside the integers.  Every
     coefficient must be an int (not a bool); anything else, or coefficients
     that are not iterable, raises ``ValueError``.
+
+    Frozen: assigning or deleting an attribute raises ``AttributeError``, so
+    a polynomial can be shared, as :func:`cheb_u` and the quantum-dimension
+    memo share theirs.  The first ``str()`` renders the text and keeps it in
+    a slot; every later ``str()`` of the same object returns that string.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         try:
@@ -57,7 +62,16 @@ class ChebPoly:
             raise ValueError(f"polynomial coefficients must be ints, got {bad!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        _set_coeffs(self, tuple(cs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ChebPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ChebPoly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return ChebPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -143,6 +157,14 @@ class ChebPoly:
         return f"ChebPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:  # the first render; threads that race here store equal texts
+            text = self._render()
+            _set_text(self, text)
+            return text
+
+    def _render(self) -> str:
         if self.is_zero():
             return "0"
         parts: list[str] = []
@@ -175,8 +197,13 @@ def _from_ints(cs: list[int]) -> ChebPoly:
     while cs and cs[-1] == 0:
         cs.pop()
     poly = object.__new__(ChebPoly)
-    poly.coeffs = tuple(cs)
+    _set_coeffs(poly, tuple(cs))
     return poly
+
+
+# the slots' own setters, which the frozen ``__setattr__`` leaves usable to the constructors
+_set_coeffs = ChebPoly.coeffs.__set__
+_set_text = ChebPoly._text.__set__
 
 
 _X = ChebPoly((0, 1))

@@ -29,6 +29,13 @@ lists the outputs with ``i3`` descending, so its sector is ``out - 3``
 (U or T1, where ``e`` is +1), its range ``k - hi .. k - lo`` and its
 charge ``(c + k - (lo + hi) / 2) mod 3``, the one at ``i3 = hi``.
 
+Solved for ``n``, that rule decides membership without listing the
+outputs: a label ``(s3, i3, j3)`` is in the product, with multiplicity 1,
+exactly when ``s3`` is ``sector``, ``lo <= i3 <= hi``, ``i3 = lo (mod 2)``
+and ``j3 = e(sector) (c + (i3 - lo) / 2) mod 3``; otherwise its
+multiplicity is 0.  :func:`fusion_coefficient` answers this way, from the
+key alone.
+
 Each of the paper's formulas is one instance, with ``t`` reduced modulo 3
 and ``m = min(i1, i2)``:
 
@@ -59,7 +66,8 @@ a memo hit returns that shared vector as it is: it builds nothing and
 hashes nothing but its key.  A miss takes its ``(label, 1)`` pairs from the
 level's interned pairs, keyed by the label and built on first use, so the
 work and memory of a call grow with its outputs and a level's memo with
-the products it holds, never with ``k`` alone.
+the products it holds, never with ``k`` alone.  :func:`fusion_coefficient`
+neither reads nor writes the memo.
 """
 
 from __future__ import annotations
@@ -80,18 +88,13 @@ _SIGN = (1, 1, -1)  # e(sector): T2 reads its charge with the opposite sign
 _SECTORS = tuple(Sector)  # indexing a tuple is faster than calling Sector(...)
 
 
-def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
-    """Fusion product of two irreducible modules as a FusionVector.
+def _product_key(a: IrrLabel, b: IrrLabel, k: int) -> tuple[int, int, int, int]:
+    """The key ``(sector, lo, hi, c)`` of ``a x b``'s outputs, after checking ``k``, ``a`` and ``b``.
 
-    ``k``, ``a`` and ``b`` are validated on every call, before the current
-    level's memo (see the module docstring) is read: one inline test of
-    what :func:`check_label` checks, and ``check_label(a, k)`` then
-    ``check_label(b, k)``, for their messages, when it fails.  Every
-    product, the first at a new level too, is built once into that memo
-    and looked up there; the returned vector is immutable and shared with
-    every call that has the same key.
+    The check is one inline test of what :func:`check_label` checks, and
+    ``check_label(a, k)`` then ``check_label(b, k)``, for their messages,
+    when it fails.  ``sector`` is an int index into ``Sector``.
     """
-    global _level_memo
     # inline rather than two check_label calls, which add 110-170 ns to a warm call of about 1 us
     # (k=20, 2-vCPU x86-64 Xeon, Python 3.11)
     if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
@@ -112,15 +115,29 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     hi = s if s <= k else 2 * k - s
     c = (_SIGN[s1] * j1 + _SIGN[s2] * j2 - (s - lo) // 2) % 3  # (s - lo) / 2 is min(i1, i2)
     if out >= 3:  # a wrap: the outputs, reflected, start at i3 = hi (see the module docstring)
-        out -= 3
-        c = (c + k - (lo + hi) // 2) % 3
-        lo, hi = k - hi, k - lo
+        return out - 3, k - hi, k - lo, (c + k - (lo + hi) // 2) % 3
+    return out, lo, hi, c
+
+
+def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
+    """Fusion product of two irreducible modules as a FusionVector.
+
+    ``k``, ``a`` and ``b`` are validated on every call, before the current
+    level's memo (see the module docstring) is read: one inline test of
+    what :func:`check_label` checks, and ``check_label(a, k)`` then
+    ``check_label(b, k)``, for their messages, when it fails.  Every
+    product, the first at a new level too, is built once into that memo
+    and looked up there; the returned vector is immutable and shared with
+    every call that has the same key.
+    """
+    global _level_memo
+    key = _product_key(a, b, k)
     level, memo, pairs = _level_memo
     if level != k:
         level, memo, pairs = _level_memo = (k, {}, {})
-    key = (out, lo, hi, c)
     vector = memo.get(key)
     if vector is None:
+        out, lo, hi, c = key
         sector, sign, items = _SECTORS[out], _SIGN[out], []
         for n, i in enumerate(range(lo, hi + 1, 2)):  # output n is (lo + 2n, e(out) (c + n) mod 3)
             label = tuple.__new__(IrrLabel, (sector, i, sign * (c + n) % 3))
@@ -147,9 +164,17 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory.
 
-    ``k`` and ``c`` are checked first, by :func:`check_label`, then
-    :func:`fuse_irreducible` checks ``a`` and ``b``; ``c`` is then looked
-    up in the product with no further check.
+    ``k`` and ``c`` are checked first, by :func:`check_label`, then ``a``
+    and ``b`` as :func:`fuse_irreducible` checks them.  The answer comes
+    from the product's key ``(sector, lo, hi, c0)`` alone, with no vector
+    built and no memo read or written: ``c = (s, i, j)`` is an output
+    exactly when ``s`` is ``sector``, ``lo <= i <= hi``, ``i = lo (mod 2)``
+    and ``j = e(sector) (c0 + (i - lo) / 2) mod 3`` (see the module
+    docstring), and its multiplicity is then 1.
     """
     check_label(c, k)
-    return fuse_irreducible(a, b, k)._coefficient(c)
+    out, lo, hi, c0 = _product_key(a, b, k)
+    sector, i, j = c
+    if sector is not _SECTORS[out] or not lo <= i <= hi or (i - lo) & 1:
+        return 0
+    return 1 if j == _SIGN[out] * (c0 + (i - lo) // 2) % 3 else 0

@@ -314,10 +314,6 @@ class FusionVector:
         (a string, ``None``, a plain tuple) raises ``ValueError``.
         """
         _check_key(label)
-        return self._coefficient(label)
-
-    def _coefficient(self, label: IrrLabel) -> int:
-        """:meth:`coefficient` of a ``label`` its caller has already checked."""
         for lab, mult in self._items:
             if lab == label:
                 return mult

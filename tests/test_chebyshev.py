@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -259,3 +261,58 @@ def test_str_rendering():
     assert str(poly(-2, 0, 1)) == "x^2 - 2"
     assert str(poly(1, -2, -1, 1)) == "x^3 - x^2 - 2x + 1"
     assert str(poly(36, 18)) == "18x + 36"
+
+
+def _text_of(coeffs):
+    """Reference text of a polynomial, descending powers, written out afresh on every call."""
+    terms = []
+    for power in reversed(range(len(coeffs))):
+        c = coeffs[power]
+        if c:
+            var = "" if power == 0 else "x" if power == 1 else f"x^{power}"
+            mag = str(abs(c)) if abs(c) != 1 or not var else ""
+            terms.append(("-" if c < 0 else "+", mag + var))
+    if not terms:
+        return "0"
+    (sign, first), rest = terms[0], terms[1:]
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+
+def test_a_polynomial_is_frozen():
+    p = poly(1, 2)
+    str(p)
+    for name in ("coeffs", "_text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (3,))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.coeffs == (1, 2) and str(p) == "2x + 1"
+
+
+def test_a_polynomial_renders_its_text_once():
+    for p in (poly(), poly(-1), poly(1, -2, -1, 1), cheb_u(40), poly(3, -1, 2) * 2):
+        first = str(p)
+        assert str(p) is first and first == _text_of(p.coeffs)
+
+
+def test_a_polynomial_copies_and_pickles_as_a_value():
+    for p in (poly(), poly(36, 18), cheb_u(12)):
+        rendered = str(p)
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is ChebPoly and twin == p and hash(twin) == hash(p)
+            assert twin.coeffs == p.coeffs and str(twin) == rendered
+            with pytest.raises(AttributeError):
+                twin.coeffs = (1,)
+
+
+def test_a_quantum_dimension_renders_as_its_uncached_text():
+    # qdim_exact hands out one shared element per reflected index, so the
+    # second str() of each residue is its kept text.
+    from orbifusion.labels import Sector, make_label
+    from orbifusion.qdim import qdim_exact
+
+    for k in (*range(1, 61), 200):
+        for i in range(k + 1):
+            element = qdim_exact(make_label(Sector.T1, i, 2, k), k)
+            want = _text_of(element.residue.coeffs)
+            assert str(element) == want and str(qdim_exact(make_label(Sector.U, i, 0, k), k)) == want, (k, i)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -450,3 +451,25 @@ def test_catalog_and_glob_match_the_reference_path_byte_for_byte(
     for command, got, expected in zip(commands, fast, reference):
         assert got.exit_code == expected.exit_code == 0, command
         assert (got.stdout, got.stderr) == (expected.stdout, expected.stderr), command
+
+
+# SHA-256 of the concatenated stdout of ``glob --level k`` for k = 1..60 and
+# 200, and of ``qdim --level k u:i:0`` for every i at those levels, as the
+# release before residues kept their text printed them.
+_GLOB_DIGEST = "4ffa46cfcd70455c0835f17b9babd4c43a5b245b4c0524807b9ede4c642a79b4"
+_QDIM_DIGEST = "60a808cc7e1116e25a53cfc52f51f1f587a232bb34f407e90440dc73d89dc8c8"
+
+
+def test_glob_and_qdim_print_the_same_bytes_at_every_index(invoke):
+    levels = (*range(1, 61), 200)
+
+    def stdout(*args):
+        result = invoke(*args)
+        assert result.exit_code == 0 and not result.stderr
+        return result.stdout
+
+    for _ in range(2):  # the second pass reads every residue's kept text
+        globs = "".join(stdout("glob", "--level", str(k)) for k in levels)
+        assert hashlib.sha256(globs.encode()).hexdigest() == _GLOB_DIGEST
+    qdims = "".join(stdout("qdim", "--level", str(k), f"u:{i}:0") for k in levels for i in range(k + 1))
+    assert hashlib.sha256(qdims.encode()).hexdigest() == _QDIM_DIGEST

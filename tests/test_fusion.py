@@ -221,6 +221,15 @@ def test_fusion_coefficient_examples():
     ) == 1
 
 
+# At k=7, t1:3:2 x t2:4:1 wraps to u:0:1 + u:2:2 + u:4:0 + u:6:1.  Each of these
+# labels is well formed and misses that product on one condition alone.
+_MISSES_ONLY_ON = {
+    "sector": IrrLabel(Sector.T1, 2, 2),
+    "parity": IrrLabel(Sector.U, 3, 2),
+    "charge": IrrLabel(Sector.U, 2, 0),
+}
+
+
 @pytest.mark.parametrize(
     "a, c, k, message",
     [
@@ -238,6 +247,81 @@ def test_fusion_coefficient_checks_each_argument_with_its_message(a, c, k, messa
     with pytest.raises(ValueError) as err:
         fusion_coefficient(a, vacuum(3), c, k)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("condition", _MISSES_ONLY_ON)
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ((Sector.T1, 3, 2), IrrLabel(Sector.T2, 4, 1), "not an irreducible label: (<Sector.T1: 1>, 3, 2)"),
+        (IrrLabel(Sector.T1, 3, 2), IrrLabel(Sector.T2, 8, 1), "i out of range: 8 not in 0..7"),
+        (IrrLabel(Sector.T1, 3, 2), IrrLabel(Sector.T2, 4, 1.0), "not an irreducible label: (<Sector.T2: 2>, 4, 1.0)"),
+    ],
+)
+def test_fusion_coefficient_checks_a_and_b_before_answering_a_near_miss(a, b, message, condition):
+    # a c that is simply not an output never answers 0 before a and b are checked
+    with pytest.raises(ValueError) as err:
+        fusion_coefficient(a, b, _MISSES_ONLY_ON[condition], 7)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("condition", _MISSES_ONLY_ON)
+def test_each_near_miss_misses_on_its_one_condition(condition):
+    k, a, b = 7, parse_label("t1:3:2", 7), parse_label("t2:4:1", 7)
+    outputs = list(_reference_fuse(a, b, k))
+    assert [c.token() for c in outputs] == ["u:0:1", "u:2:2", "u:4:0", "u:6:1"]
+    near = _MISSES_ONLY_ON[condition]
+    assert fusion_coefficient(a, b, near, k) == 0
+    mend = {"sector": lambda c: c._replace(sector=Sector.U), "parity": lambda c: c._replace(i=c.i - 1)}
+    mended = mend.get(condition, lambda c: c._replace(j=2))(near)
+    assert mended in outputs and fusion_coefficient(a, b, mended, k) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_fusion_coefficient_reads_the_product_on_every_triple(k):
+    labels = enumerate_irreducibles(k)
+    for a in labels:
+        for b in labels:
+            product = fuse_irreducible(a, b, k)
+            assert [fusion_coefficient(a, b, c, k) for c in labels] == [product.coefficient(c) for c in labels]
+
+
+def _wrapping_pair(rng, k):
+    """A random T1 x T2 or T2 x T2 pair, in either order: the twists wrap past sigma^3 = 1."""
+    s1, s2 = rng.choice([(Sector.T1, Sector.T2), (Sector.T2, Sector.T2), (Sector.T2, Sector.T1)])
+    return make_label(s1, rng.randint(0, k), rng.randrange(3), k), make_label(s2, rng.randint(0, k), rng.randrange(3), k)
+
+
+@pytest.mark.parametrize("k", [37, 100, 200])
+def test_fusion_coefficient_reads_the_product_on_random_triples(k):
+    rng = random.Random(k)
+    labels = enumerate_irreducibles(k)
+    wraps = 0
+    for draw in range(600):
+        a, b = _wrapping_pair(rng, k) if draw % 2 else (rng.choice(labels), rng.choice(labels))
+        wraps += a.sector + b.sector >= 3
+        product = fuse_irreducible(a, b, k)
+        # every output, each output's neighbours in i and j and in the other sectors, and a random label
+        near = [c._replace(**change) for c in product for change in (
+            {}, {"i": max(c.i - 1, 0)}, {"i": min(c.i + 1, k)}, {"j": (c.j + 1) % 3}, {"sector": Sector((c.sector + 1) % 3)},
+        )]
+        for c in [*near, rng.choice(labels)]:
+            assert fusion_coefficient(a, b, c, k) == product.coefficient(c), (a, b, c)
+    assert wraps >= 300
+
+
+def test_fusion_coefficient_leaves_the_memo_alone():
+    k = 5
+    a, b = parse_label("t1:3:2", k), parse_label("t2:4:1", k)
+    fuse_irreducible(a, a, k)
+    before = fusion_mod._level_memo
+    level, memo, pairs = before
+    contents = (dict(memo), dict(pairs))
+    for c in enumerate_irreducibles(k):
+        fusion_coefficient(a, b, c, k)
+    for other in (k + 1, k + 2):  # another level neither replaces nor refills it
+        fusion_coefficient(vacuum(other), vacuum(other), vacuum(other), other)
+    assert fusion_mod._level_memo is before and (dict(memo), dict(pairs)) == contents
 
 
 def test_level_mismatch_rejected():

@@ -1,10 +1,14 @@
-"""Seeded weight faults that no suite of ``run_suites`` catches yet.
+"""Seeded faults in the functions ``run_suites`` verifies, and the suites that catch them.
 
-Each case substitutes ``verify.conformal_weight`` with the honest weights
-plus one seeded change and asserts that at least one suite fails.  Every
-case here is a known gap, so each is a strict ``xfail``: a suite that starts
-catching it turns the case into an unexpected pass, which fails the run
-until the mark is removed.
+Each case substitutes one of ``verify``'s functions with the honest one
+plus one seeded change and asserts which suites fail.
+
+* Fusion, dual and quantum-dimension faults: the exact set of suites that
+  fail, at k = 2, 3 and 8, so a suite that stops catching a fault, or
+  starts failing for another reason, is seen.
+* Weight faults that no suite catches yet: each is a strict ``xfail``, so
+  a suite that starts catching one turns it into an unexpected pass, which
+  fails the run until the mark is removed.
 """
 
 from fractions import Fraction
@@ -12,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 import orbifusion.verify as verify_mod
-from orbifusion.fusion import contragredient
-from orbifusion.labels import parse_label
+from orbifusion.fusion import contragredient, fuse_irreducible
+from orbifusion.labels import FusionVector, parse_label
+from orbifusion.qdim import qdim_exact, qdim_index
 from orbifusion.verify import SUITES, run_suites
 from orbifusion.weights import conformal_weight
 
@@ -28,11 +33,71 @@ UNCHECKED_WEIGHTS = (
 )
 
 
+def _failing_suites(k):
+    """Names of the suites of ``verify --level k`` (all but the level-1 oracle) that fail."""
+    names = [name for name in SUITES if name != "oracle"]
+    return {report.suite for report in run_suites(names, k) if not report.passed}
+
+
 def _suites_failing_with(monkeypatch, k, change):
     """Names of the suites that fail at ``k`` when ``change(token, weight, k)`` gives each label's weight."""
     monkeypatch.setattr(verify_mod, "conformal_weight", lambda lab, k: change(lab.token(), conformal_weight(lab, k), k))
-    names = [name for name in SUITES if name != "oracle"]
-    return [report.suite for report in run_suites(names, k) if not report.passed]
+    return _failing_suites(k)
+
+
+def _outputs_changed(change):
+    """A fault that rewrites the items of u:1:0 x u:1:0 (outputs u:0:j and u:2:j') by ``change(items)``."""
+
+    def install(monkeypatch, k):
+        square = parse_label("u:1:0", k)
+
+        def fuse(a, b, k):
+            product = fuse_irreducible(a, b, k)
+            return FusionVector(change(list(product.items()))) if a == b == square else product
+
+        monkeypatch.setattr(verify_mod, "fuse_irreducible", fuse)
+
+    return install
+
+
+def _duals_swapped(monkeypatch, k):
+    """u:1:0 takes the dual of u:1:2 (itself) and u:1:2 that of u:1:0 (u:1:1): no longer an involution."""
+    a, b = parse_label("u:1:0", k), parse_label("u:1:2", k)
+    swapped = {a: contragredient(b, k), b: contragredient(a, k)}
+    monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: swapped.get(lab) or contragredient(lab, k))
+
+
+def _qdim_of_another_index(monkeypatch, k):
+    """u:1:0 takes the quantum dimension of index 0, which is 1."""
+    moved = parse_label("u:1:0", k)
+    monkeypatch.setattr(verify_mod, "qdim_exact", lambda lab, k: qdim_index(0, k) if lab == moved else qdim_exact(lab, k))
+
+
+# Each fault with the exact set of suites that fail on it, the same at k = 2, 3 and 8.  No suite
+# reads a label's qdim through its j, so a moved j is caught by assoc and dual alone.
+FAULTS = {
+    "drop one output": (_outputs_changed(lambda items: items[:-1]), {"assoc", "dual", "qdim"}),
+    "double one output": (_outputs_changed(lambda items: [(items[0][0], 2), *items[1:]]), {"assoc", "dual", "qdim"}),
+    "move one output's j": (
+        _outputs_changed(lambda items: [(items[0][0]._replace(j=(items[0][0].j + 1) % 3), 1), *items[1:]]),
+        {"assoc", "dual"},
+    ),
+    "swap two labels' duals": (_duals_swapped, {"dual"}),
+    "give one label another index's qdim": (_qdim_of_another_index, {"dual", "qdim"}),
+}
+
+
+@pytest.mark.parametrize("k", LEVELS)
+def test_the_honest_functions_fail_no_suite(k):
+    assert _failing_suites(k) == set()
+
+
+@pytest.mark.parametrize("k", LEVELS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_seeded_fault_fails_exactly_its_suites(monkeypatch, k, fault):
+    install, expected = FAULTS[fault]
+    install(monkeypatch, k)
+    assert _failing_suites(k) == expected
 
 
 def _twins(k):
