@@ -222,7 +222,7 @@ def test_fusion_coefficient_examples():
 
 
 # At k=7, t1:3:2 x t2:4:1 wraps to u:0:1 + u:2:2 + u:4:0 + u:6:1.  Each of these
-# labels is well formed and misses that product on one condition alone.
+# labels differs from the output u:2:2 in one field and so misses the product on one condition alone.
 _MISSES_ONLY_ON = {
     "sector": IrrLabel(Sector.T1, 2, 2),
     "parity": IrrLabel(Sector.U, 3, 2),
@@ -268,13 +268,10 @@ def test_fusion_coefficient_checks_a_and_b_before_answering_a_near_miss(a, b, me
 @pytest.mark.parametrize("condition", _MISSES_ONLY_ON)
 def test_each_near_miss_misses_on_its_one_condition(condition):
     k, a, b = 7, parse_label("t1:3:2", 7), parse_label("t2:4:1", 7)
-    outputs = list(_reference_fuse(a, b, k))
-    assert [c.token() for c in outputs] == ["u:0:1", "u:2:2", "u:4:0", "u:6:1"]
-    near = _MISSES_ONLY_ON[condition]
-    assert fusion_coefficient(a, b, near, k) == 0
-    mend = {"sector": lambda c: c._replace(sector=Sector.U), "parity": lambda c: c._replace(i=c.i - 1)}
-    mended = mend.get(condition, lambda c: c._replace(j=2))(near)
-    assert mended in outputs and fusion_coefficient(a, b, mended, k) == 1
+    assert [c.token() for c in _reference_fuse(a, b, k)] == ["u:0:1", "u:2:2", "u:4:0", "u:6:1"]
+    near, output = _MISSES_ONLY_ON[condition], parse_label("u:2:2", k)
+    assert sum(x != y for x, y in zip(near, output)) == 1
+    assert fusion_coefficient(a, b, near, k) == 0 and fusion_coefficient(a, b, output, k) == 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))
