@@ -53,21 +53,35 @@ In every product each output label occurs with multiplicity exactly 1.
 A product's outputs name it, so :func:`fuse_irreducible` remembers the
 products of one level at a time, keyed by the tuple ``(sector, lo, hi,
 c)``: one key per distinct product (1,089 keys for the 35,721 ordered pairs
-at k=20), and both orders of a pair have one key.  Every call validates
-``k`` and both labels before any lookup, in one inline test of the
-conditions :func:`check_level` and :func:`check_label` enforce.  A call at
-a level other than the remembered one first replaces the memo with a fresh,
-empty one for its level; every call then reads the memo and, on a miss,
-builds its product and stores it.  The memo keeps the last level's products
-until a call at another level replaces it: after every ordered pair at k=50
-it holds 6,084 products, about 2.0 MB still traced by ``tracemalloc`` once
-the results are dropped.  Each is one immutable :class:`FusionVector`, and
-a memo hit returns that shared vector as it is: it builds nothing and
-hashes nothing but its key.  A miss takes its ``(label, 1)`` pairs from the
-level's interned pairs, keyed by the label and built on first use, so the
-work and memory of a call grow with its outputs and a level's memo with
-the products it holds, never with ``k`` alone.  :func:`fusion_coefficient`
-neither reads nor writes the memo.
+at k=20), and both orders of a pair have one key.  Beside that memo the
+level keeps a table of the operands checked there, keyed by label: each
+entry holds the label object itself and the three ints the key needs, its
+sector, ``i`` and ``e(sector) j``.  A call whose ``k`` is an int equal to
+the level, and whose operands are each the very object their entry holds,
+is checked by identity and reads the key's inputs from the two entries.
+Any other call validates ``k`` and both labels in full, in one inline test
+of the conditions :func:`check_level` and :func:`check_label` enforce, with
+``check_label(a, k)`` then ``check_label(b, k)`` for their messages when it
+fails, and then adds each operand that is a plain :class:`IrrLabel` to the
+table.  So an operand that only equals a checked label (a plain tuple, an
+int sector, a bool index) or cannot be hashed raises the same message, in
+the same order, as on a first call.  ``verify`` fuses the labels of one
+``enumerate_irreducibles(k)`` list with each other, so every call after
+its first row is checked by identity.  A call at a level other than the
+remembered one first replaces the memo and the table, together, with
+fresh, empty ones for its level: the table lives and dies with its level's
+memo.  Every call then reads the memo and, on a miss, builds its product
+and stores it.  The memo keeps the last level's products until a call at
+another level replaces it: after every ordered pair at k=50 it holds 6,084
+products, about 2.0 MB still traced by ``tracemalloc`` once the results
+are dropped.  Each is one immutable :class:`FusionVector`, and a memo hit
+returns that shared vector as it is: it builds nothing and hashes nothing
+but its key.  A miss takes its ``(label, 1)`` pairs from the level's
+interned pairs, keyed by the label and built on first use, so the work and
+memory of a call grow with its outputs and a level's memo with the
+products it holds, never with ``k`` alone.  :func:`fusion_coefficient`
+checks its operands in full on every call and neither reads nor writes the
+memo or the table.
 """
 
 from __future__ import annotations
@@ -76,26 +90,28 @@ from .labels import FusionVector, IrrLabel, Sector, check_label
 
 __all__ = ["fuse_irreducible", "contragredient", "fusion_coefficient"]
 
-# (k, memo, pairs) for the current level: ``memo`` maps the key
-# (sector, lo, hi, c) of a product's outputs to the product's vector, and
+# (k, memo, pairs, known) for the current level: ``memo`` maps the key
+# (sector, lo, hi, c) of a product's outputs to the product's vector,
 # ``pairs`` maps each label the level's products used to its one interned
-# ``(label, 1)`` pair.
+# ``(label, 1)`` pair, and ``known`` maps each plain label checked in full
+# at the level to its entry (label, sector, i, e(sector) j).
 # ``fuse_irreducible`` reads the binding once and only ever replaces it
-# whole, so a concurrent switch of levels can never serve a product from
-# another level.
-_level_memo: tuple = (0, {}, {})
+# whole, so a concurrent switch of levels can never serve a product, or an
+# operand's check, from another level.
+_level_memo: tuple = (0, {}, {}, {})
 _SIGN = (1, 1, -1)  # e(sector): T2 reads its charge with the opposite sign
 _SECTORS = tuple(Sector)  # indexing a tuple is faster than calling Sector(...)
+_UNKNOWN = (object(),)  # the entry of an operand not in ``known``: no operand is its first item
 
 
-def _product_key(a: IrrLabel, b: IrrLabel, k: int) -> tuple[int, int, int, int]:
-    """The key ``(sector, lo, hi, c)`` of ``a x b``'s outputs, after checking ``k``, ``a`` and ``b``.
+def _entries(a: IrrLabel, b: IrrLabel, k: int) -> tuple[tuple, tuple]:
+    """The entries ``(label, sector, i, e(sector) j)`` of ``a`` and ``b``, after checking ``k``, ``a`` and ``b``.
 
     The check is one inline test of what :func:`check_label` checks, and
     ``check_label(a, k)`` then ``check_label(b, k)``, for their messages,
-    when it fails.  ``sector`` is an int index into ``Sector``.
+    when it fails.
     """
-    # inline rather than two check_label calls, which add 110-170 ns to a warm call of about 1 us
+    # inline rather than two check_label calls, which add 110-170 ns to a call of about 1 us
     # (k=20, 2-vCPU x86-64 Xeon, Python 3.11)
     if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
         (s1, i1, j1), (s2, i2, j2) = a, b
@@ -110,10 +126,17 @@ def _product_key(a: IrrLabel, b: IrrLabel, k: int) -> tuple[int, int, int, int]:
         check_label(a, k)
         check_label(b, k)
         (s1, i1, j1), (s2, i2, j2) = a, b
+    return (a, s1, i1, _SIGN[s1] * j1), (b, s2, i2, _SIGN[s2] * j2)
+
+
+def _key(fa: tuple, fb: tuple, k: int) -> tuple[int, int, int, int]:
+    """The key ``(sector, lo, hi, c)`` of the product of two checked operands, from their entries."""
+    _, s1, i1, j1 = fa
+    _, s2, i2, j2 = fb
     s, out = i1 + i2, s1 + s2
     lo = i1 - i2 if i1 > i2 else i2 - i1
     hi = s if s <= k else 2 * k - s
-    c = (_SIGN[s1] * j1 + _SIGN[s2] * j2 - (s - lo) // 2) % 3  # (s - lo) / 2 is min(i1, i2)
+    c = (j1 + j2 - (s - lo) // 2) % 3  # (s - lo) / 2 is min(i1, i2)
     if out >= 3:  # a wrap: the outputs, reflected, start at i3 = hi (see the module docstring)
         return out - 3, k - hi, k - lo, (c + k - (lo + hi) // 2) % 3
     return out, lo, hi, c
@@ -122,19 +145,36 @@ def _product_key(a: IrrLabel, b: IrrLabel, k: int) -> tuple[int, int, int, int]:
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
-    ``k``, ``a`` and ``b`` are validated on every call, before the current
-    level's memo (see the module docstring) is read: one inline test of
-    what :func:`check_label` checks, and ``check_label(a, k)`` then
-    ``check_label(b, k)``, for their messages, when it fails.  Every
-    product, the first at a new level too, is built once into that memo
-    and looked up there; the returned vector is immutable and shared with
-    every call that has the same key.
+    ``k``, ``a`` and ``b`` are validated before the current level's memo
+    (see the module docstring) is read.  When ``k`` is an int equal to the
+    memo's level and each operand is the very label object that the
+    level's table of checked operands holds, that identity is the check.
+    Otherwise all three are checked in full: one inline test of what
+    :func:`check_label` checks, and ``check_label(a, k)`` then
+    ``check_label(b, k)``, for their messages, when it fails; each operand
+    that passes as a plain :class:`IrrLabel` then joins the table, which is
+    replaced with the memo on a switch of levels.  Every product, the first
+    at a new level too, is built once into that memo and looked up there;
+    the returned vector is immutable and shared with every call that has
+    the same key.
     """
     global _level_memo
-    key = _product_key(a, b, k)
-    level, memo, pairs = _level_memo
-    if level != k:
-        level, memo, pairs = _level_memo = (k, {}, {})
+    level, memo, pairs, known = _level_memo
+    fa = fb = _UNKNOWN
+    if type(k) is int and k == level:
+        try:
+            fa, fb = known.get(a, _UNKNOWN), known.get(b, _UNKNOWN)
+        except TypeError:  # an unhashable operand is no label: the full check names it
+            pass
+    if fa[0] is not a or fb[0] is not b:
+        fa, fb = _entries(a, b, k)
+        if level != k:
+            level, memo, pairs, known = _level_memo = (k, {}, {}, {})
+        if type(a) is IrrLabel:  # checked, so it hashes; a subclass may define its own hash
+            known[a] = fa
+        if type(b) is IrrLabel:
+            known[b] = fb
+    key = _key(fa, fb, k)
     vector = memo.get(key)
     if vector is None:
         out, lo, hi, c = key
@@ -165,15 +205,17 @@ def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory.
 
     ``k`` and ``c`` are checked first, by :func:`check_label`, then ``a``
-    and ``b`` as :func:`fuse_irreducible` checks them.  The answer comes
-    from the product's key ``(sector, lo, hi, c0)`` alone, with no vector
-    built and no memo read or written: ``c = (s, i, j)`` is an output
-    exactly when ``s`` is ``sector``, ``lo <= i <= hi``, ``i = lo (mod 2)``
-    and ``j = e(sector) (c0 + (i - lo) / 2) mod 3`` (see the module
-    docstring), and its multiplicity is then 1.
+    and ``b`` in full, as :func:`fuse_irreducible` checks operands it has
+    not seen at the level.  The answer comes from the product's key
+    ``(sector, lo, hi, c0)`` alone, with no vector built and neither the
+    memo nor the table of checked operands read or written: ``c = (s, i,
+    j)`` is an output exactly when ``s`` is ``sector``, ``lo <= i <= hi``,
+    ``i = lo (mod 2)`` and ``j = e(sector) (c0 + (i - lo) / 2) mod 3`` (see
+    the module docstring), and its multiplicity is then 1.
     """
     check_label(c, k)
-    out, lo, hi, c0 = _product_key(a, b, k)
+    fa, fb = _entries(a, b, k)
+    out, lo, hi, c0 = _key(fa, fb, k)
     sector, i, j = c
     if sector is not _SECTORS[out] or not lo <= i <= hi or (i - lo) & 1:
         return 0

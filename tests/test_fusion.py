@@ -312,13 +312,16 @@ def test_fusion_coefficient_leaves_the_memo_alone():
     a, b = parse_label("t1:3:2", k), parse_label("t2:4:1", k)
     fuse_irreducible(a, a, k)
     before = fusion_mod._level_memo
-    level, memo, pairs = before
+    level, memo, pairs, known = before
     contents = (dict(memo), dict(pairs))
+    checked = dict(known)
     for c in enumerate_irreducibles(k):
         fusion_coefficient(a, b, c, k)
     for other in (k + 1, k + 2):  # another level neither replaces nor refills it
         fusion_coefficient(vacuum(other), vacuum(other), vacuum(other), other)
     assert fusion_mod._level_memo is before and (dict(memo), dict(pairs)) == contents
+    # nor does it add to the table of checked operands: b was never fused at k
+    assert known == checked and list(known) == [a] and known[a][0] is a
 
 
 def test_level_mismatch_rejected():
@@ -479,11 +482,18 @@ def test_fuse_irreducible_shares_one_vector_per_distinct_product():
 def test_the_first_call_at_a_new_level_stores_its_product(k, a, b):
     a, b = parse_label(a, k), parse_label(b, k)
     fuse_irreducible(a, b, k + 1)  # so that the next call is the first at k
+    elsewhere = parse_label("t1:0:1", k + 1)  # an operand checked at k + 1 only
+    fuse_irreducible(elsewhere, elsewhere, k + 1)
+    previous = fusion_mod._level_memo[3]
+    assert previous[elsewhere][0] is elsewhere
     vector = fuse_irreducible(a, b, k)
-    level, memo, pairs = fusion_mod._level_memo
+    level, memo, pairs, known = fusion_mod._level_memo
     assert level == k and vector == _reference_fuse(a, b, k)
     assert list(memo) == [_output_key(a, b, k)] and memo[_output_key(a, b, k)] is vector
     assert list(pairs) == list(vector) and all(pairs[c] is pair for c, pair in zip(vector, vector.items()))
+    # a fresh table for the new level, holding only the operands fused there, each as its own object
+    assert known is not previous and known == {c: (c, c.sector, c.i, _EPS[c.sector] * c.j) for c in (a, b)}
+    assert all(known[c][0] is c for c in (a, b))
     assert fuse_irreducible(b, a, k) is vector and len(memo) == 1
 
 
@@ -602,6 +612,35 @@ def test_fuse_irreducible_refuses_malformed_operands(bad, message, position):
     with pytest.raises(ValueError) as info:
         fuse_irreducible(*operands, _K)
     assert str(info.value) == message
+
+
+# Each malformed operand that equals, or stands for, a label already checked, with that label's
+# text, the level it was fused at, the level of the call and the message the call must raise.
+_TWINNED_OPERANDS = [
+    ((Sector.U, 1, 0), "u:1:0", 3, 3, f"not an irreducible label: {(Sector.U, 1, 0)!r}"),
+    (IrrLabel(Sector.U, True, 0), "u:1:0", 3, 3, f"not an irreducible label: {(Sector.U, True, 0)!r}"),
+    (IrrLabel(0, 1, 0), "u:1:0", 3, 3, "not an irreducible label: (0, 1, 0)"),  # equal to u:1:0, same hash
+    (IrrLabel(Sector.U, [1], 0), "u:1:0", 3, 3, f"not an irreducible label: {(Sector.U, [1], 0)!r}"),
+    (None, "u:3:0", 3, 2, "i out of range: 3 not in 0..2"),  # the checked label itself, one level down
+]
+
+
+@pytest.mark.parametrize("bad, text, level, k, message", _TWINNED_OPERANDS)
+@pytest.mark.parametrize("position", ["left", "right"])
+def test_a_checked_twin_does_not_pass_a_malformed_operand(bad, text, level, k, message, position):
+    # The twin is in the table of checked operands, but only the very object
+    # stored there, at the table's level, skips the full check.
+    twin, good = parse_label(text, level), parse_label("u:1:0", level)
+    fuse_irreducible(twin, good, level)
+    assert fusion_mod._level_memo[3][twin][0] is twin
+    bad = twin if bad is None else bad
+    operands = (bad, good) if position == "left" else (good, bad)
+    with pytest.raises(ValueError) as info:
+        fuse_irreducible(*operands, k)
+    assert str(info.value) == message
+    sub = _LabelSubclass(*twin)  # equal to the twin and not it: checked in full, and fine
+    want = _reference_fuse(twin, good, level)
+    assert fuse_irreducible(sub, good, level) == fuse_irreducible(twin, good, level) == want
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,11 @@ def _outputs_changed(change):
     return install
 
 
+def _operand(items):
+    """u:1:0, from the first output u:0:j of its square: no output of it, since its i has the wrong parity."""
+    return items[0][0]._replace(i=1, j=0)
+
+
 def _duals_swapped(monkeypatch, k):
     """u:1:0 takes the dual of u:1:2 (itself) and u:1:2 that of u:1:0 (u:1:1): no longer an involution."""
     a, b = parse_label("u:1:0", k), parse_label("u:1:2", k)
@@ -78,6 +83,8 @@ def _qdim_of_another_index(monkeypatch, k):
 FAULTS = {
     "drop one output": (_outputs_changed(lambda items: items[:-1]), {"assoc", "dual", "qdim"}),
     "double one output": (_outputs_changed(lambda items: [(items[0][0], 2), *items[1:]]), {"assoc", "dual", "qdim"}),
+    "add one output": (_outputs_changed(lambda items: [*items, (_operand(items), 1)]), {"assoc", "dual", "qdim"}),
+    "replace one output": (_outputs_changed(lambda items: [(_operand(items), 1), *items[1:]]), {"assoc", "dual", "qdim"}),
     "move one output's j": (
         _outputs_changed(lambda items: [(items[0][0]._replace(j=(items[0][0].j + 1) % 3), 1), *items[1:]]),
         {"assoc", "dual"},
