@@ -59,13 +59,11 @@ entry holds the label object itself and the three ints the key needs, its
 sector, ``i`` and ``e(sector) j``.  A call whose ``k`` is an int equal to
 the level, and whose operands are each the very object their entry holds,
 is checked by identity and reads the key's inputs from the two entries.
-Any other call validates ``k`` and both labels in full, in one inline test
-of the conditions :func:`check_level` and :func:`check_label` enforce, with
-``check_label(a, k)`` then ``check_label(b, k)`` for their messages when it
-fails, and then adds each operand that is a plain :class:`IrrLabel` to the
-table.  So an operand that only equals a checked label (a plain tuple, an
-int sector, a bool index) or cannot be hashed raises the same message, in
-the same order, as on a first call.  ``verify`` fuses the labels of one
+Any other call checks ``check_label(a, k)`` then ``check_label(b, k)``, and
+then adds each operand that is a plain :class:`IrrLabel` to the table.  So
+an operand that only equals a checked label (a plain tuple, an int sector,
+a bool index) or cannot be hashed raises the same message, in the same
+order, as on a first call.  ``verify`` fuses the labels of one
 ``enumerate_irreducibles(k)`` list with each other, so every call after
 its first row is checked by identity.  A call at a level other than the
 remembered one first replaces the memo and the table, together, with
@@ -105,27 +103,10 @@ _UNKNOWN = (object(),)  # the entry of an operand not in ``known``: no operand i
 
 
 def _entries(a: IrrLabel, b: IrrLabel, k: int) -> tuple[tuple, tuple]:
-    """The entries ``(label, sector, i, e(sector) j)`` of ``a`` and ``b``, after checking ``k``, ``a`` and ``b``.
-
-    The check is one inline test of what :func:`check_label` checks, and
-    ``check_label(a, k)`` then ``check_label(b, k)``, for their messages,
-    when it fails.
-    """
-    # inline rather than two check_label calls, which add 110-170 ns to a call of about 1 us
-    # (k=20, 2-vCPU x86-64 Xeon, Python 3.11)
-    if type(a) is IrrLabel and type(b) is IrrLabel and type(k) is int:
-        (s1, i1, j1), (s2, i2, j2) = a, b
-        valid = (
-            type(s1) is Sector and type(i1) is int and type(j1) is int
-            and type(s2) is Sector and type(i2) is int and type(j2) is int
-            and k >= 1 and 0 <= i1 <= k and 0 <= i2 <= k and 0 <= j1 <= 2 and 0 <= j2 <= 2
-        )
-    else:
-        valid = False
-    if not valid:  # raises the checks' own messages; an IrrLabel subclass passes them
-        check_label(a, k)
-        check_label(b, k)
-        (s1, i1, j1), (s2, i2, j2) = a, b
+    """The entries ``(label, sector, i, e(sector) j)`` of ``a`` and ``b``, after ``check_label(a, k)`` then ``check_label(b, k)``."""
+    check_label(a, k)
+    check_label(b, k)
+    (s1, i1, j1), (s2, i2, j2) = a, b
     return (a, s1, i1, _SIGN[s1] * j1), (b, s2, i2, _SIGN[s2] * j2)
 
 
@@ -145,18 +126,11 @@ def _key(fa: tuple, fb: tuple, k: int) -> tuple[int, int, int, int]:
 def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     """Fusion product of two irreducible modules as a FusionVector.
 
-    ``k``, ``a`` and ``b`` are validated before the current level's memo
-    (see the module docstring) is read.  When ``k`` is an int equal to the
-    memo's level and each operand is the very label object that the
-    level's table of checked operands holds, that identity is the check.
-    Otherwise all three are checked in full: one inline test of what
-    :func:`check_label` checks, and ``check_label(a, k)`` then
-    ``check_label(b, k)``, for their messages, when it fails; each operand
-    that passes as a plain :class:`IrrLabel` then joins the table, which is
-    replaced with the memo on a switch of levels.  Every product, the first
-    at a new level too, is built once into that memo and looked up there;
-    the returned vector is immutable and shared with every call that has
-    the same key.
+    Raises ``ValueError`` unless ``a`` and ``b`` pass :func:`check_label`
+    at level ``k``, with the message of ``check_label(a, k)`` and then of
+    ``check_label(b, k)``.  The returned vector is immutable and shared
+    with every call of the level that has the same product (see the
+    module docstring).
     """
     global _level_memo
     level, memo, pairs, known = _level_memo
@@ -204,14 +178,10 @@ def contragredient(label: IrrLabel, k: int) -> IrrLabel:
 def fusion_coefficient(a: IrrLabel, b: IrrLabel, c: IrrLabel, k: int) -> int:
     """Multiplicity of ``c`` in ``a (x) b``; always 0 or 1 in this theory.
 
-    ``k`` and ``c`` are checked first, by :func:`check_label`, then ``a``
-    and ``b`` in full, as :func:`fuse_irreducible` checks operands it has
-    not seen at the level.  The answer comes from the product's key
-    ``(sector, lo, hi, c0)`` alone, with no vector built and neither the
-    memo nor the table of checked operands read or written: ``c = (s, i,
-    j)`` is an output exactly when ``s`` is ``sector``, ``lo <= i <= hi``,
-    ``i = lo (mod 2)`` and ``j = e(sector) (c0 + (i - lo) / 2) mod 3`` (see
-    the module docstring), and its multiplicity is then 1.
+    Raises ``ValueError`` unless ``c``, ``a`` and ``b`` pass
+    :func:`check_label` at level ``k``, checked in that order.  The answer
+    is read from the product's key by the membership rule of the module
+    docstring.
     """
     check_label(c, k)
     fa, fb = _entries(a, b, k)

@@ -129,19 +129,20 @@ def check_label(label: IrrLabel, k: int) -> None:
         if type(sector) is Sector and type(i) is int and type(j) is int and 1 <= k and 0 <= i <= k and 0 <= j <= 2:
             return
     check_level(k)
-    _check_fields(label, k)
+    _, i, j = _typed_fields(label)
+    _check_range(i, k)
+    if not 0 <= j <= 2:
+        raise ValueError(f"j out of range: {j} not in 0..2")
 
 
-def _check_fields(label: IrrLabel, k: int) -> None:
-    """:func:`check_label` without its level check: ``k`` must already be a valid level."""
+def _typed_fields(label: IrrLabel) -> IrrLabel:
+    """``label`` itself once it is an :class:`IrrLabel` holding a :class:`Sector`, an int ``i`` and an int ``j``."""
     if not isinstance(label, IrrLabel):
         raise ValueError(f"not an irreducible label: {label!r}")
     sector, i, j = label
     if type(sector) is not Sector or type(i) is not int or type(j) is not int:
         raise ValueError(f"not an irreducible label: {tuple(label)!r}")
-    _check_range(i, k)
-    if not 0 <= j <= 2:
-        raise ValueError(f"j out of range: {j} not in 0..2")
+    return label
 
 
 def make_label(sector: Sector, i: int, j: int, k: int) -> IrrLabel:
@@ -344,10 +345,8 @@ class FusionVector:
 
 def _check_key(label: IrrLabel) -> None:
     """The level-free label check of a vector's keys: :func:`check_label` without ``i <= k``."""
-    if not isinstance(label, IrrLabel):
-        raise ValueError(f"not an irreducible label: {label!r}")
-    sector, i, j = label
-    if type(sector) is not Sector or type(i) is not int or type(j) is not int or i < 0 or not 0 <= j <= 2:
+    _, i, j = _typed_fields(label)
+    if i < 0 or not 0 <= j <= 2:
         raise ValueError(f"not an irreducible label: {tuple(label)!r}")
 
 

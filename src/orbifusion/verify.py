@@ -18,29 +18,26 @@ stops growing.  When S holds every label, all n^3 triples associate.  The
 honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 Both sides of a triple are integer ids of multisets, and a row of triples
 is one comparison of two lists of ints.  The table's own product ids name
-the multisets it holds (``canon`` maps each id to the first with equal
-outputs), and a right side g x p the table lacks takes a new id in a
-per-generator overlay.  Where g x b is one label s, the left sides are s's
-row through ``canon``: u:0:1 and t1:0:0 take that path on every b.  Where
-it is two labels, each left side comes from a per-generator memo of
-two-product sums keyed by the pair of product ids.  The memo is filled by
-u:1:0 alone; it holds 22,491 keys at k=50 and 89,991 at k=100, and the
-maximum RSS of ``verify`` is about 2 MB and 9.5 MB higher for it there.
+the multisets it holds, and a right side g x p the table lacks takes a new
+id in a per-generator overlay.  Where g x b is one label s, the left sides
+are s's row of ids: u:0:1 and t1:0:0 take that path on every b.  Where it
+is two labels, each left side comes from a per-generator memo of
+two-product sums keyed by the pair of product ids.
 
 Suites run through :func:`run_suites`, which builds one integer table of
 all n^2 products, multiplicities kept, and shares it among the suites it
 runs; ``catalog`` reads only its labels.  Every distinct product has an
 integer id, and the table holds each distinct product's outputs once, by
-id, and the id of every pair (1089 ids for 35,721 pairs at k=20).  Its
-rows of ids live in a memo keyed by the left factor: a row is built the
-first time a suite reads it, with one ``fuse_irreducible`` call per pair,
-and kept, so a run fuses only the rows its suites read (``unit`` the
-vacuum row, ``catalog`` none) and each ordered pair at most once.  A row
-is built without a Python-level loop: ``fuse_irreducible`` is mapped over
-the row's right factors and its vectors are mapped to ids.  A suite does
-its per-product work once per id: ``comm`` compares ids, ``assoc`` names
-the right sides a x (b x c) once per id and generator, and ``qdim`` sums a
-product's quantum dimensions once per id.
+id, and the id of every pair.  Its rows of ids live in a memo keyed by the
+left factor: a row is built the first time a suite reads it, with one
+``fuse_irreducible`` call per pair, and kept, so a run fuses only the rows
+its suites read (``unit`` the vacuum row, ``catalog`` none) and each
+ordered pair at most once.  A row is built without a Python-level loop:
+``fuse_irreducible`` is mapped over the row's right factors and its
+vectors are mapped to ids.  A suite does its per-product work once per id:
+``comm`` compares ids, ``assoc`` names the right sides a x (b x c) once
+per id and generator, and ``qdim`` sums a product's quantum dimensions
+once per id.
 The table also keeps three per-label memos, ``weight``, ``qdim`` and
 ``dual``, keyed by label and filled on first use by ``conformal_weight``,
 ``qdim_exact`` and ``contragredient``; ``catalog``, ``dual``, ``qdim`` and
@@ -299,16 +296,13 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     """(a x b) x c = a x (b x c) on every triple, proven from generators.
 
     Both sides of every triple are integer ids of multisets of labels.
-    ``first`` maps each distinct tuple of ``table.outputs`` to the first id
-    that holds it, and ``canon[p]`` is that id for product ``p``: the
-    identity on the honest table, whose outputs are distinct, but not on a
-    table that holds equal outputs under two ids.  For each generator
-    ``a``, ``right[p]`` is the id of the multiset a x p, so a x (b x c) is
-    ``right[ids[b][c]]``; a multiset the table does not hold gets an id of
-    ``len(outputs)`` or more in ``overlay``.  The left side (a x b) x c
-    depends on the outputs of a x b: for one label s it is
-    ``canon[ids[s][c]]``, with no multiset built; for two, s1 and s2, it
-    comes from ``pair_sum``, a memo keyed by
+    ``first`` maps each product's outputs to its id, which the table gives
+    no other product.  For each generator ``a``, ``right[p]`` is the id of
+    the multiset a x p, so a x (b x c) is ``right[ids[b][c]]``; a multiset
+    the table does not hold gets an id of ``len(outputs)`` or more in
+    ``overlay``.  The left side (a x b) x c depends on the outputs of
+    a x b: for one label s it is ``ids[s][c]``, with no multiset built; for
+    two, s1 and s2, it comes from ``pair_sum``, a memo keyed by
     ``len(outputs) * ids[s1][c] + ids[s2][c]`` whose value is the id of the
     sorted union, or -1 when no right side of ``a`` is that multiset, so it
     equals no right side; otherwise it is the merged multiset, looked up
@@ -317,8 +311,8 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     failing triple for its message.  ``overlay`` and ``pair_sum`` are
     dropped when ``a`` is done.  Only u:1:0 fills the memo on the honest
     table: 3,591 keys at k=20, 22,491 at k=50 and 89,991 at k=100, where
-    ``verify``'s maximum RSS reads about 2 MB and 9.5 MB higher for it.
-    ``table`` is only read.
+    ``verify``'s maximum RSS reads about 2 MB and 9.5 MB higher for it
+    (``BENCH_21.json``, ``verify_levels``).  ``table`` is only read.
     """
     k, labels, ids = table.k, table.labels, table.ids()
     outputs = table.outputs
@@ -329,10 +323,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     _check_left_unit(table, ids[vac], report)
     gens = _generators(ids, outputs, vac)
     report.checks_run += len(gens) * n * n
-    first: dict[tuple[int, ...], int] = {}
-    for p, out in enumerate(outputs):
-        first.setdefault(out, p)
-    canon = list(map(first.__getitem__, outputs))
+    first = {out: p for p, out in enumerate(outputs)}
     for ia in gens:
         a_row = list(map(outputs.__getitem__, ids[ia]))
         overlay: dict[tuple[int, ...], int] = {}
@@ -351,7 +342,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
         for ib in range(n):
             ab = a_row[ib]
             if len(ab) == 1:
-                lefts = list(map(canon.__getitem__, ids[ab[0]]))
+                lefts = ids[ab[0]]
             elif len(ab) == 2:
                 lefts = list(map(pair_sum.__getitem__, map(operator.add, map(size.__mul__, ids[ab[0]]), ids[ab[1]])))
             else:

@@ -606,12 +606,17 @@ _BAD_OPERANDS = [
 @pytest.mark.parametrize("bad, message", _BAD_OPERANDS)
 @pytest.mark.parametrize("position", ["left", "right"])
 def test_fuse_irreducible_refuses_malformed_operands(bad, message, position):
+    with pytest.raises(ValueError) as info:
+        check_label(bad, _K)
+    assert str(info.value) == message
     fuse_irreducible(_GOOD, _GOOD, _K)  # a warm memo at this level must not answer either
     fuse_irreducible(_GOOD, _GOOD, _K)
     operands = (bad, _GOOD) if position == "left" else (_GOOD, bad)
-    with pytest.raises(ValueError) as info:
-        fuse_irreducible(*operands, _K)
-    assert str(info.value) == message
+    # fusion_coefficient's own operand c is well formed, so only a or b can raise
+    for call in (lambda: fuse_irreducible(*operands, _K), lambda: fusion_coefficient(*operands, _GOOD, _K)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 # Each malformed operand that equals, or stands for, a label already checked, with that label's

@@ -10,7 +10,6 @@ from orbifusion.labels import (
     IrrLabel,
     LabelSyntaxError,
     Sector,
-    _check_fields,
     check_label,
     check_level,
     enumerate_irreducibles,
@@ -233,6 +232,10 @@ class _LabelSubclass(IrrLabel):
     pass
 
 
+class _Level(int):
+    """An int level that ``check_label``'s inline test does not take, so its level and field checks run."""
+
+
 _BAD_LEVELS = [True, 0, -1, 1.0, "3"]
 _BAD_LABELS = [
     (Sector.U, 1, 0),              # a plain tuple
@@ -253,11 +256,8 @@ _GOOD_LABELS = [IrrLabel(Sector.U, 1, 0), _LabelSubclass(Sector.T1, 2, 1)]
 @pytest.mark.parametrize("label", _BAD_LABELS + _GOOD_LABELS)
 @pytest.mark.parametrize("k", _BAD_LEVELS + [3])
 def test_check_label_raises_what_its_slow_path_raises(label, k):
-    def slow():
-        check_level(k)
-        _check_fields(label, k)
-
-    expected = _raised(slow)
+    slow_k = _Level(k) if type(k) is int else k  # any other level already fails the inline test
+    expected = _raised(lambda: check_label(label, slow_k))
     assert (expected is None) == (k == 3 and any(label is good for good in _GOOD_LABELS))
     assert _raised(lambda: check_label(label, k)) == expected
 

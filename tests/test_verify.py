@@ -8,7 +8,7 @@ import pytest
 
 import orbifusion.verify as verify_mod
 from orbifusion.fusion import contragredient
-from orbifusion.labels import FusionVector, enumerate_irreducibles, parse_label, vacuum
+from orbifusion.labels import FusionVector, IrrLabel, Sector, enumerate_irreducibles, parse_label, vacuum
 from orbifusion.verify import SUITES, Z18_CORRESPONDENCE, Failure, run_suites
 
 # Frozen copy of the level-1 lattice correspondence used by the oracle.
@@ -238,6 +238,17 @@ def _fuse_with(k, pair, change):
     return fuse
 
 
+def _double_first(v):
+    """``v`` with the multiplicity of its first output doubled."""
+    first = next(iter(v))
+    return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
+
+
+def _drop_last(v):
+    """``v`` without its last output."""
+    return FusionVector(list(v.items())[:-1])
+
+
 def test_oracle_reports_a_product_on_the_wrong_coset(monkeypatch):
     a, b, c = (parse_label(tok, 1) for tok in ("u:0:0", "u:0:1", "u:0:2"))
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(1, ("u:0:0", "u:0:1"), lambda v: FusionVector({c: 1})))
@@ -267,11 +278,7 @@ def test_dual_reports_a_qdim_that_changes_under_dual(monkeypatch):
 
 
 def test_doubled_multiplicity_fails_assoc_and_qdim(monkeypatch):
-    def double_first(v):
-        first = next(iter(v))
-        return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
-
-    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:1:0", "t1:1:0"), double_first))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(2, ("u:1:0", "t1:1:0"), _double_first))
     reports = run_suites(["assoc", "qdim"], 2)
     assert [r.passed for r in reports] == [False, False]
 
@@ -355,11 +362,7 @@ def test_corrupted_vacuum_row_fails_unit_assoc_and_oracle(monkeypatch):
 
 def test_corruption_after_honest_run_is_caught(monkeypatch):
     assert all(r.passed for r in run_suites(["comm", "qdim"], 3))
-
-    def drop_last(v):
-        return FusionVector(list(v.items())[:-1])
-
-    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(3, ("u:1:0", "t1:2:0"), drop_last))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(3, ("u:1:0", "t1:2:0"), _drop_last))
     reports = run_suites(["comm", "qdim"], 3)
     assert [r.passed for r in reports] == [False, False]
 
@@ -395,15 +398,19 @@ def test_assoc_reports_a_broken_left_unit(monkeypatch):
 def _with_product(table, ia, ib, outputs):
     """A copy of ``table`` whose product ``ia x ib`` has the output indices ``outputs`` instead.
 
-    The copy has its own rows of ids and its own ``outputs``: the new
-    product is appended to ``outputs`` as a new id, and the one pair's entry
-    in ``row`` points at it.  The new tuple may equal another product's
-    outputs; ``assoc``, ``dual`` and ``qdim`` read products by value.
+    The copy has its own rows of ids and its own ``outputs``, and the one
+    pair's entry in ``row`` points at the id of the new outputs.  Outputs
+    that another product already has keep that product's id, as a changed
+    ``fuse_irreducible`` would get from the table; others are appended to
+    ``outputs`` as a new id.
     """
     bad = copy.copy(table)
     bad.row = dict(enumerate(map(list, table.ids())))  # builds every row, so ``table.outputs`` is complete
-    bad.outputs = [*table.outputs, tuple(sorted(outputs))]  # outputs stay in canonical order
-    bad.row[ia][ib] = len(bad.outputs) - 1
+    bad.outputs = list(table.outputs)
+    outputs = tuple(sorted(outputs))  # outputs stay in canonical order
+    if outputs not in bad.outputs:
+        bad.outputs.append(outputs)
+    bad.row[ia][ib] = bad.outputs.index(outputs)
     return bad
 
 
@@ -480,7 +487,7 @@ def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, associ
     widths = set()
     for r in range(20):
         bad = _corrupted(table, rng, ("double", "add")[r % 2], ia=u10)
-        widths.add(len(bad.outputs[-1]))
+        widths.update(len(bad.outputs[p]) for p, q in zip(bad.row[u10], table.row[u10]) if p != q)
         report = verify_mod._associativity(bad)
         assert report.passed == associative_by_sweep(table_rows(bad))
         assert report.failures == associativity_by_triple(bad, table_rows(bad)).failures
@@ -491,19 +498,38 @@ def test_assoc_fails_exactly_when_the_sweep_does(k, associative_by_sweep, associ
     assert not report.passed and report.failures == associativity_by_triple(bad, table_rows(bad)).failures
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_assoc_reads_equal_outputs_under_two_ids_as_one_product(k, associative_by_sweep, table_rows):
+# Each change of one product that a test here makes through ``_fuse_with``: the pair, the change
+# and the lowest level at which the pair and every label the change writes in are labels.
+_PRODUCT_CHANGES = {
+    "u:0:0 x u:0:1 made u:0:2": (("u:0:0", "u:0:1"), lambda v: FusionVector({IrrLabel(Sector.U, 0, 2): 1}), 1),
+    "u:1:0 x t1:1:0 with its first output doubled": (("u:1:0", "t1:1:0"), _double_first, 1),
+    "u:1:0 x u:1:0 made u:5:0": (("u:1:0", "u:1:0"), lambda v: FusionVector({IrrLabel(Sector.U, 5, 0): 1}), 5),
+    "u:0:0 x t1:1:2 emptied": (("u:0:0", "t1:1:2"), lambda v: FusionVector(), 1),
+    "u:1:0 x t1:2:0 without its last output": (("u:1:0", "t1:2:0"), _drop_last, 2),
+    "u:1:0 x t1:1:0 with every output doubled": (
+        ("u:1:0", "t1:1:0"), lambda v: FusionVector((lab, 2 * m) for lab, m in v.items()), 1,
+    ),
+    "u:1:0 x t1:2:0 with its first output doubled": (("u:1:0", "t1:2:0"), _double_first, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "k, change",
+    [
+        (k, change)
+        for k in (*range(1, 9), 20)
+        for change in ("honest", *_PRODUCT_CHANGES)
+        if change == "honest" or k >= _PRODUCT_CHANGES[change][2]
+    ],
+)
+def test_a_table_holds_each_product_under_one_id(monkeypatch, k, change):
+    # so assoc may read a product's id as the product, as comm does
+    if change != "honest":
+        pair, product, _ = _PRODUCT_CHANGES[change]
+        monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, product))
     table = verify_mod._FusionTable(k)
-    rows = table_rows(table)
-    honest = associative_by_sweep(rows)
-    n = len(table.labels)
-    rng = random.Random(k)
-    u10 = table.index[parse_label("u:1:0", k)]
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)] + [(u10, rng.randrange(n)) for _ in range(10)]
-    for ia, ib in pairs:
-        bad = _with_product(table, ia, ib, table.outputs[table.row[ia][ib]])  # the same outputs under a new id
-        assert table_rows(bad) == rows and bad.row[ia][ib] == len(table.outputs)
-        assert verify_mod._associativity(bad).passed == honest
+    table.ids()
+    assert len(set(table.outputs)) == len(table.outputs)
 
 
 @pytest.mark.parametrize("k", [3, 8])
@@ -559,12 +585,7 @@ def test_table_row_of_a_changed_pair_is_not_shared(monkeypatch, products_by_pair
     ia, ib = (verify_mod._FusionTable(k).index[parse_label(tok, k)] for tok in pair)
     sharers = [(x, y) for x, row in enumerate(honest) for y, out in enumerate(row) if out == honest[ia][ib]]
     assert len(sharers) > 1  # the honest row is shared, so a merge would show
-
-    def double_first(v):
-        first = next(iter(v))
-        return FusionVector((lab, 2 if lab == first else m) for lab, m in v.items())
-
-    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, double_first))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, _double_first))
     table = verify_mod._FusionTable(k)
     products = table_rows(table)
     first, *rest = honest[ia][ib]
