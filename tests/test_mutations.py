@@ -5,7 +5,9 @@ plus one seeded change and asserts which suites fail.
 
 * Fusion, dual, quantum-dimension and caught weight faults: the exact set
   of suites that fail, at k = 2, 3, 8 and 37, so a suite that stops
-  catching a fault, or starts failing for another reason, is seen.
+  catching a fault, or starts failing for another reason, is seen.  Each
+  fusion, dual and quantum-dimension fault also has a second target, on
+  other labels, checked the same way at k = 2, 3 and 8.
 * Weight faults that no suite catches yet: each is a strict ``xfail``, so
   a suite that starts catching one turns it into an unexpected pass, which
   fails the run until the mark is removed.
@@ -52,15 +54,32 @@ def _suites_failing_with(monkeypatch, k, change):
     return _failing_suites(k)
 
 
-def _outputs_changed(change):
-    """A fault that rewrites the items of u:1:0 x u:1:0 (outputs u:0:j and u:2:j') by ``change(items)``."""
+# Each fusion fault as a change to a product's items, given the label an added or replacing output takes.
+CHANGES = {
+    "drop one output": lambda items, new: items[:-1],
+    "double one output": lambda items, new: [(items[0][0], 2), *items[1:]],
+    "add one output": lambda items, new: [*items, (new, 1)],
+    "replace one output": lambda items, new: [(new, 1), *items[1:]],
+    "move one output's j": lambda items, new: [(items[0][0]._replace(j=(items[0][0].j + 1) % 3), 1), *items[1:]],
+}
+
+
+def _outputs_changed(fault, pair, stranger):
+    """A fault that rewrites the items of the ordered product ``pair`` (two tokens) by ``CHANGES[fault]``.
+
+    An added or replacing output is ``stranger(items)``, a label that is no output of the product.
+    """
 
     def install(monkeypatch, k):
-        square = parse_label("u:1:0", k)
+        target = tuple(parse_label(token, k) for token in pair)
+        change = CHANGES[fault]
 
         def fuse(a, b, k):
             product = fuse_irreducible(a, b, k)
-            return FusionVector(change(list(product.items()))) if a == b == square else product
+            if (a, b) != target:
+                return product
+            items = list(product.items())
+            return FusionVector(change(items, stranger(items)))
 
         monkeypatch.setattr(verify_mod, "fuse_irreducible", fuse)
 
@@ -72,36 +91,73 @@ def _operand(items):
     return items[0][0]._replace(i=1, j=0)
 
 
-def _duals_swapped(monkeypatch, k):
-    """u:1:0 takes the dual of u:1:2 (itself) and u:1:2 that of u:1:0 (u:1:1): no longer an involution."""
-    a, b = parse_label("u:1:0", k), parse_label("u:1:2", k)
-    swapped = {a: contragredient(b, k), b: contragredient(a, k)}
-    monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: swapped.get(lab) or contragredient(lab, k))
+def _i_moved(items):
+    """The first output with its i moved up by one: no output of the product, since its i has the wrong parity."""
+    return items[0][0]._replace(i=items[0][0].i + 1)
 
 
-def _qdim_of_another_index(monkeypatch, k):
-    """u:1:0 takes the quantum dimension of index 0, which is 1."""
-    moved = parse_label("u:1:0", k)
-    monkeypatch.setattr(verify_mod, "qdim_exact", lambda lab, k: qdim_index(0, k) if lab == moved else qdim_exact(lab, k))
+def _duals_swapped(x, y):
+    """A fault that gives ``x`` the dual of ``y`` and ``y`` that of ``x``: no longer an involution."""
+
+    def install(monkeypatch, k):
+        a, b = parse_label(x, k), parse_label(y, k)
+        swapped = {a: contragredient(b, k), b: contragredient(a, k)}
+        monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: swapped.get(lab) or contragredient(lab, k))
+
+    return install
 
 
-# Each fault with the exact set of suites that fail on it, the same at every level of LEVELS.  No
-# suite reads a label's qdim through its j, so a moved j is caught by assoc and dual alone.
+def _qdim_of_index_0(token):
+    """A fault that gives ``token`` the quantum dimension of index 0, which is 1."""
+
+    def install(monkeypatch, k):
+        moved = parse_label(token, k)
+        monkeypatch.setattr(verify_mod, "qdim_exact", lambda lab, k: qdim_index(0, k) if lab == moved else qdim_exact(lab, k))
+
+    return install
+
+
+# Each fault with the exact set of suites that fail on it, the same at every level of LEVELS.  The
+# fusion faults rewrite u:1:0 x u:1:0 (outputs u:0:j and u:2:j').  No suite reads a label's qdim
+# through its j, so a moved j is caught by assoc and dual alone.  u:1:2 is its own dual.
 FUSION_FAULTS = {
-    "drop one output": (_outputs_changed(lambda items: items[:-1]), {"assoc", "dual", "qdim"}),
-    "double one output": (_outputs_changed(lambda items: [(items[0][0], 2), *items[1:]]), {"assoc", "dual", "qdim"}),
-    "add one output": (_outputs_changed(lambda items: [*items, (_operand(items), 1)]), {"assoc", "dual", "qdim"}),
-    "replace one output": (_outputs_changed(lambda items: [(_operand(items), 1), *items[1:]]), {"assoc", "dual", "qdim"}),
-    "move one output's j": (
-        _outputs_changed(lambda items: [(items[0][0]._replace(j=(items[0][0].j + 1) % 3), 1), *items[1:]]),
-        {"assoc", "dual"},
-    ),
+    fault: (_outputs_changed(fault, ("u:1:0", "u:1:0"), _operand), suites)
+    for fault, suites in {
+        "drop one output": {"assoc", "dual", "qdim"},
+        "double one output": {"assoc", "dual", "qdim"},
+        "add one output": {"assoc", "dual", "qdim"},
+        "replace one output": {"assoc", "dual", "qdim"},
+        "move one output's j": {"assoc", "dual"},
+    }.items()
 }
 FAULTS = {
     **FUSION_FAULTS,
-    "swap two labels' duals": (_duals_swapped, {"dual"}),
-    "give one label another index's qdim": (_qdim_of_another_index, {"dual", "qdim"}),
+    "swap two labels' duals": (_duals_swapped("u:1:0", "u:1:2"), {"dual"}),
+    "give one label another index's qdim": (_qdim_of_index_0("u:1:0"), {"dual", "qdim"}),
 }
+
+SECOND_LEVELS = (2, 3, 8)
+
+# A second target for each fault, with the suites that fail on it at every level of SECOND_LEVELS
+# but those SECOND_EXCEPTIONS names.  The fusion faults rewrite t1:1:0 x t2:1:0, a wrap, in that
+# order only, so comm fails too.
+SECOND_FUSION_FAULTS = {
+    fault: (_outputs_changed(fault, ("t1:1:0", "t2:1:0"), _i_moved), suites)
+    for fault, suites in {
+        "drop one output": {"assoc", "comm", "dual", "qdim"},
+        "double one output": {"assoc", "comm", "dual", "qdim"},
+        "add one output": {"assoc", "comm", "dual", "qdim"},
+        "replace one output": {"assoc", "comm", "dual", "qdim"},
+        "move one output's j": {"assoc", "comm", "dual"},
+    }.items()
+}
+SECOND_TARGETS = {
+    **SECOND_FUSION_FAULTS,
+    "swap two labels' duals": (_duals_swapped("t1:1:0", "t1:1:1"), {"dual"}),
+    "give one label another index's qdim": (_qdim_of_index_0("t2:1:2"), {"dual", "qdim"}),
+}
+# At k=3 the replacing output u:2:j has the qdim of the u:1:j it replaces, so qdim passes there.
+SECOND_EXCEPTIONS = {("replace one output", 3): {"assoc", "comm", "dual"}}
 
 
 @pytest.mark.parametrize("k", LEVELS)
@@ -117,11 +173,30 @@ def test_a_seeded_fault_fails_exactly_its_suites(monkeypatch, k, fault):
     assert _failing_suites(k) == expected
 
 
+@pytest.mark.parametrize("k", SECOND_LEVELS)
+@pytest.mark.parametrize("fault", SECOND_TARGETS)
+def test_a_second_target_of_each_fault_fails_exactly_its_suites(monkeypatch, k, fault):
+    install, expected = SECOND_TARGETS[fault]
+    install(monkeypatch, k)
+    assert _failing_suites(k) == SECOND_EXCEPTIONS.get((fault, k), expected)
+
+
 @pytest.mark.parametrize("k", [*range(1, 9), 20])
 @pytest.mark.parametrize("fault", FUSION_FAULTS)
 def test_a_fusion_fault_leaves_one_id_per_product(monkeypatch, k, fault):
     # the changed fuse_irreducible goes through the table's lookup by vector, as an honest one does
     FUSION_FAULTS[fault][0](monkeypatch, k)
+    _assert_one_id_per_product(k)
+
+
+@pytest.mark.parametrize("k", SECOND_LEVELS)
+@pytest.mark.parametrize("fault", SECOND_FUSION_FAULTS)
+def test_a_second_fusion_target_leaves_one_id_per_product(monkeypatch, k, fault):
+    SECOND_FUSION_FAULTS[fault][0](monkeypatch, k)
+    _assert_one_id_per_product(k)
+
+
+def _assert_one_id_per_product(k):
     table = verify_mod._FusionTable(k)
     table.ids()
     assert len(set(table.outputs)) == len(table.outputs)

@@ -9,7 +9,7 @@ import pytest
 
 import orbifusion
 from orbifusion.chebyshev import ChebPoly, cheb_u
-from orbifusion.labels import Sector, enumerate_irreducibles, make_label, parse_label
+from orbifusion.labels import Sector, enumerate_irreducibles, make_label, parse_label, vacuum
 from orbifusion.qdim import (
     QDimElement,
     global_dimension,
@@ -260,6 +260,28 @@ def _global_dimension_by_squares(k):
 @pytest.mark.parametrize("k", [*range(1, 61), 99, 100, 199, 200, 201])
 def test_global_dimension_matches_sum_of_squares(k):
     assert global_dimension(k)[0].residue == _global_dimension_by_squares(k)
+
+
+def _completeness(residue, k):
+    """``residue * (4 - x^2)`` reduced modulo ``psi``: ``D^2 * 4 sin^2(pi/(k+2))`` when ``residue`` is ``D^2``."""
+    return residue * ChebPoly((4, 0, -1)) % reduction_modulus(k)
+
+
+@pytest.mark.parametrize("k", [*range(1, 31), 57, 100, 200])
+def test_global_dimension_meets_the_completeness_identity(k):
+    # Dong-Ren-Xu (Adv. Math. 321, 2017): D^2 (4 - x^2) = 18 (k+2), with x = 2 cos(pi/(k+2))
+    assert _completeness(global_dimension(k)[0].residue, k) == ChebPoly((18 * (k + 2),))
+
+
+def test_the_completeness_identity_misses_a_module_left_out():
+    k = 8
+    squares = {}
+    for label in enumerate_irreducibles(k):
+        d = qdim_exact(label, k)
+        squares[label] = (d * d).residue
+    total = sum(squares.values(), ChebPoly())
+    assert _completeness(total, k) == ChebPoly((18 * (k + 2),))
+    assert _completeness(total - squares[vacuum(k)], k) != ChebPoly((18 * (k + 2),))
 
 
 def test_has_unit_qdim_patterns():
