@@ -20,29 +20,16 @@ denominator ``36*(k+2)``,
     (9*i*(i+2) + (k+2)*(r^2*k - 6*i*r + o + 36*e)) / (36*(k+2)),
 
 with ``o = 12*j`` in a twisted sector and 0 in U, so each weight costs one
-gcd.  :func:`base_twist_weight` keeps the two-term sum ``a(k, i, r)``, so the
-``catalog`` suite's base-weight check compares two independent formulas.
+gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .labels import IrrLabel, Sector, check_index, check_label
+from .labels import IrrLabel, Sector, check_label
 
-__all__ = ["base_twist_weight", "conformal_weight", "generator_desc"]
-
-
-def base_twist_weight(k: int, i: int, r: int) -> Fraction:
-    """Lowest conformal weight of the sigma^r-twisted module with index ``i``.
-
-    Exact value of ``i*(i+2)/(4*(k+2)) + (r^2*k - 6*i*r)/36`` for
-    ``r in {0, 1, 2}``; ``r = 0`` is the untwisted lowest weight.
-    """
-    check_index(i, k)
-    if type(r) is not int or r not in (0, 1, 2):
-        raise ValueError(f"twist exponent must be 0, 1 or 2, got {r!r}")
-    return Fraction(i * (i + 2), 4 * (k + 2)) + Fraction(r * r * k - 6 * i * r, 36)
+__all__ = ["conformal_weight", "generator_desc"]
 
 
 def conformal_weight(label: IrrLabel, k: int) -> Fraction:

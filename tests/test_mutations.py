@@ -3,14 +3,15 @@
 Each case substitutes one of ``verify``'s functions with the honest one
 plus one seeded change and asserts which suites fail.
 
-* Fusion, dual, quantum-dimension and caught weight faults: the exact set
-  of suites that fail, at k = 2, 3, 8 and 37, so a suite that stops
-  catching a fault, or starts failing for another reason, is seen.  Each
-  fusion, dual and quantum-dimension fault also has a second target, on
-  other labels, checked the same way at k = 2, 3 and 8.
-* Weight faults that no suite catches yet: each is a strict ``xfail``, so
-  a suite that starts catching one turns it into an unexpected pass, which
-  fails the run until the mark is removed.
+* Fusion, dual and quantum-dimension faults: the exact set of suites that
+  fail, at k = 2, 3, 8 and 37, so a suite that stops catching a fault, or
+  starts failing for another reason, is seen.  Each also has a second
+  target, on other labels, checked the same way at k = 2, 3 and 8.
+* Weight faults: the exact set of suites that fail, at k = 2, 3, 8 and 37.
+  Every one fails ``catalog``, which builds each weight without
+  ``conformal_weight``.  ``dual`` sees only a label whose weight moves
+  apart from its dual's, so a paired swap, a move of a self-dual label or
+  of a dual pair together fails ``catalog`` alone.
 """
 
 from fractions import Fraction
@@ -25,21 +26,6 @@ from orbifusion.verify import SUITES, run_suites
 from orbifusion.weights import conformal_weight
 
 LEVELS = (2, 3, 8, 37)
-
-# quoted from the FOUND line under "Measurements" in ROADMAP.md
-UNCHECKED_WEIGHTS = (
-    "FOUND: the untwisted weights are unchecked above k=1. At k = 2, 3, 8 and 37, take one self-dual "
-    "untwisted label u:i:j with i > 0, and move its weight by 1/36, by 1/(4(k+2)) or by 1. Every suite of "
-    "`verify --level k` still passes in every case tried. [...] The paired-swap FOUND swaps the weights of "
-    "t1:i:1 and t1:i:2, and those of their duals; `verify` passes at k = 2, 3 and 8."
-)
-
-# quoted from the FOUND line on dual pairs in CHANGES.md
-UNCHECKED_DUAL_PAIRS = (
-    "FOUND: a dual pair's weights moved together pass every suite. At k = 2, 3, 8 and 37, move the weights of "
-    "t1:1:1 and its dual t2:k-1:1, or of u:1:0 and its dual u:1:1, by the same 1/36, 1/(4(k+2)) or 1, up or "
-    "down: `verify --level k` passes unless a moved weight turns negative, which `catalog` sees."
-)
 
 
 def _failing_suites(k):
@@ -215,7 +201,7 @@ def _paired_swap(token, weight, k):
 
 @pytest.mark.parametrize("k", LEVELS)
 def test_the_seeded_faults_change_weights_and_keep_duals(k):
-    # so that each xfail below stands for a real fault the suites miss
+    # so that each swap below is a real change, and one that keeps every weight equal to its dual's
     for token, twin in _twins(k).items():
         a, b = parse_label(token, k), parse_label(twin, k)
         assert conformal_weight(a, k) != conformal_weight(b, k)
@@ -224,18 +210,17 @@ def test_the_seeded_faults_change_weights_and_keep_duals(k):
     assert contragredient(u12, k) == u12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNCHECKED_WEIGHTS)
 @pytest.mark.parametrize("k", LEVELS)
-def test_a_paired_weight_swap_fails_some_suite(monkeypatch, k):
-    assert _suites_failing_with(monkeypatch, k, _paired_swap)
+def test_a_paired_weight_swap_fails_exactly_catalog(monkeypatch, k):
+    assert _suites_failing_with(monkeypatch, k, _paired_swap) == {"catalog"}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNCHECKED_WEIGHTS)
 @pytest.mark.parametrize("k", LEVELS)
 @pytest.mark.parametrize("move", ["1/36", "1/(4(k+2))", "1"])
-def test_a_moved_self_dual_untwisted_weight_fails_some_suite(monkeypatch, k, move):
+def test_a_moved_self_dual_untwisted_weight_fails_exactly_catalog(monkeypatch, k, move):
     shift = {"1/36": Fraction(1, 36), "1/(4(k+2))": Fraction(1, 4 * (k + 2)), "1": Fraction(1)}[move]
-    assert _suites_failing_with(monkeypatch, k, lambda token, weight, k: weight + shift if token == "u:1:2" else weight)
+    changed = _suites_failing_with(monkeypatch, k, lambda token, weight, k: weight + shift if token == "u:1:2" else weight)
+    assert changed == {"catalog"}
 
 
 # One weight move, by its size as a function of the level.
@@ -248,47 +233,27 @@ MOVES = {
     "-1": lambda k: Fraction(-1),
 }
 
-# The labels each weight fault moves together, and the suites that fail on every move of them.  A
-# twisted label alone breaks catalog's T1/T2 pairing and dual's weight check; a T1 label at j=0 with
-# its dual breaks catalog's T1 base weight; a pair at j=1, or an untwisted pair, breaks neither.
+# The labels each weight fault moves together, and the suites that fail on every move of them.  Every
+# move breaks catalog's construction; a twisted label alone also breaks dual's weight check, and a
+# dual pair moved together does not.
 MOVED = {
     "t1:1:0": (lambda k: ("t1:1:0",), {"catalog", "dual"}),
     "t1:1:1": (lambda k: ("t1:1:1",), {"catalog", "dual"}),
     "t1:1:0 with its dual t2:k-1:0": (lambda k: ("t1:1:0", f"t2:{k - 1}:0"), {"catalog"}),
-    "t1:1:1 with its dual t2:k-1:1": (lambda k: ("t1:1:1", f"t2:{k - 1}:1"), set()),
-    "u:1:0 with its dual u:1:1": (lambda k: ("u:1:0", "u:1:1"), set()),
+    "t1:1:1 with its dual t2:k-1:1": (lambda k: ("t1:1:1", f"t2:{k - 1}:1"), {"catalog"}),
+    "u:1:0 with its dual u:1:1": (lambda k: ("u:1:0", "u:1:1"), {"catalog"}),
 }
 
 
-def _expected_suites(k, moved, move):
-    """The suites that fail on ``move`` of ``moved`` at ``k``: ``MOVED``'s, and catalog's sign check on a negative weight."""
-    tokens, suites = MOVED[moved]
-    shift = MOVES[move](k)
-    negative = any(conformal_weight(parse_label(token, k), k) + shift < 0 for token in tokens(k))
-    return suites | {"catalog"} if negative else suites
-
-
-_WEIGHT_MOVES = [(k, moved, move) for k in LEVELS for moved in MOVED for move in MOVES]
-
-
-def _suites_failing_with_move(monkeypatch, k, moved, move):
-    tokens, shift = MOVED[moved][0](k), MOVES[move](k)
-    return _suites_failing_with(monkeypatch, k, lambda token, weight, k: weight + shift if token in tokens else weight)
-
-
-@pytest.mark.parametrize("k, moved, move", [case for case in _WEIGHT_MOVES if _expected_suites(*case)])
+@pytest.mark.parametrize("k, moved, move", [(k, moved, move) for k in LEVELS for moved in MOVED for move in MOVES])
 def test_a_moved_weight_fails_exactly_its_suites(monkeypatch, k, moved, move):
-    assert _suites_failing_with_move(monkeypatch, k, moved, move) == _expected_suites(k, moved, move)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNCHECKED_DUAL_PAIRS)
-@pytest.mark.parametrize("k, moved, move", [case for case in _WEIGHT_MOVES if not _expected_suites(*case)])
-def test_a_dual_pair_moved_together_fails_some_suite(monkeypatch, k, moved, move):
-    assert _suites_failing_with_move(monkeypatch, k, moved, move)
+    (tokens, suites), shift = MOVED[moved], MOVES[move](k)
+    changed = _suites_failing_with(monkeypatch, k, lambda token, weight, k: weight + shift if token in tokens(k) else weight)
+    assert changed == suites
 
 
 def test_the_moved_pairs_are_dual_pairs():
-    # so that each xfail above stands for a pair whose weights dual (iii) compares
+    # so that dual (iii), which compares the two weights of each pair, cannot see a pair moved together
     for k in LEVELS:
         for moved, (tokens, _) in MOVED.items():
             labels = [parse_label(token, k) for token in tokens(k)]

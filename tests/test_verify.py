@@ -149,8 +149,8 @@ def test_associativity_generators_at_level_9():
 
 def test_catalog_suite_counts_simple_current_checks_at_level_one():
     report = run_suites(["catalog"], 1)[0]
-    # 2 structural + 18 weight checks + 2*(3+1) pairing/base + 18 simple-current
-    assert report.checks_run == 2 + 18 + 8 + 18
+    # 2 structural + 18 weights + 18 simple-current
+    assert report.checks_run == 2 + 18 + 18
 
 
 def _weights_with(changes):
@@ -180,41 +180,20 @@ def test_catalog_reports_a_wrong_label_list(monkeypatch, change, want):
 
 
 @pytest.mark.parametrize(
-    "weight, want",
+    "token, change, want",
     [
-        (Fraction(-3, 16), "negative weight -3/16 at u:1:0"),
-        (Fraction(0), "weight 0 at non-vacuum label u:1:0"),
+        ("u:1:0", lambda w: Fraction(-3, 16), "weight(u:1:0) = -3/16, the construction gives 3/16"),
+        ("u:1:0", lambda w: Fraction(0), "weight(u:1:0) = 0, the construction gives 3/16"),
+        ("u:0:0", lambda w: Fraction(1, 8), "weight(u:0:0) = 1/8, the construction gives 0"),
+        ("t2:2:1", lambda w: w + 1, "weight(t2:2:1) = 43/18, the construction gives 25/18"),
+        ("t1:1:0", lambda w: w + 1, "weight(t1:1:0) = 155/144, the construction gives 11/144"),
     ],
+    ids=["negative", "zero off the vacuum", "vacuum not zero", "twisted pairing", "t1 base weight"],
 )
-def test_catalog_reports_a_wrong_untwisted_weight(monkeypatch, weight, want):
-    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:1:0": lambda w: weight}))
+def test_catalog_reports_a_weight_off_the_construction(monkeypatch, token, change, want):
+    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({token: change}))
     report = run_suites(["catalog"], 2)[0]
-    assert report.failures == [Failure(want, (parse_label("u:1:0", 2),))]
-
-
-def test_catalog_reports_a_vacuum_whose_weight_is_not_zero(monkeypatch):
-    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:0:0": lambda w: Fraction(1, 8)}))
-    report = run_suites(["catalog"], 2)[0]
-    assert report.failures == [Failure("vacuum u:0:0 has weight 1/8, expected 0", (parse_label("u:0:0", 2),))]
-
-
-def test_catalog_reports_a_broken_twisted_pairing(monkeypatch):
-    k = 2
-    t1, t2 = parse_label("t1:0:1", k), parse_label("t2:2:1", k)  # i and k - i, one j
-    w = verify_mod.conformal_weight(t1, k)
-    monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"t2:2:1": lambda x: x + 1}))
-    report = run_suites(["catalog"], k)[0]
-    assert report.failures == [Failure(f"twisted weight pairing broken at i=0, j=1: {w} != {w + 1}", (t1, t2))]
-
-
-def test_catalog_reports_a_t1_base_weight_off_the_twist_formula(monkeypatch):
-    k = 2
-    lab = parse_label("t1:1:0", k)
-    w = verify_mod.conformal_weight(lab, k)
-    honest = verify_mod.base_twist_weight
-    monkeypatch.setattr(verify_mod, "base_twist_weight", lambda k, i, r: honest(k, i, r) + (i == 1))
-    report = run_suites(["catalog"], k)[0]
-    assert report.failures == [Failure(f"T1 base weight at i=1 is {w}, twist formula gives {w + 1}", (lab,))]
+    assert report.failures == [Failure(want, (parse_label(token, 2),))]
 
 
 def test_catalog_reports_a_label_that_is_no_simple_current_at_level_one(monkeypatch):

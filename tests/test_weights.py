@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from orbifusion.labels import Sector, enumerate_irreducibles, make_label, parse_label, vacuum
-from orbifusion.weights import base_twist_weight, conformal_weight, generator_desc
+from orbifusion.verify import _constructed_weights, _least_depth
+from orbifusion.weights import conformal_weight, generator_desc
 
 # Frozen level-1 weight table, canonical order (u, t1, t2; i ascending; j ascending).
 LEVEL1_TABLE = {
@@ -24,31 +25,6 @@ def test_level1_table_exact():
 def test_level1_catalog_order_matches_frozen_values():
     got = [conformal_weight(lab, 1) for lab in enumerate_irreducibles(1)]
     assert got == list(LEVEL1_TABLE.values())
-
-
-def test_base_twist_weight_examples():
-    assert base_twist_weight(1, 1, 1) == F(1, 9)
-    assert base_twist_weight(1, 0, 2) == F(1, 9)
-    assert base_twist_weight(3, 2, 0) == F(2 * 4, 4 * 5)
-    # r = 0 has no twist contribution
-    for k in (1, 2, 5):
-        for i in range(k + 1):
-            assert base_twist_weight(k, i, 0) == F(i * (i + 2), 4 * (k + 2))
-
-
-def test_base_twist_weight_rejects_bad_input():
-    with pytest.raises(ValueError, match="i out of range"):
-        base_twist_weight(2, 3, 1)
-    with pytest.raises(ValueError, match="twist exponent"):
-        base_twist_weight(2, 1, 3)
-    with pytest.raises(ValueError, match="weight index must be an int"):
-        base_twist_weight(2, 1.5, 1)
-    with pytest.raises(ValueError, match="weight index must be an int"):
-        base_twist_weight(2, True, 1)
-    for r, shown in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
-        with pytest.raises(ValueError) as excinfo:
-            base_twist_weight(2, 1, r)
-        assert str(excinfo.value) == f"twist exponent must be 0, 1 or 2, got {shown}"
 
 
 # Literal k > 1 table rows, one lambda per row, so each branch of the
@@ -93,6 +69,11 @@ def test_table_rows_above_level_one(k):
                 assert t2 == T2_ROWS["generic"](k, i, j)
 
 
+def _twisted_lowest_weight(k, i, r):
+    """i(i+2)/(4(k+2)) + (r^2 k - 6ir)/36, the lowest weight of the sigma^r-twisted module of index i."""
+    return F(i * (i + 2), 4 * (k + 2)) + F(r * r * k - 6 * i * r, 36)
+
+
 def _composed_weight(label, k):
     """The weight composed from the twisted lowest weight plus the j offset in
     36ths, with the special rows and the level-1 table written out literally."""
@@ -104,10 +85,10 @@ def _composed_weight(label, k):
             return F(0) if j == 0 else F(1)
         if i == 1:
             return F(4 * k + 11, 4 * (k + 2)) if j == 2 else F(3, 4 * (k + 2))
-        return base_twist_weight(k, i, 0)
+        return _twisted_lowest_weight(k, i, 0)
     r, boundary = (1, i == 0) if sector is Sector.T1 else (2, i == k)
     offset = ((0, 48, 24) if boundary else (0, 12, 24))[j]
-    return base_twist_weight(k, i, r) + F(offset, 36)
+    return _twisted_lowest_weight(k, i, r) + F(offset, 36)
 
 
 @pytest.mark.parametrize("k", [*range(1, 61), 200, 997, 1000])
@@ -138,8 +119,29 @@ def test_twisted_sector_weight_pairing(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_t1_base_column_is_twist_weight(k):
     for i in range(k + 1):
-        assert conformal_weight(make_label(Sector.T1, i, 0, k), k) == base_twist_weight(k, i, 1)
-        assert conformal_weight(make_label(Sector.T2, i, 0, k), k) == base_twist_weight(k, i, 2)
+        assert conformal_weight(make_label(Sector.T1, i, 0, k), k) == _twisted_lowest_weight(k, i, 1)
+        assert conformal_weight(make_label(Sector.T2, i, 0, k), k) == _twisted_lowest_weight(k, i, 2)
+
+
+@pytest.mark.parametrize("k", [*range(1, 31), 37, 50, 100, 200])
+def test_the_construction_gives_every_weight(k):
+    built, labels = _constructed_weights(k), enumerate_irreducibles(k)
+    assert len(built) == 9 * (k + 1) and set(built) == set(labels)
+    for lab in labels:
+        assert built[lab] == conformal_weight(lab, k) * 36 * (k + 2), lab.token()
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_the_construction_window_reaches_every_least_grade(k):
+    # the same minima from a window that reaches past the extremal weights +-(2k + i) by 12
+    wide = {}
+    for r, e in enumerate((1, 1, -1)):
+        for i in range(k + 1):
+            for lam in range(-i - 2 * k - 12, i + 2 * k + 13, 2):
+                key = (r, i, e * (i - lam) // 2 % 3)
+                grade = 9 * i * (i + 2) + (k + 2) * (36 * _least_depth(k, i, lam) - 6 * r * lam + r * r * k)
+                wide[key] = min(grade, wide.get(key, grade))
+    assert wide == _constructed_weights(k)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
