@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 
 import mpmath
@@ -55,10 +56,10 @@ def _fixed(value: mpmath.mpf, decimals: int) -> str:
     in integer arithmetic, then written with the decimal point
     ``decimals`` places from the right.  So the digits are the exact
     rounding of the value ``value`` holds, for any ``decimals`` (no limit
-    of a decimal context).  How close that value is to the true number is
-    up to the precision it was computed at.  A negative value is written
-    with a leading ``-``, as ``-0.00`` when it rounds to zero; an infinity
-    or NaN raises ``ValueError``.
+    of a decimal context, nor of ``str(int)``).  How close that value is to
+    the true number is up to the precision it was computed at.  A negative
+    value is written with a leading ``-``, as ``-0.00`` when it rounds to
+    zero; an infinity or NaN raises ``ValueError``.
     """
     negative, man, exp, _ = value._mpf_
     if not man and exp:
@@ -72,9 +73,10 @@ def _fixed(value: mpmath.mpf, decimals: int) -> str:
         half = 1 << (-exp - 1)
         if rest > half or (rest == half and units & 1):
             units += 1
+    digits = str(Decimal(units))  # str(int) refuses 4300 digits and more; a Decimal has no such limit
     if not decimals:
-        return f"{sign}{units}"
-    digits = str(units).rjust(decimals + 1, "0")
+        return f"{sign}{digits}"
+    digits = digits.rjust(decimals + 1, "0")
     return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
@@ -93,7 +95,7 @@ def _emit(text: str, out: str) -> int:
     return 0
 
 
-def _table(fmt: str, header: list[str], rows: list[list[str]]) -> str:
+def _table(fmt: str, header: list[str], rows: list[tuple[str, ...]]) -> str:
     """``rows`` under ``header`` as CSV (``fmt`` is ``csv``) or as a markdown table."""
     if fmt == "csv":
         buffer = io.StringIO()
@@ -106,20 +108,21 @@ def _table(fmt: str, header: list[str], rows: list[list[str]]) -> str:
 _MODULE_FIELDS = ("pretty", "weight", "qdim", "dual", "generator")
 
 
-def _catalog_json(k: int, rows: list[dict[str, str]]) -> str:
+def _catalog_json(k: int, rows: list[tuple[str, ...]]) -> str:
     """The catalog document, byte for byte as ``json.dumps(doc, indent=2)`` writes it.
 
-    ``doc`` is ``{"level": k, "modules": {label: {field: value}}}`` with the
-    fields of ``_MODULE_FIELDS``, all strings, and at least one module.
-    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
-    so the fixed layout is written here and every string goes through json's
-    own C string encoder instead.
+    Each row is a tuple of strings, the label and then one value per field
+    of ``_MODULE_FIELDS``, and there is at least one row.  ``doc`` is
+    ``{"level": k, "modules": {label: {field: value}}}``.  ``json.dumps``
+    runs its pure-Python encoder whenever ``indent`` is set, so the fixed
+    layout is written here and every string goes through json's own C string
+    encoder instead.
     """
     keys = [f"      {encode_basestring_ascii(field)}: " for field in _MODULE_FIELDS]
     modules = []
-    for row in rows:
-        body = ",\n".join([key + encode_basestring_ascii(row[field]) for key, field in zip(keys, _MODULE_FIELDS)])
-        modules.append(f"    {encode_basestring_ascii(row['label'])}: {{\n{body}\n    }}")
+    for label, *fields in rows:
+        body = ",\n".join([key + encode_basestring_ascii(value) for key, value in zip(keys, fields)])
+        modules.append(f"    {encode_basestring_ascii(label)}: {{\n{body}\n    }}")
     return f'{{\n  "level": {k},\n  "modules": {{\n' + ",\n".join(modules) + "\n  }\n}"
 
 
@@ -198,22 +201,26 @@ def _command(labels: str, *options: tuple[str, dict]):
 @_command("", _FORMAT, _OUT)
 def catalog(k: int, fmt: str, out: str) -> int:
     """List all 9(k+1) irreducible modules with their invariants."""
-    rows = []
+    labels = enumerate_irreducibles(k)
+    tokens = [lab.token() for lab in labels]
+    token_of = dict(zip(labels, tokens))  # every dual is a catalog label: its token is rendered once
     qdims: dict[int, str] = {}  # qdim_numeric reads label.i only
-    for lab in enumerate_irreducibles(k):
+    for lab in labels:
         if lab.i not in qdims:
             qdims[lab.i] = _fixed(qdim_numeric(lab, k, precision=20), 12)
-        rows.append({"label": lab.token(), "pretty": lab.pretty(k), "weight": str(conformal_weight(lab, k)),
-                     "qdim": qdims[lab.i], "dual": contragredient(lab, k).token(), "generator": generator_desc(lab, k)})
+    pretty = [lab.pretty(k) for lab in labels]
+    weights = [str(conformal_weight(lab, k)) for lab in labels]
+    qdim_column = [qdims[lab.i] for lab in labels]
+    duals = [token_of[contragredient(lab, k)] for lab in labels]
+    generators = [generator_desc(lab, k) for lab in labels]
+    if fmt == "markdown":
+        pretty_of = dict(zip(tokens, pretty))
+        rows = list(zip(pretty, weights, qdim_column, [pretty_of[dual] for dual in duals], generators))
+        return _emit(_table(fmt, ["module", "weight", "qdim", "dual", "generator"], rows), out)
+    rows = list(zip(tokens, pretty, weights, qdim_column, duals, generators))  # ("label", *_MODULE_FIELDS)
     if fmt == "json":
         return _emit(_catalog_json(k, rows), out)
-    if fmt == "csv":
-        header = ["label", *_MODULE_FIELDS]
-        return _emit(_table(fmt, header, [[row[h] for h in header] for row in rows]), out)
-    header = ["module", "weight", "qdim", "dual", "generator"]
-    dual_pretty = {row["label"]: row["pretty"] for row in rows}
-    body = [[row["pretty"], row["weight"], row["qdim"], dual_pretty[row["dual"]], row["generator"]] for row in rows]
-    return _emit(_table(fmt, header, body), out)
+    return _emit(_table(fmt, ["label", *_MODULE_FIELDS], rows), out)
 
 
 @_command("AB", _FORMAT, _OUT)
@@ -222,7 +229,7 @@ def fuse(k: int, a: str, b: str, fmt: str, out: str) -> int:
     product = fuse_irreducible(_label(a, k), _label(b, k), k)
     if fmt == "json":
         return _emit(json.dumps({lab.token(): mult for lab, mult in product.items()}), out)
-    rows = [[lab.token() if fmt == "csv" else lab.pretty(k), str(mult)] for lab, mult in product.items()]
+    rows = [(lab.token() if fmt == "csv" else lab.pretty(k), str(mult)) for lab, mult in product.items()]
     return _emit(_table(fmt, ["label" if fmt == "csv" else "module", "multiplicity"], rows), out)
 
 

@@ -29,6 +29,7 @@ checks its arguments first; a miss computes the value as described here.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 import mpmath
 from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, mpf_mul_int, mpf_sin, mpf_sum, round_nearest
@@ -258,12 +259,15 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     ``sin((k+2+j)t) = -sin((k+2-j)t)``).  Every remaining ``S_n`` with
     ``n <= k`` is read as ``S_{min(n, k-n)}``, which has the same residue
     (``psi`` divides ``S_n - S_{k-n}``, see the module docstring).  So only
-    the residues ``S_0 .. S_{k//2}`` are needed; they come from the
-    recurrence ``S_{i+1} = x*S_i - S_{i-1}`` reduced at each step.  Their
+    the residues ``S_0 .. S_{k//2}`` are needed.  They come from the
+    recurrence ``S_{i+1} = x*S_i - S_{i-1}`` on plain int lists: the next
+    list is ``[0] + S_i`` minus ``S_{i-1}``, the shorter padded with zeros,
+    and when its length passes ``deg psi`` its top coefficient is popped and
+    that coefficient times the rest of the monic ``psi`` is subtracted.  Their
     weights are collected per residue, and the weighted coefficients are
-    summed in one int list, which becomes one :class:`ChebPoly`; it is
-    already reduced, being a sum of reduced residues.  The whole sum costs
-    ``O(k * deg psi)`` integer operations.
+    summed in one int list, which becomes the one :class:`ChebPoly` built;
+    it is already reduced, being a sum of reduced residues.  The whole sum
+    costs ``O(k * deg psi)`` integer operations.
 
     The numeric part evaluates the sum of squared sine ratios directly and
     shares no arithmetic with the residue, so it is an independent check.
@@ -276,11 +280,18 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
     global precision is neither read nor changed.
     """
     check_level(k)
-    modulus = reduction_modulus(k)
-    x = cheb_u(1)
-    residues = [cheb_u(0), x % modulus]
-    for _ in range(k // 2 - 1):
-        residues.append((x * residues[-1] - residues[-2]) % modulus)
+    psi = reduction_modulus(k).coeffs
+    degree = len(psi) - 1
+    residues: list[list[int]] = [[1]]  # S_0; deg psi >= 1, so it is reduced
+    previous: list[int] = []  # S_{-1} = 0
+    for _ in range(k // 2):
+        current = residues[-1]
+        following = [u - w for u, w in zip_longest([0, *current], previous, fillvalue=0)]
+        if len(following) > degree:
+            top = following.pop()
+            following = [u - top * c for u, c in zip(following, psi)]
+        residues.append(following)
+        previous = current
     weights = [0] * len(residues)
     for m in range(k + 1):
         n = 2 * m
@@ -289,10 +300,10 @@ def global_dimension(k: int) -> tuple[QDimElement, mpmath.mpf]:
         elif n > k + 1:
             j = 2 * k + 2 - n
             weights[min(j, k - j)] -= 9 * (k + 1 - m)
-    total = [0] * modulus.degree
+    total = [0] * degree
     for weight, residue in zip(weights, residues):
         if weight:
-            for power, c in enumerate(residue.coeffs):
+            for power, c in enumerate(residue):
                 total[power] += weight * c
     exact = QDimElement(ChebPoly(total), k)
     dps = 15 + _GUARD_DIGITS

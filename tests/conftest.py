@@ -234,14 +234,15 @@ def _decimal_fixed(value, decimals):
     """Reference for ``cli._fixed``: the exact binary value of ``value``, rounded half-even by ``decimal``.
 
     ``man * 2**exp`` is ``man * 5**-exp`` times ``10**exp`` when ``exp < 0``,
-    and a Decimal read from a string holds that exactly; the context carries
+    and a Decimal built from that int's digits holds that exactly (no
+    ``str(int)``, which refuses 4300 digits and more); the context carries
     every digit of the rounded result, and ``format(..., "f")`` writes it
     without an exponent.
     """
     negative, man, exp, _ = value._mpf_
     coefficient, exponent = (man << exp, 0) if exp >= 0 else (man * 5 ** -exp, exp)
-    exact = Decimal(f"{'-' if negative else ''}{coefficient}E{exponent}")
-    context = Context(prec=len(str(man)) + max(exp, 0) + decimals + 10)
+    exact = Decimal((negative, Decimal(coefficient).as_tuple().digits, exponent))
+    context = Context(prec=Decimal(man).adjusted() + 1 + max(exp, 0) + decimals + 10)
     return format(exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_EVEN, context=context), "f")
 
 

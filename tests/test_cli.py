@@ -48,11 +48,15 @@ def test_qdim_digits(invoke):
     assert result.stdout.strip() == "1.000000000000"
 
 
-@pytest.mark.parametrize("k, label", [(7, "u:3:0"), (200, "u:100:0"), (200, "t1:37:2")])
-@pytest.mark.parametrize("digits", [28, 40, 100])
+@pytest.mark.parametrize(
+    "digits, k, label",
+    [(digits, k, label) for digits in (28, 40, 100) for k, label in [(7, "u:3:0"), (200, "u:100:0"), (200, "t1:37:2")]]
+    + [(4400, 7, "u:3:0")],
+)
 def test_qdim_prints_any_number_of_digits_correctly_rounded(invoke, decimal_fixed, k, label, digits):
-    # beyond 27 digits a 28-digit decimal context used to overflow; the value
-    # is checked against a sine ratio carried to 2 * digits + 20 digits
+    # beyond 27 digits a 28-digit decimal context used to overflow, and from
+    # 4300 digits on str(int) refuses the conversion; the value is checked
+    # against a sine ratio carried to 2 * digits + 20 digits
     result = invoke("qdim", "--level", str(k), label, "--digits", str(digits))
     assert result.exit_code == 0, result.stderr
     i = parse_label(label, k).i
@@ -75,6 +79,7 @@ def test_qdim_prints_any_number_of_digits_correctly_rounded(invoke, decimal_fixe
         (64.0625, 3, "64.062"),
         (10.999999, 4, "11.0000"),
         (-0.375, 2, "-0.38"),
+        pytest.param(0.375, 5000, "0.375" + "0" * 4997, id="0.375-5000"),  # more digits than str(int) converts
     ],
 )
 def test_fixed_examples(value, decimals, text):
@@ -473,3 +478,20 @@ def test_glob_and_qdim_print_the_same_bytes_at_every_index(invoke):
         assert hashlib.sha256(globs.encode()).hexdigest() == _GLOB_DIGEST
     qdims = "".join(stdout("qdim", "--level", str(k), f"u:{i}:0") for k in levels for i in range(k + 1))
     assert hashlib.sha256(qdims.encode()).hexdigest() == _QDIM_DIGEST
+
+
+# SHA-256 of the concatenated stdout of ``catalog --level k --format f`` for
+# the levels below and f in json, csv, markdown, as the release that built
+# each module's row as a dict printed them.
+_CATALOG_LEVELS = (*range(1, 61), 88, 100, 118, 199, 200, 201, 298)
+_CATALOG_DIGEST = "e835a4f6e54e0ddd76fb9b161256b875bf78795345845b663729497eb884ccb9"
+
+
+def test_catalog_prints_the_same_bytes_in_every_format(invoke):
+    digest = hashlib.sha256()
+    for k in _CATALOG_LEVELS:
+        for fmt in ("json", "csv", "markdown"):
+            result = invoke("catalog", "--level", str(k), "--format", fmt)
+            assert result.exit_code == 0 and not result.stderr
+            digest.update(result.stdout.encode())
+    assert digest.hexdigest() == _CATALOG_DIGEST
