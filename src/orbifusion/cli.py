@@ -261,9 +261,7 @@ def glob(k: int) -> None:
 @_command("", ("--suite", {"choices": [*SUITES, "all"], "default": "all", "help": "suite to run (default: all)"}))
 def verify(k: int, suite: str) -> int:
     """Run verification suites; exit 1 if any identity fails."""
-    if suite == "oracle" and k != 1:
-        raise argparse.ArgumentError(None, "the lattice oracle is a level-1 statement; run it with --level 1")
-    names = [name for name in SUITES if name != "oracle" or k == 1] if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     try:
         reports = run_suites(names, k)
     except ValueError as err:  # a fault found while a suite runs, not a usage error
@@ -285,7 +283,7 @@ def run(argv: list[str] | None = None) -> int:
         command = options.pop("command")
         try:
             status = command.callback(**options)
-        except argparse.ArgumentError as err:  # a label or suite the level does not have
+        except argparse.ArgumentError as err:  # a label the level does not have
             command.error(str(err))
         sys.stdout.flush()  # so that a closed pipe is seen here
     except SystemExit as exc:  # --help, or argparse's usage error

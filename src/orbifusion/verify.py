@@ -2,10 +2,7 @@
 
 Each suite returns a :class:`VerificationReport`; an empty failure list is
 an executable proof that the identity holds at that level.  Every suite is
-exhaustive at every level.  The level-1 suite additionally checks the whole
-catalog against an independent oracle: the orbifold at level 1 is isomorphic
-to a rank-one lattice theory whose 18 simple modules fuse like Z/18, whose
-duals negate, and whose weights are s^2/36 modulo 1.
+exhaustive, and every suite runs at every level.
 
 ``catalog`` checks that the catalog has 9(k+1) labels, none twice, and that
 each label's weight is the one a construction gives that shares no code with
@@ -15,7 +12,15 @@ Li, J. Algebra 196 (1997), for the twisted modules).  The weight-lam space of
 L(k, i) first occurs at a depth linear between its extremal weights
 +-i + 2kn; the twist moves its grade by -r*lam/6 + r^2*k/36 and puts it in
 one label, whose weight is the least grade of its spaces, kept as an int
-over 36(k+2).  At k=1 it also checks that every label is a simple current.
+over 36(k+2).  It also checks that a label's quantum dimension, as the
+table's ``qdim`` memo holds it, is 1 exactly when its i is 0 or k.
+
+``oracle`` checks every product and every dual against one rule on the same
+coordinates: the label of sector r holding the weight-lam space of L(k, i)
+is (r, i, lam).  The sl2 weights add, twists add, i runs over the truncated
+Clebsch-Gordan range, and a twist of 3 or more flows back by sigma^3 = 1 (see
+:func:`_oracle`).  It restates ``fusion``'s rule on the construction's
+coordinates and reads nothing of ``fusion`` but the functions under test.
 
 Associativity is proven from a few generators instead of all n^3 triples.
 Let L_a be c -> a x c, extended linearly; the vectors a with
@@ -76,7 +81,7 @@ from typing import Callable, NamedTuple
 
 from .labels import FusionVector, IrrLabel, check_level, enumerate_irreducibles, vacuum
 from .weights import conformal_weight
-from .qdim import QDimElement, has_unit_qdim, qdim_exact
+from .qdim import QDimElement, qdim_exact
 from .fusion import contragredient, fuse_irreducible
 
 __all__ = [
@@ -502,57 +507,6 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     return _finish(report, start)
 
 
-# The Z/18 correspondence realizing the level-1 catalog inside a rank-one
-# lattice theory: label token -> lattice coset index s, with fusion s+t,
-# dual -s and weight s^2/36 (mod 1).
-Z18_CORRESPONDENCE: dict[str, int] = {
-    "u:0:0": 0, "t1:0:0": 1, "t2:0:0": 2,
-    "u:1:1": 3, "t1:1:1": 4, "t2:1:2": 5,
-    "u:0:1": 6, "t1:0:1": 7, "t2:0:2": 8,
-    "u:1:2": 9, "t1:1:2": 10, "t2:1:1": 11,
-    "u:0:2": 12, "t1:0:2": 13, "t2:0:1": 14,
-    "u:1:0": 15, "t1:1:0": 16, "t2:1:0": 17,
-}
-
-
-def _lattice_oracle(table: _FusionTable) -> VerificationReport:
-    """Level-1 catalog against the independent Z/18 lattice model."""
-    labels, ids, outputs = table.labels, table.ids(), table.outputs
-    start = time.perf_counter()
-    report = VerificationReport("oracle", 1)
-    cosets = {lab: Z18_CORRESPONDENCE[lab.token()] for lab in labels}
-    for a, s_a, row in zip(labels, cosets.values(), ids):
-        for b, s_b, p in zip(labels, cosets.values(), row):
-            report.checks_run += 1
-            product = outputs[p]
-            if len(product) != 1:
-                report.failures.append(
-                    Failure(f"{a.token()} x {b.token()} is not a single simple module: {table.render(product)}", (a, b))
-                )
-                continue
-            c = labels[product[0]]
-            got, want = cosets[c], (s_a + s_b) % 18
-            if got != want:
-                report.failures.append(
-                    Failure(f"{a.token()} x {b.token()} lands on coset {got}, lattice model says {want}", (a, b, c))
-                )
-    for lab, s in cosets.items():
-        report.checks_run += 1
-        dual_coset = cosets[table.dual[lab]]
-        if dual_coset != (18 - s) % 18:
-            report.failures.append(
-                Failure(f"dual of {lab.token()} is on coset {dual_coset}, lattice model says {(18 - s) % 18}", (lab,))
-            )
-    for lab, s in cosets.items():
-        report.checks_run += 1
-        weight = table.weight[lab]
-        if (weight - Fraction(s * s, 36)) % 1 != 0:
-            report.failures.append(
-                Failure(f"weight({lab.token()}) = {weight} is not {s}^2/36 modulo 1", (lab,))
-            )
-    return _finish(report, start)
-
-
 def _least_depth(k: int, i: int, lam: int) -> int:
     """Least depth of the sl2 weight ``lam`` (``lam = i`` mod 2) in L(k, i).
 
@@ -564,27 +518,35 @@ def _least_depth(k: int, i: int, lam: int) -> int:
     return k * n * n + (s * n if s <= i else i * n + (2 * n + 1) * (s - i) // 2)
 
 
+_E = (1, 1, -1)  # e(r): sector r reads the charge of a weight with this sign
+
+
+def _j(r: int, i: int, lam: int) -> int:
+    """The j of the sector-``r`` label that holds the weight-``lam`` space of L(k, i): ``e(r)*(i - lam)/2 mod 3``."""
+    return _E[r] * (i - lam) // 2 % 3
+
+
 def _constructed_weights(k: int) -> dict[tuple[int, int, int], int]:
     """Every label's weight times ``36*(k+2)``, from the twisted grading of L(k, i).
 
     The sigma^r-twisted grade of the weight-``lam`` space of L(k, i) is
     ``i(i+2)/(4(k+2)) + depth - r*lam/6 + r^2*k/36``; the space lies in
-    label ``(r, i, e(r)*(i - lam)/2 mod 3)``, with ``e = (1, 1, -1)``, and a
-    label's weight is its least grade.  Only ``|lam| <= i + 6`` can give it:
-    beyond, the depth grows faster than the twist term falls.
+    label ``(r, i, _j(r, i, lam))``, and a label's weight is its least
+    grade.  Only ``|lam| <= i + 6`` can give it: beyond, the depth grows
+    faster than the twist term falls.
     """
     built: dict[tuple[int, int, int], int] = {}
-    for r, e in enumerate((1, 1, -1)):
+    for r in range(3):
         for i in range(k + 1):
             for lam in range(-i - 6, i + 7, 2):
-                key = (r, i, e * (i - lam) // 2 % 3)
+                key = (r, i, _j(r, i, lam))
                 w = 9 * i * (i + 2) + (k + 2) * (36 * _least_depth(k, i, lam) - 6 * r * lam + r * r * k)
                 built[key] = min(w, built.get(key, w))
     return built
 
 
 def _catalog(table: _FusionTable) -> VerificationReport:
-    """Catalog size, no label twice, each weight against :func:`_constructed_weights`, and k=1 simple currents."""
+    """Catalog size, no label twice, each weight against :func:`_constructed_weights`, and the simple currents."""
     start = time.perf_counter()
     k, labels = table.k, table.labels
     report = VerificationReport("catalog", k)
@@ -595,17 +557,80 @@ def _catalog(table: _FusionTable) -> VerificationReport:
         report.failures.append(Failure("catalog contains duplicate labels", ()))
     built, scale = _constructed_weights(k), 36 * (k + 2)
     for lab in labels:
-        report.checks_run += 1
+        report.checks_run += 2
         w = table.weight[lab]
         if w * scale != built[lab]:
             report.failures.append(
                 Failure(f"weight({lab.token()}) = {w}, the construction gives {Fraction(built[lab], scale)}", (lab,))
             )
-    if k == 1:
-        for lab in labels:
-            report.checks_run += 1
-            if not has_unit_qdim(lab, 1):
-                report.failures.append(Failure(f"{lab.token()} is not a simple current at level 1", (lab,)))
+        if table.qdim[lab].is_one() != (lab.i in (0, k)):
+            report.failures.append(
+                Failure(f"qdim({lab.token()}) = {table.qdim[lab]}, but it is 1 exactly when i is 0 or {k}", (lab,))
+            )
+    return _finish(report, start)
+
+
+def _oracle(table: _FusionTable) -> VerificationReport:
+    """Every product and every dual against the coordinate rule.
+
+    A label (r, i, j) is (r, i, lam) with ``lam = i - 2*(e(r)*j mod 3)``,
+    the coordinates of :func:`_constructed_weights` (:func:`_j` is the way
+    back).  The product of (r_a, i_a, lam_a) and (r_b, i_b, lam_b) holds once
+    each (r_a + r_b, i, lam_a + lam_b), for i from ``|i_a - i_b|`` to
+    ``min(i_a + i_b, 2k - i_a - i_b)`` in steps of 2; a twist r of 3 or more
+    flows to (r - 3, k - i, lam - k), since at r = 3 the construction's
+    grading of (i, lam) is the untwisted grading of (k - i, lam - k).  The
+    dual of (0, i, lam) is (0, i, -lam), and of a twisted (r, i, lam) it is
+    (3 - r, k - i, k - lam).
+
+    A product depends on its pair only through the Clebsch-Gordan range,
+    r_a + r_b and ``(lam_a + lam_b) mod 6``, which one int key holds: row
+    ``a``'s keys are ``ranges[i_a]`` plus ``twists[r_a, lam_a mod 6]``,
+    column by column.  Each key's outputs are listed once and mapped to the
+    table's id of those outputs, or -1, so a row is one list equality; a
+    row that differs reports pair by pair.  n^2 + n checks.
+    """
+    k, labels, ids, outputs = table.k, table.labels, table.ids(), table.outputs
+    start = time.perf_counter()
+    n, span, index = len(labels), k + 1, table.index
+    report = VerificationReport("oracle", k)
+    coords = [(r, i, i - 2 * (_E[r] * j % 3)) for r, i, j in labels]
+    column_i = [i for _, i, _ in coords]
+    cells = [[(index[r, i, 0], index[r, i, 1], index[r, i, 2]) for i in range(span)] for r in range(3)]  # by r, i, j
+
+    def rule(key: int) -> tuple[int, ...]:
+        """The sorted output indices that the rule gives the product of ``key``."""
+        (lo, hi), (r, lam) = divmod(key // 30, span), divmod(key % 30, 6)
+        if r >= 3:  # the flow
+            r, lo, hi, lam = r - 3, k - hi, k - lo, lam - k
+        e, j, at = _E[r], _j(r, lo, lam), cells[r]  # each step of i by 2 moves j by e
+        return tuple(sorted([at[i][(j + e * m) % 3] for m, i in enumerate(range(lo, hi + 1, 2))]))
+
+    first = {out: p for p, out in enumerate(outputs)}
+    predicted = _Memo(lambda key: first.get(rule(key), -1))
+    # by_i[i_a][i_b] is 30 times the id lo*(k+1) + hi of the pair's Clebsch-Gordan range, and ranges[i_a] its columns
+    by_i = _Memo(lambda ia: [30 * (abs(ia - ib) * span + min(ia + ib, 2 * k - ia - ib)) for ib in range(span)])
+    ranges = _Memo(lambda ia: list(map(by_i[ia].__getitem__, column_i)))
+    twists = _Memo(lambda rl: [6 * (rl[0] + r) + (rl[1] + lam) % 6 for r, _, lam in coords])
+    for a, (r, i, lam), row in zip(labels, coords, ids):
+        report.checks_run += n
+        keys = list(map(operator.add, ranges[i], twists[r, lam % 6]))
+        if list(map(predicted.__getitem__, keys)) == row:
+            continue
+        for b, key, p in zip(labels, keys, row):
+            if predicted[key] != p:
+                got, want = table.render(outputs[p]), table.render(rule(key))
+                report.failures.append(
+                    Failure(f"{a.token()} x {b.token()} = {got}, the coordinate rule gives {want}", (a, b))
+                )
+    report.checks_run += n
+    for lab, (r, i, lam) in zip(labels, coords):
+        dual = (0, i, _j(0, i, -lam)) if r == 0 else (3 - r, k - i, _j(3 - r, k - i, k - lam))
+        d, want = table.dual[lab], labels[index[dual]]
+        if d != want:
+            report.failures.append(
+                Failure(f"dual of {lab.token()} is {d.token()}, the coordinate rule gives {want.token()}", (lab,))
+            )
     return _finish(report, start)
 
 
@@ -617,7 +642,7 @@ SUITES: dict[str, Callable[[_FusionTable], VerificationReport]] = {
     "assoc": _associativity,
     "dual": _duality,
     "qdim": _qdim_homomorphism,
-    "oracle": _lattice_oracle,
+    "oracle": _oracle,
 }
 
 
@@ -625,8 +650,8 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     """Run the named suites at level ``k``, in the order given, on one shared table.
 
     Raises ``ValueError``, before any suite runs, for a name not in
-    :data:`SUITES` (a string is not a list of names), for a level that fails
-    :func:`check_level`, and for ``oracle`` at a level other than 1.
+    :data:`SUITES` (a string is not a list of names) and for a level that
+    fails :func:`check_level`.
     """
     known = False
     if not isinstance(names, str):
@@ -638,7 +663,5 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
     check_level(k)
-    if "oracle" in names and k != 1:
-        raise ValueError("the lattice oracle is a level-1 statement; run it with level 1")
     table = _FusionTable(k)
     return [SUITES[name](table) for name in names]

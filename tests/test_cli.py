@@ -266,10 +266,19 @@ def test_verify_fault_found_while_a_suite_runs_is_an_error_not_usage(invoke, mon
     assert result.stderr == "Error: fusion output u:5:0 is not a label at level 2\n"
 
 
-def test_verify_oracle_needs_level_one(invoke):
+def test_verify_oracle_passes_at_level_two(invoke):
     result = invoke("verify", "--level", "2", "--suite", "oracle")
-    assert result.exit_code == 2
-    assert "level-1" in result.stderr
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith("suite=oracle level=2 checks=756 ") and result.stdout.endswith(" PASS\n")
+    assert invoke("verify", "--level", "0", "--suite", "oracle").exit_code == 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_all_runs_every_suite_above_level_one(invoke, k):
+    result = invoke("verify", "--level", str(k))
+    assert result.exit_code == 0
+    suites = [line.split()[0].removeprefix("suite=") for line in result.stdout.splitlines()]
+    assert suites == ["catalog", "unit", "comm", "assoc", "dual", "qdim", "oracle"]
 
 
 def test_usage_errors_exit_two(invoke):

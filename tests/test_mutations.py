@@ -6,7 +6,10 @@ plus one seeded change and asserts which suites fail.
 * Fusion, dual and quantum-dimension faults: the exact set of suites that
   fail, at k = 2, 3, 8 and 37, so a suite that stops catching a fault, or
   starts failing for another reason, is seen.  Each also has a second
-  target, on other labels, checked the same way at k = 2, 3 and 8.
+  target, on other labels, checked the same way at k = 2, 3 and 8.  Every
+  fusion and dual fault fails ``oracle``, which checks each product and
+  each dual against the coordinate rule, and every qdim fault fails
+  ``catalog``, which checks that a qdim is 1 exactly when i is 0 or k.
 * Weight faults: the exact set of suites that fail, at k = 2, 3, 8 and 37.
   Every one fails ``catalog``, which builds each weight without
   ``conformal_weight``.  ``dual`` sees only a label whose weight moves
@@ -29,9 +32,8 @@ LEVELS = (2, 3, 8, 37)
 
 
 def _failing_suites(k):
-    """Names of the suites of ``verify --level k`` (all but the level-1 oracle) that fail."""
-    names = [name for name in SUITES if name != "oracle"]
-    return {report.suite for report in run_suites(names, k) if not report.passed}
+    """Names of the suites of ``verify --level k``, every suite of ``SUITES``, that fail."""
+    return {report.suite for report in run_suites(list(SUITES), k) if not report.passed}
 
 
 def _suites_failing_with(monkeypatch, k, change):
@@ -105,21 +107,21 @@ def _qdim_of_index_0(token):
 
 # Each fault with the exact set of suites that fail on it, the same at every level of LEVELS.  The
 # fusion faults rewrite u:1:0 x u:1:0 (outputs u:0:j and u:2:j').  No suite reads a label's qdim
-# through its j, so a moved j is caught by assoc and dual alone.  u:1:2 is its own dual.
+# through its j, so a moved j is caught by assoc, dual and oracle alone.  u:1:2 is its own dual.
 FUSION_FAULTS = {
     fault: (_outputs_changed(fault, ("u:1:0", "u:1:0"), _operand), suites)
     for fault, suites in {
-        "drop one output": {"assoc", "dual", "qdim"},
-        "double one output": {"assoc", "dual", "qdim"},
-        "add one output": {"assoc", "dual", "qdim"},
-        "replace one output": {"assoc", "dual", "qdim"},
-        "move one output's j": {"assoc", "dual"},
+        "drop one output": {"assoc", "dual", "qdim", "oracle"},
+        "double one output": {"assoc", "dual", "qdim", "oracle"},
+        "add one output": {"assoc", "dual", "qdim", "oracle"},
+        "replace one output": {"assoc", "dual", "qdim", "oracle"},
+        "move one output's j": {"assoc", "dual", "oracle"},
     }.items()
 }
 FAULTS = {
     **FUSION_FAULTS,
-    "swap two labels' duals": (_duals_swapped("u:1:0", "u:1:2"), {"dual"}),
-    "give one label another index's qdim": (_qdim_of_index_0("u:1:0"), {"dual", "qdim"}),
+    "swap two labels' duals": (_duals_swapped("u:1:0", "u:1:2"), {"dual", "oracle"}),
+    "give one label another index's qdim": (_qdim_of_index_0("u:1:0"), {"catalog", "dual", "qdim"}),
 }
 
 SECOND_LEVELS = (2, 3, 8)
@@ -130,20 +132,20 @@ SECOND_LEVELS = (2, 3, 8)
 SECOND_FUSION_FAULTS = {
     fault: (_outputs_changed(fault, ("t1:1:0", "t2:1:0"), _i_moved), suites)
     for fault, suites in {
-        "drop one output": {"assoc", "comm", "dual", "qdim"},
-        "double one output": {"assoc", "comm", "dual", "qdim"},
-        "add one output": {"assoc", "comm", "dual", "qdim"},
-        "replace one output": {"assoc", "comm", "dual", "qdim"},
-        "move one output's j": {"assoc", "comm", "dual"},
+        "drop one output": {"assoc", "comm", "dual", "qdim", "oracle"},
+        "double one output": {"assoc", "comm", "dual", "qdim", "oracle"},
+        "add one output": {"assoc", "comm", "dual", "qdim", "oracle"},
+        "replace one output": {"assoc", "comm", "dual", "qdim", "oracle"},
+        "move one output's j": {"assoc", "comm", "dual", "oracle"},
     }.items()
 }
 SECOND_TARGETS = {
     **SECOND_FUSION_FAULTS,
-    "swap two labels' duals": (_duals_swapped("t1:1:0", "t1:1:1"), {"dual"}),
-    "give one label another index's qdim": (_qdim_of_index_0("t2:1:2"), {"dual", "qdim"}),
+    "swap two labels' duals": (_duals_swapped("t1:1:0", "t1:1:1"), {"dual", "oracle"}),
+    "give one label another index's qdim": (_qdim_of_index_0("t2:1:2"), {"catalog", "dual", "qdim"}),
 }
 # At k=3 the replacing output u:2:j has the qdim of the u:1:j it replaces, so qdim passes there.
-SECOND_EXCEPTIONS = {("replace one output", 3): {"assoc", "comm", "dual"}}
+SECOND_EXCEPTIONS = {("replace one output", 3): {"assoc", "comm", "dual", "oracle"}}
 
 
 @pytest.mark.parametrize("k", LEVELS)

@@ -9,26 +9,31 @@ import pytest
 import orbifusion.verify as verify_mod
 from orbifusion.fusion import contragredient
 from orbifusion.labels import FusionVector, IrrLabel, Sector, enumerate_irreducibles, parse_label, vacuum
-from orbifusion.verify import SUITES, Z18_CORRESPONDENCE, Failure, run_suites
-
-# Frozen copy of the level-1 lattice correspondence used by the oracle.
-FROZEN_Z18 = {
-    "u:0:0": 0, "t1:0:0": 1, "t2:0:0": 2, "u:1:1": 3, "t1:1:1": 4, "t2:1:2": 5,
-    "u:0:1": 6, "t1:0:1": 7, "t2:0:2": 8, "u:1:2": 9, "t1:1:2": 10, "t2:1:1": 11,
-    "u:0:2": 12, "t1:0:2": 13, "t2:0:1": 14, "u:1:0": 15, "t1:1:0": 16, "t2:1:0": 17,
-}
-
-
-def test_oracle_correspondence_matches_frozen_table():
-    assert Z18_CORRESPONDENCE == FROZEN_Z18
-    assert sorted(Z18_CORRESPONDENCE.values()) == list(range(18))
+from orbifusion.qdim import qdim_index
+from orbifusion.verify import SUITES, Failure, run_suites
 
 
 def test_oracle_suite_passes_with_full_check_count():
-    report = run_suites(["oracle"], 1)[0]
-    assert report.passed
-    assert report.checks_run == 18 * 18 + 18 + 18
-    assert report.level == 1
+    for k in (*range(1, 13), 20):
+        report = run_suites(["oracle"], k)[0]
+        assert report.passed, (k, [f.render() for f in report.failures[:5]])
+        n = 9 * (k + 1)
+        assert report.checks_run == n * n + n  # every product, then every dual
+        assert report.level == k
+
+
+def _grade(k, r, i, lam):
+    """36(k+2) times the sigma^r-twisted grade of the weight-lam space of L(k, i), as the construction gives it."""
+    return 9 * i * (i + 2) + (k + 2) * (36 * verify_mod._least_depth(k, i, lam) - 6 * r * lam + r * r * k)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_the_spectral_flow_of_the_oracle_is_the_constructions_grading(k):
+    # at r = 3 the grading of (i, lam) is the untwisted grading of (k - i, lam - k), for every lam
+    for i in range(k + 1):
+        reach = 2 * k + 12 + i
+        for lam in range(-reach, reach + 1, 2):
+            assert _grade(k, 3, i, lam) == _grade(k, 0, k - i, lam - k), (i, lam)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -84,7 +89,9 @@ def test_qdim_homomorphism_suite(k):
 
 @pytest.mark.parametrize("k", [1, 2, 12])
 def test_catalog_suite(k):
-    assert run_suites(["catalog"], k)[0].passed
+    report = run_suites(["catalog"], k)[0]
+    assert report.passed
+    assert report.checks_run == 2 + 18 * (k + 1)  # then one weight and one simple-current check per label
 
 
 def test_run_suites_all_order_and_levels():
@@ -93,17 +100,15 @@ def test_run_suites_all_order_and_levels():
     assert all(r.passed for r in reports)
 
 
-def test_run_suites_rejects_oracle_off_level_one(fuse_calls):
-    with pytest.raises(ValueError, match="level-1"):
-        run_suites(["oracle"], 2)
-    with pytest.raises(ValueError, match="level-1"):
-        run_suites(["comm", "oracle"], 2)
-    # a bad level is named as such, before the oracle's level rule
+def test_run_suites_runs_the_oracle_at_level_two(fuse_calls):
+    # a bad level is named as such, before any suite runs
     with pytest.raises(ValueError, match=r"^level must be an integer, got 2\.0$"):
         run_suites(["oracle"], 2.0)
     with pytest.raises(ValueError, match="^level must be >= 1, got 0$"):
         run_suites(["oracle"], 0)
-    assert fuse_calls == []  # refused before any suite ran
+    assert fuse_calls == []
+    assert run_suites(["oracle"], 2)[0].passed
+    assert [(r.suite, r.passed) for r in run_suites(["comm", "oracle"], 2)] == [("comm", True), ("oracle", True)]
 
 
 def test_summary_line_shape():
@@ -135,10 +140,10 @@ def test_oracle_catches_broken_duality(monkeypatch):
     monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: lab)
     report = run_suites(["oracle"], 1)[0]
     assert not report.passed
-    # self-dual labels (cosets 0 and 9) still pass; the other 16 fail
+    # the self-dual labels u:0:0 and u:1:2 still pass; the other 16 fail
     assert len(report.failures) == 16
-    lab = parse_label("u:0:1", 1)  # coset 6, whose dual is on coset 12
-    assert report.failures[0] == Failure("dual of u:0:1 is on coset 6, lattice model says 12", (lab,))
+    lab = parse_label("u:0:1", 1)  # (0, 0, -2), whose dual (0, 0, 2) is u:0:2
+    assert report.failures[0] == Failure("dual of u:0:1 is u:0:1, the coordinate rule gives u:0:2", (lab,))
 
 
 def test_associativity_generators_at_level_9():
@@ -196,12 +201,37 @@ def test_catalog_reports_a_weight_off_the_construction(monkeypatch, token, chang
     assert report.failures == [Failure(want, (parse_label(token, 2),))]
 
 
+def _qdim_with(token, change):
+    """Honest quantum dimensions, except that the one of ``token`` goes through ``change``."""
+    from orbifusion.qdim import qdim_exact
+
+    def qdim(lab, k):
+        q = qdim_exact(lab, k)
+        return change(q) if lab.token() == token else q
+
+    return qdim
+
+
 def test_catalog_reports_a_label_that_is_no_simple_current_at_level_one(monkeypatch):
     lab = parse_label("t2:1:0", 1)
-    honest = verify_mod.has_unit_qdim
-    monkeypatch.setattr(verify_mod, "has_unit_qdim", lambda x, k: x != lab and honest(x, k))
+    monkeypatch.setattr(verify_mod, "qdim_exact", _qdim_with("t2:1:0", lambda q: q + q))
     report = run_suites(["catalog"], 1)[0]
-    assert report.failures == [Failure("t2:1:0 is not a simple current at level 1", (lab,))]
+    assert report.failures == [Failure("qdim(t2:1:0) = 2, but it is 1 exactly when i is 0 or 1", (lab,))]
+
+
+@pytest.mark.parametrize(
+    "k, token, change, want",
+    [
+        (1, "t1:1:2", lambda q: q + q, "qdim(t1:1:2) = 2, but it is 1 exactly when i is 0 or 1"),
+        (2, "u:1:0", lambda q: qdim_index(0, 2), "qdim(u:1:0) = 1, but it is 1 exactly when i is 0 or 2"),
+        (2, "t2:2:1", lambda q: q + q, "qdim(t2:2:1) = 2, but it is 1 exactly when i is 0 or 2"),
+    ],
+    ids=["level 1 doubled", "level 2 made 1", "level 2 doubled"],
+)
+def test_catalog_reads_the_simple_currents_from_the_qdim_under_test(monkeypatch, k, token, change, want):
+    monkeypatch.setattr(verify_mod, "qdim_exact", _qdim_with(token, change))
+    report = run_suites(["catalog"], k)[0]
+    assert report.failures == [Failure(want, (parse_label(token, k),))]
 
 
 def _fuse_with(k, pair, change):
@@ -229,17 +259,37 @@ def _drop_last(v):
 
 
 def test_oracle_reports_a_product_on_the_wrong_coset(monkeypatch):
+    # u:0:2 is on coset 12 of the Z/18 lattice model, where u:0:0 x u:0:1 is on coset 6
     a, b, c = (parse_label(tok, 1) for tok in ("u:0:0", "u:0:1", "u:0:2"))
     monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(1, ("u:0:0", "u:0:1"), lambda v: FusionVector({c: 1})))
     report = run_suites(["oracle"], 1)[0]
-    assert report.failures == [Failure("u:0:0 x u:0:1 lands on coset 12, lattice model says 6", (a, b, c))]
+    assert report.failures == [Failure("u:0:0 x u:0:1 = {u:0:2: 1}, the coordinate rule gives {u:0:1: 1}", (a, b))]
 
 
-def test_oracle_reports_a_weight_off_the_lattice(monkeypatch):
-    lab = parse_label("u:1:0", 1)  # coset 15: weight 1/4, which is 15^2/36 modulo 1
+@pytest.mark.parametrize("k", [2, 3, 8, 20])
+@pytest.mark.parametrize("change", ["u:1:0 x t1:2:0 without its last output", "u:1:0 x t1:1:0 with its first output doubled"])
+def test_a_seeded_product_fault_fails_the_oracle_once_naming_its_pair(monkeypatch, k, change):
+    pair, product, _ = _PRODUCT_CHANGES[change]
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, pair, product))
+    report = run_suites(["oracle"], k)[0]
+    assert [f.labels for f in report.failures] == [tuple(parse_label(tok, k) for tok in pair)]
+    assert ", the coordinate rule gives {" in report.failures[0].description
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 20])
+def test_a_seeded_dual_fault_fails_the_oracle_once_naming_its_label(monkeypatch, k):
+    u11, u12 = parse_label("u:1:1", k), parse_label("u:1:2", k)  # u:1:2 is its own dual
+    monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: u11 if lab == u12 else contragredient(lab, k))
+    report = run_suites(["oracle"], k)[0]
+    assert report.failures == [Failure("dual of u:1:2 is u:1:1, the coordinate rule gives u:1:2", (u12,))]
+
+
+def test_a_level_one_weight_off_the_lattice_fails_catalog(monkeypatch):
+    lab = parse_label("u:1:0", 1)  # coset 15 of the Z/18 lattice model: weight 1/4, which is 15^2/36 modulo 1
     monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:1:0": lambda w: w + Fraction(1, 36)}))
-    report = run_suites(["oracle"], 1)[0]
-    assert report.failures == [Failure("weight(u:1:0) = 5/18 is not 15^2/36 modulo 1", (lab,))]
+    reports = run_suites(list(SUITES), 1)
+    assert [r.suite for r in reports if not r.passed] == ["catalog", "dual"]  # its dual u:1:1 keeps 1/4
+    assert reports[0].failures == [Failure("weight(u:1:0) = 5/18, the construction gives 1/4", (lab,))]
 
 
 def test_dual_reports_a_qdim_that_changes_under_dual(monkeypatch):
@@ -336,7 +386,7 @@ def test_corrupted_vacuum_row_fails_unit_assoc_and_oracle(monkeypatch):
     unit, assoc, oracle = run_suites(["unit", "assoc", "oracle"], 1)
     broken = Failure(f"vacuum x {lab.token()} = {{}}, expected {{{lab.token()}: 1}}", (lab,))
     assert unit.failures == [broken] and broken in assoc.failures
-    assert [f.labels for f in oracle.failures] == [(vacuum(1), lab)]
+    assert oracle.failures == [Failure("u:0:0 x t1:1:2 = {}, the coordinate rule gives {t1:1:2: 1}", (vacuum(1), lab))]
 
 
 def test_corruption_after_honest_run_is_caught(monkeypatch):
@@ -347,7 +397,7 @@ def test_corruption_after_honest_run_is_caught(monkeypatch):
 
 
 def test_qdim_memo_is_by_value_not_by_index(monkeypatch):
-    from orbifusion.qdim import qdim_exact, qdim_index
+    from orbifusion.qdim import qdim_exact
 
     wrong = parse_label("u:0:1", 2)  # given qdim(i=1) although its i is 0
     monkeypatch.setattr(
@@ -618,7 +668,7 @@ def test_dual_fails_exactly_when_the_pair_by_pair_sweep_does_at_level_8(duality_
 
 def test_table_at_level_20_holds_1089_products_for_one_fuse_per_pair(fuse_calls):
     table = verify_mod._FusionTable(20)
-    assert all(SUITES[name](table).passed for name in SUITES if name != "oracle")
+    assert all(SUITES[name](table).passed for name in SUITES)
     n = 9 * 21
     assert len(fuse_calls) == len(set(fuse_calls)) == n * n
     assert len(table.outputs) == len(set(table.outputs)) == 1089
@@ -654,8 +704,7 @@ def test_every_suite_evaluates_each_per_label_function_once_per_label(k, monkeyp
 
     for name in calls:
         monkeypatch.setattr(verify_mod, name, counting(name))
-    names = [name for name in SUITES if name != "oracle" or k == 1]
-    assert all(r.passed for r in run_suites(names, k))
+    assert all(r.passed for r in run_suites(list(SUITES), k))
     labels = enumerate_irreducibles(k)
     for name, labs in calls.items():
         assert sorted(labs) == sorted(labels), name  # every label, each once
