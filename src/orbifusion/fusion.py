@@ -52,34 +52,31 @@ In every product each output label occurs with multiplicity exactly 1.
 
 A product's outputs name it, so :func:`fuse_irreducible` remembers the
 products of one level at a time, keyed by the tuple ``(sector, lo, hi,
-c)``: one key per distinct product (1,089 keys for the 35,721 ordered pairs
-at k=20), and both orders of a pair have one key.  Beside that memo the
-level keeps a table of the operands checked there, keyed by label: each
-entry holds the label object itself and the three ints the key needs, its
-sector, ``i`` and ``e(sector) j``.  A call whose ``k`` is an int equal to
-the level, and whose operands are each the very object their entry holds,
-is checked by identity and reads the key's inputs from the two entries.
-Any other call checks ``check_label(a, k)`` then ``check_label(b, k)``, and
-then adds each operand that is a plain :class:`IrrLabel` to the table.  So
-an operand that only equals a checked label (a plain tuple, an int sector,
-a bool index) or cannot be hashed raises the same message, in the same
-order, as on a first call.  ``verify`` fuses the labels of one
-``enumerate_irreducibles(k)`` list with each other, so every call after
-its first row is checked by identity.  A call at a level other than the
-remembered one first replaces the memo and the table, together, with
-fresh, empty ones for its level: the table lives and dies with its level's
-memo.  Every call then reads the memo and, on a miss, builds its product
-and stores it.  The memo keeps the last level's products until a call at
-another level replaces it: after every ordered pair at k=50 it holds 6,084
-products, about 2.0 MB still traced by ``tracemalloc`` once the results
-are dropped.  Each is one immutable :class:`FusionVector`, and a memo hit
-returns that shared vector as it is: it builds nothing and hashes nothing
-but its key.  A miss takes its ``(label, 1)`` pairs from the level's
-interned pairs, keyed by the label and built on first use, so the work and
-memory of a call grow with its outputs and a level's memo with the
-products it holds, never with ``k`` alone.  :func:`fusion_coefficient`
-checks its operands in full on every call and neither reads nor writes the
-memo or the table.
+c)``: one key per distinct product, and both orders of a pair have one
+key.  Beside that memo the level keeps a table of the operands checked
+there, keyed by label: each entry holds the label object itself and the
+three ints the key needs, its sector, ``i`` and ``e(sector) j``.  A call
+whose ``k`` is an int equal to the level, and whose operands are each the
+very object their entry holds, is checked by identity and reads the key's
+inputs from the two entries.  Any other call checks ``check_label(a, k)``
+then ``check_label(b, k)``, and then adds each operand that is a plain
+:class:`IrrLabel` to the table.  So an operand that only equals a checked
+label (a plain tuple, an int sector, a bool index) or cannot be hashed
+raises the same message, in the same order, as on a first call.
+``verify`` fuses the labels of one ``enumerate_irreducibles(k)`` list with
+each other, so every call after its first row is checked by identity.  A
+call at a level other than the remembered one first replaces the memo and
+the table, together, with fresh, empty ones for its level: the table lives
+and dies with its level's memo.  Every call then reads the memo and, on a
+miss, builds its product and stores it.  The memo keeps the last level's
+products until a call at another level replaces it.  Each is one immutable
+:class:`FusionVector`, and a memo hit returns that shared vector as it is:
+it builds nothing and hashes nothing but its key.  A miss takes its
+``(label, 1)`` pairs from the level's interned pairs, keyed by the label
+and built on first use, so the work and memory of a call grow with its
+outputs and a level's memo with the products it holds, never with ``k``
+alone.  :func:`fusion_coefficient` checks its operands in full on every
+call and neither reads nor writes the memo or the table.
 """
 
 from __future__ import annotations

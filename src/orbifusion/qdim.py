@@ -138,7 +138,7 @@ class QDimElement:
         return QDimElement(self.residue + other.residue, self.level)
 
     def is_one(self) -> bool:
-        return self.residue == ChebPoly((1,))
+        return self.residue.coeffs == (1,)
 
     def numeric(self, precision: int = 15) -> mpmath.mpf:
         """Evaluate the residue at ``x = 2*cos(pi/(k+2))`` to ``precision`` digits.

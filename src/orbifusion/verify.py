@@ -32,11 +32,12 @@ vacuum, adding the smallest label still outside to the generators whenever S
 stops growing.  When S holds every label, all n^3 triples associate.  The
 honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 Both sides of a triple are integer ids of multisets, and a row of triples
-is one comparison of two lists of ints.  The table's own product ids name
-the multisets it holds, and a right side g x p the table lacks takes a new
-id in a per-generator overlay.  Where g x b is one label s, the left sides
-are s's row of ids: u:0:1 and t1:0:0 take that path on every b.  Where it
-is two labels, each left side comes from a per-generator memo of
+is one comparison of two lists of ints.  One lookup names every multiset,
+right side or left: the table's own product id where the table holds it,
+and otherwise an id in a per-generator overlay, which a left side that no
+right side names enters fresh, so it equals no right side.  Where g x b is
+one label s, the left sides are s's row of ids, with no multiset built.
+Where it is two labels, each left side comes from a per-generator memo of
 two-product sums keyed by the pair of product ids.
 
 Suites run through :func:`run_suites`, which builds one integer table of
@@ -52,21 +53,24 @@ ordered pair at most once.  A row is built without a Python-level loop:
 vectors are mapped to ids.  A suite does its per-product work once per id:
 ``comm`` compares ids, ``assoc`` names the right sides a x (b x c) once
 per id and generator, and ``qdim`` sums a product's quantum dimensions
-once per id.
+once per id.  The table finds the vacuum's index once, and the level is
+checked once, by ``enumerate_irreducibles``, before anything is built.
 The table also keeps three per-label memos, ``weight``, ``qdim`` and
 ``dual``, keyed by label and filled on first use by ``conformal_weight``,
 ``qdim_exact`` and ``contragredient``; ``catalog``, ``dual``, ``qdim`` and
 ``oracle`` read them, so one run evaluates each function at most once per
 label.  A dual outside the catalog raises ``ValueError`` naming both labels.
-``dual`` and ``qdim`` check a row at a time, ``dual`` with one list
-equality: listed in the order of the duals of their right factors, the
-row's products must equal their own columns.  A row that fails reports its
-failures pair by pair, in the order and with the texts of a pair-by-pair
-sweep.  No table, and so no memo, outlives the call that built it, so a
-substituted ``fuse_irreducible``, ``conformal_weight``, ``qdim_exact`` or
-``contragredient`` is always what is verified.  A report's ``elapsed``
-times the checks only: a suite builds the rows it reads before its clock
-starts.
+``dual`` and ``qdim`` check a row at a time, each with one list equality.
+In ``dual``, listed in the order of the duals of their right factors, the
+row's products must equal their own columns.  ``qdim`` gives every residue
+it meets one int id per value: each label's qdim, each product of two and
+each sum over a product, so its row is two lists of ids.  A row that
+fails reports its failures pair by pair, in the order and with the texts
+of a pair-by-pair sweep.  No table, and so no memo, outlives the call that
+built it, so a substituted ``fuse_irreducible``, ``conformal_weight``,
+``qdim_exact`` or ``contragredient`` is always what is verified.  A
+report's ``elapsed`` times the checks only: a suite builds the rows it
+reads before its clock starts.
 """
 
 from __future__ import annotations
@@ -77,9 +81,10 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, NamedTuple
 
-from .labels import FusionVector, IrrLabel, check_level, enumerate_irreducibles, vacuum
+from .labels import FusionVector, IrrLabel, enumerate_irreducibles, vacuum
 from .weights import conformal_weight
 from .qdim import QDimElement, qdim_exact
 from .fusion import contragredient, fuse_irreducible
@@ -177,14 +182,16 @@ class _FusionTable:
     row is built, per pair ``(a, b)``, and kept; the calls and the id
     lookups are mapped over the row, with no Python-level loop.  A product
     not met before takes the next id, so ``outputs`` grows as rows are
-    built (1089 ids for 35,721 pairs at k=20).  A product with an output
-    outside the level's catalog raises ``ValueError``.  A product is looked
-    up by its vector: ``fuse_irreducible`` hands out one shared vector per
-    distinct product, and every vector keeps the hash computed when it was
-    built, so a lookup is one slot read and an identity match.  A vector
-    hashes and compares as its ``(label, multiplicity)`` items, so fresh
-    vectors from a substituted ``fuse_irreducible`` share ids too, and two
-    pairs have one id exactly when their outputs are equal.
+    built.  A product with an output outside the level's catalog raises
+    ``ValueError``.  A product is looked up by its vector:
+    ``fuse_irreducible`` hands out one shared vector per distinct product,
+    and every vector keeps the hash computed when it was built, so a lookup
+    is one slot read and an identity match.  A vector hashes and compares
+    as its ``(label, multiplicity)`` items, so fresh vectors from a
+    substituted ``fuse_irreducible`` share ids too, and two pairs have one
+    id exactly when their outputs are equal.  ``vac`` is the vacuum's
+    index.  A level that fails ``check_level`` raises its ``ValueError``
+    from ``enumerate_irreducibles``, before anything is built.
 
     ``weight``, ``qdim`` and ``dual`` are per-label memos, keyed by the
     label itself (never by its index or ``i``), filled by this module's
@@ -195,10 +202,10 @@ class _FusionTable:
     """
 
     def __init__(self, k: int):
-        check_level(k)
         self.k = k
         self.labels = labels = enumerate_irreducibles(k)
         self.index = index = {lab: t for t, lab in enumerate(labels)}
+        self.vac = index[vacuum(k)]
         self.outputs = outputs = []
 
         def new_id(product: FusionVector) -> int:
@@ -239,7 +246,7 @@ def _finish(report: VerificationReport, start: float) -> VerificationReport:
 
 def _unit(table: _FusionTable) -> VerificationReport:
     """Vacuum acts as the fusion unit on every label."""
-    vac_row = table.row[table.index[vacuum(table.k)]]
+    vac_row = table.row[table.vac]
     start = time.perf_counter()
     report = VerificationReport("unit", table.k)
     _check_left_unit(table, vac_row, report)
@@ -310,50 +317,44 @@ def _generators(ids: Sequence[list[int]], outputs: list[tuple[int, ...]], vac: i
 def _associativity(table: _FusionTable) -> VerificationReport:
     """(a x b) x c = a x (b x c) on every triple, proven from generators.
 
-    Both sides of every triple are integer ids of multisets of labels.
-    ``first`` maps each product's outputs to its id, which the table gives
-    no other product.  For each generator ``a``, ``right[p]`` is the id of
-    the multiset a x p, so a x (b x c) is ``right[ids[b][c]]``; a multiset
-    the table does not hold gets an id of ``len(outputs)`` or more in
-    ``overlay``.  The left side (a x b) x c depends on the outputs of
-    a x b: for one label s it is ``ids[s][c]``, with no multiset built; for
-    two, s1 and s2, it comes from ``pair_sum``, a memo keyed by
-    ``len(outputs) * ids[s1][c] + ids[s2][c]`` whose value is the id of the
-    sorted union, or -1 when no right side of ``a`` is that multiset, so it
-    equals no right side; otherwise it is the merged multiset, looked up
-    the same way.  Each row of b compares ``lefts == rights`` as lists of
-    ints, and only a row that differs rebuilds the two multisets of each
-    failing triple for its message.  ``overlay`` and ``pair_sum`` are
-    dropped when ``a`` is done.  Only u:1:0 fills the memo on the honest
-    table: 3,591 keys at k=20, 22,491 at k=50 and 89,991 at k=100, where
-    ``verify``'s maximum RSS reads about 2 MB and 9.5 MB higher for it
-    (``BENCH_21.json``, ``verify_levels``).  ``table`` is only read.
+    Both sides of every triple are integer ids of multisets of labels, and
+    ``id_of`` names them all.  ``first``, built once, maps each product's
+    outputs to its id, which the table gives no other product; a multiset
+    it lacks takes the next id of ``len(outputs)`` or more in ``overlay``,
+    which is the generator's own.  For each generator ``a``, ``right[p]``
+    is the id of the multiset a x p, so a x (b x c) is
+    ``right[ids[b][c]]``; every right side is named before any left side,
+    so a left side that enters ``overlay`` equals no right side.  The left
+    side (a x b) x c depends on the outputs of a x b: for one label s it is
+    ``ids[s][c]``, with no multiset built; for two, s1 and s2, it comes
+    from ``pair_sum``, a memo keyed by ``len(outputs) * ids[s1][c] +
+    ids[s2][c]`` whose value is the id of the sorted union; otherwise it is
+    the id of the merged multiset.  Each row of b compares
+    ``lefts == rights`` as lists of ints, and only a row that differs
+    rebuilds the two multisets of each failing triple for its message.
+    ``overlay`` and ``pair_sum`` are dropped when ``a`` is done.
+    ``table`` is only read.
     """
     k, labels, ids = table.k, table.labels, table.ids()
     outputs = table.outputs
     start = time.perf_counter()
     n, size = len(labels), len(outputs)
     report = VerificationReport("assoc", k)
-    vac = table.index[vacuum(k)]
-    _check_left_unit(table, ids[vac], report)
-    gens = _generators(ids, outputs, vac)
+    _check_left_unit(table, ids[table.vac], report)
+    gens = _generators(ids, outputs, table.vac)
     report.checks_run += len(gens) * n * n
     first = {out: p for p, out in enumerate(outputs)}
     for ia in gens:
         a_row = list(map(outputs.__getitem__, ids[ia]))
         overlay: dict[tuple[int, ...], int] = {}
 
-        def right_id(multiset: tuple[int, ...]) -> int:
+        def id_of(multiset: tuple[int, ...]) -> int:
             p = first.get(multiset)
             return overlay.setdefault(multiset, size + len(overlay)) if p is None else p
 
-        def left_id(multiset: tuple[int, ...]) -> int:
-            p = first.get(multiset)
-            return overlay.get(multiset, -1) if p is None else p
-
         # the id of a x p for every product id p: a x (b x c) is right[ids[b][c]]
-        right = [right_id(tuple(sorted([c for t in out for c in a_row[t]]))) for out in outputs]
-        pair_sum = _Memo(lambda key: left_id(tuple(sorted(outputs[key // size] + outputs[key % size]))))
+        right = [id_of(tuple(sorted([c for t in out for c in a_row[t]]))) for out in outputs]
+        pair_sum = _Memo(lambda key: id_of(tuple(sorted(outputs[key // size] + outputs[key % size]))))
         for ib in range(n):
             ab = a_row[ib]
             if len(ab) == 1:
@@ -366,7 +367,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
                 merged = [()] * n
                 for t in ab:
                     merged = map(operator.add, merged, map(outputs.__getitem__, ids[t]))
-                lefts = list(map(left_id, map(tuple, map(sorted, merged))))
+                lefts = list(map(id_of, map(tuple, map(sorted, merged))))
             rights = list(map(right.__getitem__, ids[ib]))
             if lefts == rights:
                 continue
@@ -431,7 +432,6 @@ def _duality(table: _FusionTable) -> VerificationReport:
             )
 
     dual = [table.index[duals[lab]] for lab in labels]
-    vac = table.index[vacuum(k)]
     # the column form reads b = j' as j = b', so it stands for (i) only when duality is an
     # involution; (iii) reports when it is not, and every row then reports pair by pair
     involution = all(dual[d] == t for t, d in enumerate(dual))
@@ -443,7 +443,7 @@ def _duality(table: _FusionTable) -> VerificationReport:
             for ic in out:
                 cols[ic].append(j)
         report.checks_run += n + sum(map(distinct.__getitem__, row))
-        if involution and cols[vac] == [ia] and list(map(tuple, cols)) == by_dual:
+        if involution and cols[table.vac] == [ia] and list(map(tuple, cols)) == by_dual:
             continue
         # A failing row reports pair by pair, as the identities read: for each b, (ii)
         # from the vacuum multiplicity of a x b, then (i) for each distinct c of a x b
@@ -451,7 +451,7 @@ def _duality(table: _FusionTable) -> VerificationReport:
         for ib, p in enumerate(row):
             product, b = outputs[p], labels[ib]
             n_ab = f"N_{{{a.token()},{b.token()}}}"
-            got, want = product.count(vac), int(ib == dual[ia])
+            got, want = product.count(table.vac), int(ib == dual[ia])
             if got != want:
                 report.failures.append(Failure(f"{n_ab}^vacuum = {got}, expected {want}", (a, b)))
             for ic in dict.fromkeys(product):
@@ -469,40 +469,34 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("qdim", k)
-    # Residue arithmetic is memoised by value, never by label, so a qdim
-    # that wrongly depended on a label's sector or j would still be caught.
-    # Equal results are one object, so a row compares by identity.
-    value_id: dict[QDimElement, int] = {}
-    vid = [value_id.setdefault(table.qdim[lab], len(value_id)) for lab in labels]
-    values = list(value_id)
-    canon: dict[QDimElement | None, QDimElement | None] = {}
+    # Every value has one int id: each label's qdim, each product of two and
+    # each sum over a product (None for an empty one).  Ids go by value, never
+    # by label, so a qdim that wrongly depended on a label's sector or j would
+    # still be caught.  A row compares two lists of ids.
+    value_id: dict[QDimElement | None, int] = {}
 
-    def intern(value: QDimElement | None) -> QDimElement | None:
-        return canon.setdefault(value, value)
+    def id_of(value: QDimElement | None) -> int:
+        return value_id.setdefault(value, len(value_id))
 
-    def fusion_sum(outputs: tuple[int, ...]) -> QDimElement | None:
-        total = None
-        for v in outputs:
-            total = values[v] if total is None else total + values[v]
-        return intern(total)
-
-    by_outputs = _Memo(fusion_sum)  # products with equal qdims share one sum
+    vid = [id_of(table.qdim[lab]) for lab in labels]
+    values = list(value_id)  # the labels' qdims, by value id
+    # products with equal qdims share one sum
+    by_outputs = _Memo(lambda vs: id_of(reduce(operator.add, map(values.__getitem__, vs)) if vs else None))
     fusion_side = [by_outputs[tuple(sorted([vid[c] for c in out]))] for out in table.outputs]  # by product id
-    times = _Memo(lambda va: [intern(values[va] * v) for v in values])  # by value id of b
+    times = _Memo(lambda va: [id_of(values[va] * v) for v in values])  # by value id of b
     for ia, row in enumerate(ids):
         report.checks_run += n
         lhs = list(map(times[vid[ia]].__getitem__, vid))
         rhs = list(map(fusion_side.__getitem__, row))
         if lhs == rhs:
             continue
+        by_id = list(value_id)
         for ib in range(n):
-            if lhs[ib] is not rhs[ib]:
+            if lhs[ib] != rhs[ib]:
                 a, b = labels[ia], labels[ib]
+                product, total = by_id[lhs[ib]], by_id[rhs[ib]]
                 report.failures.append(
-                    Failure(
-                        f"qdim({a.token()}) * qdim({b.token()}) = {lhs[ib]} but fusion side sums to {rhs[ib]}",
-                        (a, b),
-                    )
+                    Failure(f"qdim({a.token()}) * qdim({b.token()}) = {product} but fusion side sums to {total}", (a, b))
                 )
     return _finish(report, start)
 
@@ -662,6 +656,5 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
             pass
     if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
-    check_level(k)
     table = _FusionTable(k)
     return [SUITES[name](table) for name in names]

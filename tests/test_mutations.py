@@ -6,7 +6,7 @@ plus one seeded change and asserts which suites fail.
 * Fusion, dual and quantum-dimension faults: the exact set of suites that
   fail, at k = 2, 3, 8 and 37, so a suite that stops catching a fault, or
   starts failing for another reason, is seen.  Each also has a second
-  target, on other labels, checked the same way at k = 2, 3 and 8.  Every
+  target, on other labels, checked the same way at the same levels.  Every
   fusion and dual fault fails ``oracle``, which checks each product and
   each dual against the coordinate rule, and every qdim fault fails
   ``catalog``, which checks that a qdim is 1 exactly when i is 0 or k.
@@ -124,7 +124,7 @@ FAULTS = {
     "give one label another index's qdim": (_qdim_of_index_0("u:1:0"), {"catalog", "dual", "qdim"}),
 }
 
-SECOND_LEVELS = (2, 3, 8)
+SECOND_LEVELS = (2, 3, 8, 37)
 
 # A second target for each fault, with the suites that fail on it at every level of SECOND_LEVELS
 # but those SECOND_EXCEPTIONS names.  The fusion faults rewrite t1:1:0 x t2:1:0, a wrap, in that

@@ -286,6 +286,17 @@ def test_the_completeness_identity_misses_a_module_left_out():
     assert _completeness(total - squares[vacuum(k)], k) != ChebPoly((18 * (k + 2),))
 
 
+def test_is_one_reads_the_residue_without_building_a_polynomial(monkeypatch):
+    values = [(qdim_index(i, k), i in (0, k)) for k in range(1, 13) for i in range(k + 1)]
+    values += [(QDimElement(ChebPoly(cs), 3), False) for cs in [(), (2,), (-1,), (1, 1), (0, 1)]]
+
+    def refuse(self, coeffs=()):
+        raise AssertionError("the checked constructor ran")
+
+    monkeypatch.setattr(ChebPoly, "__init__", refuse)
+    assert [value.is_one() for value, _ in values] == [one for _, one in values]
+
+
 def test_has_unit_qdim_patterns():
     assert all(has_unit_qdim(lab, 1) for lab in enumerate_irreducibles(1))
     for k in range(2, 13):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import orbifusion.verify as verify_mod
-from orbifusion.fusion import contragredient
-from orbifusion.labels import FusionVector, IrrLabel, Sector, enumerate_irreducibles, parse_label, vacuum
+from orbifusion.fusion import contragredient, fuse_irreducible
+from orbifusion.labels import FusionVector, IrrLabel, Sector, check_level, enumerate_irreducibles, parse_label, vacuum
 from orbifusion.qdim import qdim_index
 from orbifusion.verify import SUITES, Failure, run_suites
 
@@ -378,6 +378,48 @@ def test_unit_fuses_only_the_vacuum_row(k, fuse_calls):
 def test_catalog_fuses_nothing(fuse_calls):
     assert run_suites(["catalog"], 3)[0].passed
     assert fuse_calls == []
+
+
+BAD_LEVELS = [0, -1, True, 1.0, "3"]
+
+
+@pytest.mark.parametrize("names", [[], ["catalog"], list(SUITES)])
+@pytest.mark.parametrize("k", BAD_LEVELS)
+def test_run_suites_refuses_a_bad_level_before_any_suite_runs(monkeypatch, fuse_calls, names, k):
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda table, name=name: ran.append(name))
+    with pytest.raises(ValueError) as expected:
+        check_level(k)
+    with pytest.raises(ValueError) as raised:
+        run_suites(names, k)
+    assert str(raised.value) == str(expected.value)  # check_level's own message
+    assert ran == [] and fuse_calls == []
+
+
+@pytest.mark.parametrize("k", BAD_LEVELS)
+def test_run_suites_reports_an_unknown_name_before_a_bad_level(fuse_calls, k):
+    with pytest.raises(ValueError, match=r"^not a list of known suite names: \['catalog', 'nope'\]; the suites are "):
+        run_suites(["catalog", "nope"], k)
+    assert fuse_calls == []
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 20])
+def test_every_suite_runs_exactly_its_checks(k):
+    n, labels = 9 * (k + 1), enumerate_irreducibles(k)
+    distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
+    expected = {
+        "catalog": 2 + 18 * (k + 1),
+        "unit": n,
+        "comm": n * (n + 1) // 2,
+        "assoc": n + 3 * n * n,
+        "dual": 3 * n + n * n + distinct_outputs,
+        "qdim": n * n,
+        "oracle": n * n + n,
+    }
+    reports = run_suites(list(SUITES), k)
+    assert all(r.passed for r in reports)
+    assert {r.suite: r.checks_run for r in reports} == expected
 
 
 def test_corrupted_vacuum_row_fails_unit_assoc_and_oracle(monkeypatch):
