@@ -1,8 +1,12 @@
 """Machine verification of every identity asserted about the catalog.
 
 Each suite returns a :class:`VerificationReport`; an empty failure list is
-an executable proof that the identity holds at that level.  Every suite is
-exhaustive, and every suite runs at every level.
+an executable proof that the identity holds at that level.  Every suite runs
+at every level and covers every case of its identity.  ``assoc`` proves its
+n^3 triples from a few generators (below).  ``dual`` (i) and ``qdim`` are
+proven from the same generators when ``comm`` and ``assoc`` (for ``qdim``,
+``assoc`` alone) have passed earlier in the same :func:`run_suites` call,
+and check every row otherwise.  Every other check is made case by case.
 
 ``catalog`` checks that the catalog has 9(k+1) labels, none twice, and that
 each label's weight is the one a construction gives that shares no code with
@@ -53,8 +57,9 @@ ordered pair at most once.  A row is built without a Python-level loop:
 vectors are mapped to ids.  A suite does its per-product work once per id:
 ``comm`` compares ids, ``assoc`` names the right sides a x (b x c) once
 per id and generator, and ``qdim`` sums a product's quantum dimensions
-once per id.  The table finds the vacuum's index once, and the level is
-checked once, by ``enumerate_irreducibles``, before anything is built.
+once per id that a row it checks reads.  The table finds the vacuum's
+index once, and the level is checked once, by ``enumerate_irreducibles``,
+before anything is built.
 The table also keeps three per-label memos, ``weight``, ``qdim`` and
 ``dual``, keyed by label and filled on first use by ``conformal_weight``,
 ``qdim_exact`` and ``contragredient``; ``catalog``, ``dual``, ``qdim`` and
@@ -66,11 +71,20 @@ row's products must equal their own columns.  ``qdim`` gives every residue
 it meets one int id per value: each label's qdim, each product of two and
 each sum over a product, so its row is two lists of ids.  A row that
 fails reports its failures pair by pair, in the order and with the texts
-of a pair-by-pair sweep.  No table, and so no memo, outlives the call that
-built it, so a substituted ``fuse_irreducible``, ``conformal_weight``,
-``qdim_exact`` or ``contragredient`` is always what is verified.  A
-report's ``elapsed`` times the checks only: a suite builds the rows it
-reads before its clock starts.
+of a pair-by-pair sweep.  Once their premises have passed, the two suites
+check only the rows of the vacuum and of ``assoc``'s generators, and the
+closure arguments in their docstrings carry each identity to every row;
+``dual`` still checks (iii) on every label and (ii) on every pair, from a
+count of the vacuum in each product.  When a check on that route fails,
+or a premise is missing, the suite checks every row, so its failures are
+those of a run of it alone.  :func:`run_suites` records in the table's
+``proven`` each suite that passes on it, so no premise outlives its table,
+and a suite called directly on a table checks every row.  No table, and
+so no memo, outlives the call that built it, so a substituted
+``fuse_irreducible``, ``conformal_weight``, ``qdim_exact`` or
+``contragredient`` is always what is verified.  A report's ``elapsed``
+times the checks only: a suite builds the rows it reads before its clock
+starts.
 """
 
 from __future__ import annotations
@@ -199,6 +213,9 @@ class _FusionTable:
     up when it fills, so the suites of one run evaluate each of them at
     most once per label.  A dual that is not a label of ``labels`` raises
     ``ValueError``.
+
+    ``proven`` names the suites that :func:`run_suites` has seen pass on
+    this table; ``dual`` and ``qdim`` read their premises there.
     """
 
     def __init__(self, k: int):
@@ -207,6 +224,7 @@ class _FusionTable:
         self.index = index = {lab: t for t, lab in enumerate(labels)}
         self.vac = index[vacuum(k)]
         self.outputs = outputs = []
+        self.proven: set[str] = set()
 
         def new_id(product: FusionVector) -> int:
             try:
@@ -406,9 +424,22 @@ def _duality(table: _FusionTable) -> VerificationReport:
     A row counts one vacuum check per pair and one instance of (i) per
     distinct output of each product, as a sweep over the positive
     instances would.
+
+    Once ``comm`` and ``assoc`` have passed on the table, (i) is proven
+    from the rows of the vacuum and of ``assoc``'s generators.  Let
+    (L_x)_{bc} = N_{x,b}^c and D be the dual permutation; (i) on row x
+    says L_x^T = D L_x D, which is linear in x.  ``assoc`` gives
+    L_{g x y} = L_y L_g, (iii) gives D^2 = 1, and ``comm`` gives
+    L_g L_y = L_y L_g, so (i) on g and y gives it on g x y:
+    L_{g x y}^T = L_g^T L_y^T = D L_g L_y D = D L_{g x y} D.  Like
+    associativity, (i) then reaches every label through the growth of
+    :func:`_generators`.  (iii) still runs on every label, and (ii) on every
+    pair, from the vacuum's count in each product; each pair of a row not
+    checked in full counts one vacuum check.  When a premise is missing,
+    (ii) or (iii) fails, or a checked row fails, every row is checked.
     """
     k, labels, ids = table.k, table.labels, table.ids()
-    outputs = table.outputs
+    outputs, vac = table.outputs, table.vac
     start = time.perf_counter()
     n = len(labels)
     report = VerificationReport("dual", k)
@@ -435,23 +466,26 @@ def _duality(table: _FusionTable) -> VerificationReport:
     # the column form reads b = j' as j = b', so it stands for (i) only when duality is an
     # involution; (iii) reports when it is not, and every row then reports pair by pair
     involution = all(dual[d] == t for t, d in enumerate(dual))
-    distinct = [len(set(out)) for out in outputs]  # by product id
-    for ia, row in enumerate(ids):
+    distinct = _Memo(lambda p: len(set(outputs[p])))  # by product id
+
+    def check_row(ia: int, report: VerificationReport) -> bool:
+        """Parts (ii) and (i) on row ``ia``, into ``report``; whether the row holds."""
+        row = ids[ia]
         by_dual = list(map(outputs.__getitem__, map(row.__getitem__, dual)))  # entry j is a x j'
         cols: list[list[int]] = [[] for _ in range(n)]
         for j, out in enumerate(by_dual):
             for ic in out:
                 cols[ic].append(j)
         report.checks_run += n + sum(map(distinct.__getitem__, row))
-        if involution and cols[table.vac] == [ia] and list(map(tuple, cols)) == by_dual:
-            continue
+        if involution and cols[vac] == [ia] and list(map(tuple, cols)) == by_dual:
+            return True
         # A failing row reports pair by pair, as the identities read: for each b, (ii)
         # from the vacuum multiplicity of a x b, then (i) for each distinct c of a x b
         a = labels[ia]
         for ib, p in enumerate(row):
             product, b = outputs[p], labels[ib]
             n_ab = f"N_{{{a.token()},{b.token()}}}"
-            got, want = product.count(table.vac), int(ib == dual[ia])
+            got, want = product.count(vac), int(ib == dual[ia])
             if got != want:
                 report.failures.append(Failure(f"{n_ab}^vacuum = {got}, expected {want}", (a, b)))
             for ic in dict.fromkeys(product):
@@ -460,15 +494,37 @@ def _duality(table: _FusionTable) -> VerificationReport:
                     c = labels[ic]
                     partner = f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}}"
                     report.failures.append(Failure(f"{n_ab}^{{{c.token()}}} = {got} but {partner} = {want}", (a, b, c)))
+        return False
+
+    if report.passed and {"comm", "assoc"} <= table.proven:
+        rows = [vac, *_generators(ids, outputs, vac)]
+        trial = VerificationReport("dual", k, report.checks_run + n * (n - len(rows)))
+        vacua = [out.count(vac) for out in outputs]  # by product id
+        # (ii) on row a: the counts are never negative, so they sum to 1 and a x a' holds one
+        if all(sum(map(vacua.__getitem__, row)) == 1 == vacua[row[dual[ia]]] for ia, row in enumerate(ids)) and all(
+            check_row(ia, trial) for ia in rows
+        ):
+            return _finish(trial, start)
+    for ia in range(n):
+        check_row(ia, report)
     return _finish(report, start)
 
 
 def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
-    """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues."""
-    k, labels, ids = table.k, table.labels, table.ids()
+    """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues.
+
+    Once ``assoc`` has passed on the table, the rows of the vacuum and of
+    ``assoc``'s generators prove every row.  Write d(x) for the sum of qdim
+    over x, which is linear in x, and Q(x) for d(x x y) = d(x) d(y) for
+    every y.  ``assoc`` gives, from Q(g) and Q(x),
+    d((g x x) x y) = d(g x (x x y)) = d(g) d(x) d(y) = d(g x x) d(y), so Q
+    holds on g x x, and it reaches every label through the growth of
+    :func:`_generators`.  When ``assoc`` has not passed, or a checked row
+    fails, every row is checked.
+    """
+    k, labels, ids, outputs = table.k, table.labels, table.ids(), table.outputs
     start = time.perf_counter()
     n = len(labels)
-    report = VerificationReport("qdim", k)
     # Every value has one int id: each label's qdim, each product of two and
     # each sum over a product (None for an empty one).  Ids go by value, never
     # by label, so a qdim that wrongly depended on a label's sector or j would
@@ -482,14 +538,17 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     values = list(value_id)  # the labels' qdims, by value id
     # products with equal qdims share one sum
     by_outputs = _Memo(lambda vs: id_of(reduce(operator.add, map(values.__getitem__, vs)) if vs else None))
-    fusion_side = [by_outputs[tuple(sorted([vid[c] for c in out]))] for out in table.outputs]  # by product id
+    # by product id, summed when a checked row first reads it
+    fusion_side = _Memo(lambda p: by_outputs[tuple(sorted([vid[c] for c in outputs[p]]))])
     times = _Memo(lambda va: [id_of(values[va] * v) for v in values])  # by value id of b
-    for ia, row in enumerate(ids):
+
+    def check_row(ia: int, report: VerificationReport) -> bool:
+        """Row ``ia``, into ``report``; whether the row holds."""
         report.checks_run += n
         lhs = list(map(times[vid[ia]].__getitem__, vid))
-        rhs = list(map(fusion_side.__getitem__, row))
+        rhs = list(map(fusion_side.__getitem__, ids[ia]))
         if lhs == rhs:
-            continue
+            return True
         by_id = list(value_id)
         for ib in range(n):
             if lhs[ib] != rhs[ib]:
@@ -498,6 +557,15 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
                 report.failures.append(
                     Failure(f"qdim({a.token()}) * qdim({b.token()}) = {product} but fusion side sums to {total}", (a, b))
                 )
+        return False
+
+    if "assoc" in table.proven:
+        trial = VerificationReport("qdim", k)
+        if all(check_row(ia, trial) for ia in [table.vac, *_generators(ids, outputs, table.vac)]):
+            return _finish(trial, start)
+    report = VerificationReport("qdim", k)
+    for ia in range(n):
+        check_row(ia, report)
     return _finish(report, start)
 
 
@@ -645,7 +713,8 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
 
     Raises ``ValueError``, before any suite runs, for a name not in
     :data:`SUITES` (a string is not a list of names) and for a level that
-    fails :func:`check_level`.
+    fails :func:`check_level`.  Each suite that passes is recorded in the
+    table's ``proven``, where ``dual`` and ``qdim`` read their premises.
     """
     known = False
     if not isinstance(names, str):
@@ -657,4 +726,9 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     if not known:
         raise ValueError(f"not a list of known suite names: {names!r}; the suites are {', '.join(SUITES)}")
     table = _FusionTable(k)
-    return [SUITES[name](table) for name in names]
+    reports = []
+    for name in names:
+        reports.append(report := SUITES[name](table))
+        if report.passed:
+            table.proven.add(name)
+    return reports

@@ -406,15 +406,17 @@ def test_run_suites_reports_an_unknown_name_before_a_bad_level(fuse_calls, k):
 
 @pytest.mark.parametrize("k", [*range(1, 9), 20])
 def test_every_suite_runs_exactly_its_checks(k):
-    n, labels = 9 * (k + 1), enumerate_irreducibles(k)
-    distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
+    n = 9 * (k + 1)
+    # once comm and assoc pass, dual checks (i) on the rows of the vacuum and the generators
+    # u:0:1, t1:0:0 (n distinct outputs each) and u:1:0 (two each, but one for the 18 labels with
+    # i = 0 or k), and qdim checks those four rows
     expected = {
         "catalog": 2 + 18 * (k + 1),
         "unit": n,
         "comm": n * (n + 1) // 2,
         "assoc": n + 3 * n * n,
-        "dual": 3 * n + n * n + distinct_outputs,
-        "qdim": n * n,
+        "dual": 3 * n + n * n + 3 * n + (2 * n - 18),  # (iii), (ii), then (i) on the four rows
+        "qdim": 4 * n,
         "oracle": n * n + n,
     }
     reports = run_suites(list(SUITES), k)
@@ -617,7 +619,68 @@ def test_assoc_leaves_the_shared_table_alone(k, fuse, monkeypatch):
     together = run_suites(["assoc", "dual", "qdim"], k)
     alone = [run_suites([name], k)[0] for name in ("assoc", "dual", "qdim")]
     assert [r.passed for r in together] == [fuse == "honest"] * 3
-    assert [(r.suite, r.checks_run, r.failures) for r in together] == [(r.suite, r.checks_run, r.failures) for r in alone]
+    assert [(r.suite, r.failures) for r in together] == [(r.suite, r.failures) for r in alone]
+    # dual runs every row, as comm has not run; qdim runs the four rows of the vacuum and the
+    # generators only once assoc has passed
+    n, labels = 9 * (k + 1), table.labels
+    distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
+    counts = [n + 3 * n * n, 3 * n + n * n + distinct_outputs, n * n]
+    assert [r.checks_run for r in alone] == counts
+    assert [r.checks_run for r in together] == counts[:2] + [4 * n if fuse == "honest" else n * n]
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_dual_and_qdim_check_the_generator_rows_only_once_their_premises_pass(k, monkeypatch):
+    n, labels = 9 * (k + 1), enumerate_irreducibles(k)
+    distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
+    every_dual_row, every_qdim_row = 3 * n + n * n + distinct_outputs, n * n
+
+    def counts(names):
+        reports = {r.suite: r for r in run_suites(names, k)}
+        return reports["dual"].checks_run, reports["qdim"].checks_run
+
+    assert counts(list(SUITES)) == (n * n + 8 * n - 18, 4 * n)
+    assert counts(["assoc", "dual", "qdim"]) == (every_dual_row, 4 * n)  # comm has not run
+    assert counts(["dual", "qdim", "comm", "assoc"]) == (every_dual_row, every_qdim_row)  # premises run later
+    # only run_suites records a pass: the suites called directly on one table check every row
+    table = verify_mod._FusionTable(k)
+    assert verify_mod._duality(table).checks_run == every_dual_row
+    assert verify_mod._commutativity(table).passed and verify_mod._associativity(table).passed
+    assert verify_mod._duality(table).checks_run == every_dual_row
+    assert verify_mod._qdim_homomorphism(table).checks_run == every_qdim_row
+    # every multiplicity of u:1:0 x t1:1:0 doubled fails comm and assoc; dual and qdim check every row
+    double = _fuse_with(k, ("u:1:0", "t1:1:0"), lambda v: FusionVector((lab, 2 * m) for lab, m in v.items()))
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", double)
+    together = {r.suite: r for r in run_suites(list(SUITES), k)}
+    assert not together["comm"].passed and not together["assoc"].passed
+    for name, checks in (("dual", every_dual_row), ("qdim", every_qdim_row)):
+        alone = run_suites([name], k)[0]
+        assert not alone.passed
+        assert (together[name].checks_run, together[name].failures) == (checks, alone.failures)
+
+
+def test_a_qdim_row_failing_after_assoc_passes_checks_every_row(monkeypatch):
+    from orbifusion.qdim import qdim_exact
+
+    k, n = 3, 36
+    moved = parse_label("u:1:0", k)  # a generator, given the qdim of index 0
+    monkeypatch.setattr(
+        verify_mod, "qdim_exact", lambda lab, k: qdim_index(0, k) if lab == moved else qdim_exact(lab, k)
+    )
+    assoc, qdim = run_suites(["assoc", "qdim"], k)
+    assert assoc.passed and not qdim.passed
+    assert (qdim.checks_run, qdim.failures) == (n * n, run_suites(["qdim"], k)[0].failures)
+
+
+def test_a_dual_pair_failing_after_comm_and_assoc_pass_checks_every_row(monkeypatch):
+    # every label its own dual: an involution that keeps weight and qdim, so only (ii) and (i) fail
+    k, n = 2, 27
+    monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: lab)
+    comm, assoc, dual = run_suites(["comm", "assoc", "dual"], k)
+    assert comm.passed and assoc.passed and not dual.passed
+    alone = run_suites(["dual"], k)[0]
+    assert dual.checks_run == alone.checks_run > n * n + 8 * n - 18
+    assert dual.failures == alone.failures
 
 
 def test_assoc_catches_a_corruption_that_comm_and_qdim_miss(monkeypatch):
