@@ -3,10 +3,12 @@
 Each suite returns a :class:`VerificationReport`; an empty failure list is
 an executable proof that the identity holds at that level.  Every suite runs
 at every level and covers every case of its identity.  ``assoc`` proves its
-n^3 triples from a few generators (below).  ``dual`` (i) and ``qdim`` are
-proven from the same generators when ``comm`` and ``assoc`` (for ``qdim``,
-``assoc`` alone) have passed earlier in the same :func:`run_suites` call,
-and check every row otherwise.  Every other check is made case by case.
+n^3 triples from the coordinate rule's factors once ``oracle`` has passed
+earlier in the same :func:`run_suites` call, and from a few generators
+otherwise (below).  ``qdim`` is proven from the same generators once
+``assoc`` has passed, and ``dual`` (i) from ``comm``, ``assoc`` and its own
+(ii) and (iii) once ``comm`` and ``assoc`` have; without its premises each
+checks every row.  Every other check is made case by case.
 
 ``catalog`` checks that the catalog has 9(k+1) labels, none twice, and that
 each label's weight is the one a construction gives that shares no code with
@@ -26,7 +28,10 @@ Clebsch-Gordan range, and a twist of 3 or more flows back by sigma^3 = 1 (see
 :func:`_oracle`).  It restates ``fusion``'s rule on the construction's
 coordinates and reads nothing of ``fusion`` but the functions under test.
 
-Associativity is proven from a few generators instead of all n^3 triples.
+Once ``oracle`` has passed, the table is the coordinate rule, and
+:func:`_associativity` proves the rule associative on the factors that
+:func:`_coordinate_rule` gives ``oracle``, in O(k^2) checks.  Otherwise
+associativity is proven from a few generators instead of all n^3 triples.
 Let L_a be c -> a x c, extended linearly; the vectors a with
 L_{a x b} = L_a L_b for every b form a subspace S over Q.  S holds the
 vacuum once it is a left unit, each generator g whose triples (g, b, c) all
@@ -36,13 +41,7 @@ vacuum, adding the smallest label still outside to the generators whenever S
 stops growing.  When S holds every label, all n^3 triples associate.  The
 honest table needs three generators, u:0:1, u:1:0 and t1:0:0, at every level.
 Both sides of a triple are integer ids of multisets, and a row of triples
-is one comparison of two lists of ints.  One lookup names every multiset,
-right side or left: the table's own product id where the table holds it,
-and otherwise an id in a per-generator overlay, which a left side that no
-right side names enters fresh, so it equals no right side.  Where g x b is
-one label s, the left sides are s's row of ids, with no multiset built.
-Where it is two labels, each left side comes from a per-generator memo of
-two-product sums keyed by the pair of product ids.
+is one comparison of two lists of ints (see :func:`_triples`).
 
 Suites run through :func:`run_suites`, which builds one integer table of
 all n^2 products, multiplicities kept, and shares it among the suites it
@@ -55,9 +54,9 @@ its suites read (``unit`` the vacuum row, ``catalog`` none) and each
 ordered pair at most once.  A row is built without a Python-level loop:
 ``fuse_irreducible`` is mapped over the row's right factors and its
 vectors are mapped to ids.  A suite does its per-product work once per id:
-``comm`` compares ids, ``assoc`` names the right sides a x (b x c) once
-per id and generator, and ``qdim`` sums a product's quantum dimensions
-once per id that a row it checks reads.  The table finds the vacuum's
+``comm`` compares ids, ``assoc``'s generators name the right sides
+a x (b x c) once per id and generator, and ``qdim`` sums a product's
+quantum dimensions once per id that a row it checks reads.  The table finds the vacuum's
 index once, and the level is checked once, by ``enumerate_irreducibles``,
 before anything is built.
 The table also keeps three per-label memos, ``weight``, ``qdim`` and
@@ -71,15 +70,16 @@ row's products must equal their own columns.  ``qdim`` gives every residue
 it meets one int id per value: each label's qdim, each product of two and
 each sum over a product, so its row is two lists of ids.  A row that
 fails reports its failures pair by pair, in the order and with the texts
-of a pair-by-pair sweep.  Once their premises have passed, the two suites
-check only the rows of the vacuum and of ``assoc``'s generators, and the
-closure arguments in their docstrings carry each identity to every row;
-``dual`` still checks (iii) on every label and (ii) on every pair, from a
-count of the vacuum in each product.  When a check on that route fails,
-or a premise is missing, the suite checks every row, so its failures are
-those of a run of it alone.  :func:`run_suites` records in the table's
-``proven`` each suite that passes on it, so no premise outlives its table,
-and a suite called directly on a table checks every row.  No table, and
+of a pair-by-pair sweep.  Once their premises have passed, ``qdim`` checks
+only the rows of the vacuum and of the generators, and ``dual`` only (iii)
+on every label and (ii) on every pair, from a count of the vacuum in each
+product; the arguments in their docstrings carry each identity to every
+row.  When a check on that route fails, or a premise is missing, the suite
+checks every row, as ``assoc`` checks its generators' triples, so its
+failures are those of a run of it alone.  :func:`run_suites` records in
+the table's ``proven`` each suite that passes on it, so no premise
+outlives its table, and a suite called directly on a table takes the
+route without premises.  No table, and
 so no memo, outlives the call that built it, so a substituted
 ``fuse_irreducible``, ``conformal_weight``, ``qdim_exact`` or
 ``contragredient`` is always what is verified.  A report's ``elapsed``
@@ -93,7 +93,7 @@ import itertools
 import operator
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -215,7 +215,7 @@ class _FusionTable:
     ``ValueError``.
 
     ``proven`` names the suites that :func:`run_suites` has seen pass on
-    this table; ``dual`` and ``qdim`` read their premises there.
+    this table; ``assoc``, ``dual`` and ``qdim`` read their premises there.
     """
 
     def __init__(self, k: int):
@@ -332,35 +332,54 @@ def _generators(ids: Sequence[list[int]], outputs: list[tuple[int, ...]], vac: i
     return gens
 
 
-def _associativity(table: _FusionTable) -> VerificationReport:
-    """(a x b) x c = a x (b x c) on every triple, proven from generators.
+def _coordinate_rule(k: int) -> tuple[list[list[range]], list[int], tuple[int, int]]:
+    """The coordinate rule's factors at level ``k``, which ``oracle`` and ``assoc`` both read.
 
-    Both sides of every triple are integer ids of multisets of labels, and
-    ``id_of`` names them all.  ``first``, built once, maps each product's
-    outputs to its id, which the table gives no other product; a multiset
-    it lacks takes the next id of ``len(outputs)`` or more in ``overlay``,
-    which is the generator's own.  For each generator ``a``, ``right[p]``
-    is the id of the multiset a x p, so a x (b x c) is
-    ``right[ids[b][c]]``; every right side is named before any left side,
-    so a left side that enters ``overlay`` equals no right side.  The left
-    side (a x b) x c depends on the outputs of a x b: for one label s it is
-    ``ids[s][c]``, with no multiset built; for two, s1 and s2, it comes
-    from ``pair_sum``, a memo keyed by ``len(outputs) * ids[s1][c] +
-    ids[s2][c]`` whose value is the id of the sorted union; otherwise it is
-    the id of the merged multiset.  Each row of b compares
-    ``lefts == rights`` as lists of ints, and only a row that differs
-    rebuilds the two multisets of each failing triple for its message.
-    ``overlay`` and ``pair_sum`` are dropped when ``a`` is done.
-    ``table`` is only read.
+    ``cg[ia][ib]`` is SU(2)_k's truncated Clebsch-Gordan range of ``ia x ib``; the flow
+    (i, lam, r) -> (k - i, lam - k, r - 3) sends ``i`` to ``flow[i]`` and adds ``shift`` to (r, lam).
     """
-    k, labels, ids = table.k, table.labels, table.ids()
-    outputs = table.outputs
-    start = time.perf_counter()
-    n, size = len(labels), len(outputs)
-    report = VerificationReport("assoc", k)
-    _check_left_unit(table, ids[table.vac], report)
-    gens = _generators(ids, outputs, table.vac)
-    report.checks_run += len(gens) * n * n
+    span = range(k + 1)
+    cg = [[range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2) for b in span] for a in span]
+    return cg, [k - i for i in span], (-3, -k)
+
+
+def _factor_checks(k: int) -> int:
+    """How many checks prove the coordinate rule's factors, or 0 when one fails (see :func:`_associativity`)."""
+    cg, flow, (dr, dlam) = _coordinate_rule(k)
+    span = range(k + 1)
+    found: dict[range, int] = {}  # each range, by id: the SU(2)_k table in assoc's form
+    ids = [[found.setdefault(rng, len(found)) for rng in row] for row in cg]
+    outputs = [tuple(sorted(rng)) for rng in found]
+    if not set(itertools.chain.from_iterable(outputs)) <= set(span):
+        return 0
+    gens = _generators(ids, outputs, 0)
+    flowed = [tuple(sorted(map(flow.__getitem__, out))) for out in outputs]  # by product id
+    holds = (
+        all(outputs[p] == (b,) for b, p in enumerate(ids[0]))  # 0 is a left unit
+        and ids == [list(col) for col in zip(*ids)]  # b x c = c x b
+        and not any(_triples(ids, outputs, gens))  # (g x b) x c = g x (b x c)
+        # N_{k-a,b}^{k-c} = N_{a,b}^c
+        and all([flowed[p] for p in ids[a]] == [outputs[p] for p in ids[k - a]] for a in span)
+        and dr == -3  # and the group law: lam stays i mod 2, and two flows give the identity on i
+        and all(f in span and flow[f] == i and (f - i - dlam) % 2 == 0 for i, f in enumerate(flow))
+    )
+    return (k + 1) * (2 + (len(gens) + 2) * (k + 1)) if holds else 0
+
+
+def _triples(ids: Sequence[list[int]], outputs: list[tuple[int, ...]], gens: list[int]) -> Iterator[tuple]:
+    """Each ``(a, b, c)``, ``a`` in ``gens``, with (a x b) x c != a x (b x c), in that order.
+
+    Both sides of a triple are ids of multisets of indices, named by
+    ``id_of``: a product's own id, or else the next id of ``len(outputs)``
+    or more in the generator's ``overlay``.  ``right[p]`` is the id of
+    a x p, so a x (b x c) is ``right[ids[b][c]]``; every right side is named
+    first, so a left side new to ``overlay`` equals no right side.  The left
+    side (a x b) x c is ``ids[s][c]`` when a x b is one index s, comes from
+    ``pair_sum``, a memo of the sorted unions of two products, when it is
+    two, and is merged otherwise.  A row of b is one comparison of two
+    lists of ints.  ``ids`` and ``outputs`` are only read.
+    """
+    n, size = len(ids), len(outputs)
     first = {out: p for p, out in enumerate(outputs)}
     for ia in gens:
         a_row = list(map(outputs.__getitem__, ids[ia]))
@@ -387,20 +406,58 @@ def _associativity(table: _FusionTable) -> VerificationReport:
                     merged = map(operator.add, merged, map(outputs.__getitem__, ids[t]))
                 lefts = list(map(id_of, map(tuple, map(sorted, merged))))
             rights = list(map(right.__getitem__, ids[ib]))
-            if lefts == rights:
-                continue
-            for ic in range(n):
-                if lefts[ic] != rights[ic]:
-                    a, b, c = labels[ia], labels[ib], labels[ic]
-                    left = [d for t in ab for d in outputs[ids[t][ic]]]
-                    right_side = [d for t in outputs[ids[ib][ic]] for d in a_row[t]]
-                    report.failures.append(
-                        Failure(
-                            f"({a.token()} x {b.token()}) x {c.token()} = {table.render(left)} "
-                            f"but {a.token()} x ({b.token()} x {c.token()}) = {table.render(right_side)}",
-                            (a, b, c),
-                        )
-                    )
+            if lefts != rights:
+                yield from ((ia, ib, ic) for ic in range(n) if lefts[ic] != rights[ic])
+
+
+def _associativity(table: _FusionTable) -> VerificationReport:
+    """(a x b) x c = a x (b x c) on every triple, from the coordinate rule's factors or from generators.
+
+    Both routes first check the vacuum as a left unit on its row, n checks.
+    Once ``oracle`` has passed, the table is the coordinate rule, a quotient
+    of a commutative ring R: R is spanned by the (i, lam, r) with i in 0..k,
+    lam mod 6, r in Z and lam = i mod 2, multiplied as SU(2)_k on i and as
+    the group Z/6 x Z on (lam, r).  The flow is multiplication by the unit
+    J = (k, -k, -3); as it lowers r by 3, each J-orbit of R's basis holds
+    one label, with r in {0, 1, 2}, and the rule, which flows each output
+    with r >= 3 once, is the product of R / (J - 1).  So the table
+    associates once :func:`_factor_checks`, reading the factors from
+    :func:`_coordinate_rule` as ``oracle`` does, finds SU(2)_k a commutative
+    ring: outputs in 0..k, 0 a left unit (k+1 checks), b x c = c x b and
+    (g x b) x c = g x (b x c) for each generator g that :func:`_generators`
+    grows it from, i = 1 alone when honest ((k+1)^2 checks each); the flow
+    multiplication by k, N_{k-a,b}^{k-c} = N_{a,b}^c ((k+1)^2 checks); and
+    the group law: the flow lowers r by 3, keeps lam = i mod 2 and, applied
+    twice, gives the identity on i, so that J is a unit of R (k+1 checks).
+
+    When a factor check fails, ``oracle`` has not passed or the left unit
+    fails, every triple (g, b, c) is checked instead, for each generator g
+    of :func:`_generators` and every (b, c): n^2 checks per generator, found
+    by :func:`_triples`, so the failures are those of ``assoc`` run alone.
+    ``table`` is only read.
+    """
+    k, labels, ids = table.k, table.labels, table.ids()
+    outputs = table.outputs
+    start = time.perf_counter()
+    n = len(labels)
+    report = VerificationReport("assoc", k)
+    _check_left_unit(table, ids[table.vac], report)
+    if report.passed and "oracle" in table.proven and (checks := _factor_checks(k)):
+        report.checks_run += checks
+        return _finish(report, start)
+    gens = _generators(ids, outputs, table.vac)
+    report.checks_run += len(gens) * n * n
+    for ia, ib, ic in _triples(ids, outputs, gens):
+        a, b, c = labels[ia], labels[ib], labels[ic]
+        left = [d for t in outputs[ids[ia][ib]] for d in outputs[ids[t][ic]]]
+        right = [d for t in outputs[ids[ib][ic]] for d in outputs[ids[ia][t]]]
+        report.failures.append(
+            Failure(
+                f"({a.token()} x {b.token()}) x {c.token()} = {table.render(left)} "
+                f"but {a.token()} x ({b.token()} x {c.token()}) = {table.render(right)}",
+                (a, b, c),
+            )
+        )
     return _finish(report, start)
 
 
@@ -425,18 +482,16 @@ def _duality(table: _FusionTable) -> VerificationReport:
     distinct output of each product, as a sweep over the positive
     instances would.
 
-    Once ``comm`` and ``assoc`` have passed on the table, (i) is proven
-    from the rows of the vacuum and of ``assoc``'s generators.  Let
-    (L_x)_{bc} = N_{x,b}^c and D be the dual permutation; (i) on row x
-    says L_x^T = D L_x D, which is linear in x.  ``assoc`` gives
-    L_{g x y} = L_y L_g, (iii) gives D^2 = 1, and ``comm`` gives
-    L_g L_y = L_y L_g, so (i) on g and y gives it on g x y:
-    L_{g x y}^T = L_g^T L_y^T = D L_g L_y D = D L_{g x y} D.  Like
-    associativity, (i) then reaches every label through the growth of
-    :func:`_generators`.  (iii) still runs on every label, and (ii) on every
-    pair, from the vacuum's count in each product; each pair of a row not
-    checked in full counts one vacuum check.  When a premise is missing,
-    (ii) or (iii) fails, or a checked row fails, every row is checked.
+    Once ``comm`` and ``assoc`` have passed on the table, (i) follows from
+    (ii) and (iii), which are then the only checks: (iii) on every label and
+    (ii) on every pair, from the vacuum's count in each product, n^2 + 3n
+    checks.  By (ii) and (iii), d x c' holds the vacuum once when d = c and
+    not otherwise, and a x e holds it once when e = a'.  So counting the
+    vacuum in (a x b) x c' gives N_{a,b}^c, and in a x (b x c') it gives
+    N_{b,c'}^{a'}; ``assoc`` makes the two equal.  Applied to (a, c', b')
+    and read through ``comm``, that is (i):
+    N_{a,c'}^{b'} = N_{c',b}^{a'} = N_{b,c'}^{a'} = N_{a,b}^c.  When a
+    premise is missing, or (ii) or (iii) fails, every row is checked.
     """
     k, labels, ids = table.k, table.labels, table.ids()
     outputs, vac = table.outputs, table.vac
@@ -463,14 +518,17 @@ def _duality(table: _FusionTable) -> VerificationReport:
             )
 
     dual = [table.index[duals[lab]] for lab in labels]
+    if report.passed and {"comm", "assoc"} <= table.proven:
+        vacua = [out.count(vac) for out in outputs]  # by product id
+        # (ii) on row a: the counts are never negative, so they sum to 1 and a x a' holds one
+        if all(sum(map(vacua.__getitem__, row)) == 1 == vacua[row[dual[ia]]] for ia, row in enumerate(ids)):
+            report.checks_run += n * n
+            return _finish(report, start)
     # the column form reads b = j' as j = b', so it stands for (i) only when duality is an
     # involution; (iii) reports when it is not, and every row then reports pair by pair
     involution = all(dual[d] == t for t, d in enumerate(dual))
     distinct = _Memo(lambda p: len(set(outputs[p])))  # by product id
-
-    def check_row(ia: int, report: VerificationReport) -> bool:
-        """Parts (ii) and (i) on row ``ia``, into ``report``; whether the row holds."""
-        row = ids[ia]
+    for ia, row in enumerate(ids):
         by_dual = list(map(outputs.__getitem__, map(row.__getitem__, dual)))  # entry j is a x j'
         cols: list[list[int]] = [[] for _ in range(n)]
         for j, out in enumerate(by_dual):
@@ -478,7 +536,7 @@ def _duality(table: _FusionTable) -> VerificationReport:
                 cols[ic].append(j)
         report.checks_run += n + sum(map(distinct.__getitem__, row))
         if involution and cols[vac] == [ia] and list(map(tuple, cols)) == by_dual:
-            return True
+            continue
         # A failing row reports pair by pair, as the identities read: for each b, (ii)
         # from the vacuum multiplicity of a x b, then (i) for each distinct c of a x b
         a = labels[ia]
@@ -494,19 +552,6 @@ def _duality(table: _FusionTable) -> VerificationReport:
                     c = labels[ic]
                     partner = f"N_{{{a.token()},{labels[dual[ic]].token()}}}^{{{labels[dual[ib]].token()}}}"
                     report.failures.append(Failure(f"{n_ab}^{{{c.token()}}} = {got} but {partner} = {want}", (a, b, c)))
-        return False
-
-    if report.passed and {"comm", "assoc"} <= table.proven:
-        rows = [vac, *_generators(ids, outputs, vac)]
-        trial = VerificationReport("dual", k, report.checks_run + n * (n - len(rows)))
-        vacua = [out.count(vac) for out in outputs]  # by product id
-        # (ii) on row a: the counts are never negative, so they sum to 1 and a x a' holds one
-        if all(sum(map(vacua.__getitem__, row)) == 1 == vacua[row[dual[ia]]] for ia, row in enumerate(ids)) and all(
-            check_row(ia, trial) for ia in rows
-        ):
-            return _finish(trial, start)
-    for ia in range(n):
-        check_row(ia, report)
     return _finish(report, start)
 
 
@@ -514,9 +559,9 @@ def _qdim_homomorphism(table: _FusionTable) -> VerificationReport:
     """qdim(a) * qdim(b) = sum of qdim over a x b, as exact residues.
 
     Once ``assoc`` has passed on the table, the rows of the vacuum and of
-    ``assoc``'s generators prove every row.  Write d(x) for the sum of qdim
-    over x, which is linear in x, and Q(x) for d(x x y) = d(x) d(y) for
-    every y.  ``assoc`` gives, from Q(g) and Q(x),
+    the generators of :func:`_generators` prove every row.  Write d(x) for
+    the sum of qdim over x, which is linear in x, and Q(x) for
+    d(x x y) = d(x) d(y) for every y.  ``assoc`` gives, from Q(g) and Q(x),
     d((g x x) x y) = d(g x (x x y)) = d(g) d(x) d(y) = d(g x x) d(y), so Q
     holds on g x x, and it reaches every label through the growth of
     :func:`_generators`.  When ``assoc`` has not passed, or a checked row
@@ -638,10 +683,11 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     A label (r, i, j) is (r, i, lam) with ``lam = i - 2*(e(r)*j mod 3)``,
     the coordinates of :func:`_constructed_weights` (:func:`_j` is the way
     back).  The product of (r_a, i_a, lam_a) and (r_b, i_b, lam_b) holds once
-    each (r_a + r_b, i, lam_a + lam_b), for i from ``|i_a - i_b|`` to
-    ``min(i_a + i_b, 2k - i_a - i_b)`` in steps of 2; a twist r of 3 or more
-    flows to (r - 3, k - i, lam - k), since at r = 3 the construction's
-    grading of (i, lam) is the untwisted grading of (k - i, lam - k).  The
+    each (r_a + r_b, i, lam_a + lam_b), for i over SU(2)_k's truncated
+    Clebsch-Gordan range of (i_a, i_b); a twist r of 3 or more flows to
+    (r - 3, k - i, lam - k), since at r = 3 the construction's grading of
+    (i, lam) is the untwisted grading of (k - i, lam - k).  The range and
+    the flow come from :func:`_coordinate_rule`, which ``assoc`` reads.  The
     dual of (0, i, lam) is (0, i, -lam), and of a twisted (r, i, lam) it is
     (3 - r, k - i, k - lam).
 
@@ -654,24 +700,28 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     """
     k, labels, ids, outputs = table.k, table.labels, table.ids(), table.outputs
     start = time.perf_counter()
-    n, span, index = len(labels), k + 1, table.index
+    n, index = len(labels), table.index
     report = VerificationReport("oracle", k)
     coords = [(r, i, i - 2 * (_E[r] * j % 3)) for r, i, j in labels]
     column_i = [i for _, i, _ in coords]
-    cells = [[(index[r, i, 0], index[r, i, 1], index[r, i, 2]) for i in range(span)] for r in range(3)]  # by r, i, j
+    # at[r][lam % 6][i] is the index of the label (r, i, lam); an entry where i and lam differ in parity is never read
+    at = [[[index[r, i, _j(r, i, lam)] for i in range(k + 1)] for lam in range(6)] for r in range(3)]
+
+    cg, flow, (dr, dlam) = _coordinate_rule(k)
+    found: dict[range, int] = {}  # each Clebsch-Gordan range, by id
+    # by_i[i_a][i_b] is 30 times the id of the pair's range, and ranges[i_a] its columns
+    by_i = [[30 * found.setdefault(rng, len(found)) for rng in row] for row in cg]
+    range_of = list(found)  # by id
 
     def rule(key: int) -> tuple[int, ...]:
         """The sorted output indices that the rule gives the product of ``key``."""
-        (lo, hi), (r, lam) = divmod(key // 30, span), divmod(key % 30, 6)
+        its, (r, lam) = range_of[key // 30], divmod(key % 30, 6)
         if r >= 3:  # the flow
-            r, lo, hi, lam = r - 3, k - hi, k - lo, lam - k
-        e, j, at = _E[r], _j(r, lo, lam), cells[r]  # each step of i by 2 moves j by e
-        return tuple(sorted([at[i][(j + e * m) % 3] for m, i in enumerate(range(lo, hi + 1, 2))]))
+            its, r, lam = map(flow.__getitem__, its), r + dr, lam + dlam
+        return tuple(sorted(map(at[r][lam % 6].__getitem__, its)))
 
     first = {out: p for p, out in enumerate(outputs)}
     predicted = _Memo(lambda key: first.get(rule(key), -1))
-    # by_i[i_a][i_b] is 30 times the id lo*(k+1) + hi of the pair's Clebsch-Gordan range, and ranges[i_a] its columns
-    by_i = _Memo(lambda ia: [30 * (abs(ia - ib) * span + min(ia + ib, 2 * k - ia - ib)) for ib in range(span)])
     ranges = _Memo(lambda ia: list(map(by_i[ia].__getitem__, column_i)))
     twists = _Memo(lambda rl: [6 * (rl[0] + r) + (rl[1] + lam) % 6 for r, _, lam in coords])
     for a, (r, i, lam), row in zip(labels, coords, ids):
@@ -696,15 +746,16 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     return _finish(report, start)
 
 
-#: Every suite, in ``verify --suite all`` order, keyed to its body, which takes a table.
+#: Every suite, in ``verify --suite all`` order, keyed to its body, which takes a table.  Each suite follows
+#: the premises it reads from ``proven``: ``oracle`` for ``assoc``, ``comm`` and ``assoc`` for ``dual`` and ``qdim``.
 SUITES: dict[str, Callable[[_FusionTable], VerificationReport]] = {
     "catalog": _catalog,
     "unit": _unit,
     "comm": _commutativity,
+    "oracle": _oracle,
     "assoc": _associativity,
     "dual": _duality,
     "qdim": _qdim_homomorphism,
-    "oracle": _oracle,
 }
 
 
@@ -714,7 +765,7 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     Raises ``ValueError``, before any suite runs, for a name not in
     :data:`SUITES` (a string is not a list of names) and for a level that
     fails :func:`check_level`.  Each suite that passes is recorded in the
-    table's ``proven``, where ``dual`` and ``qdim`` read their premises.
+    table's ``proven``, where ``assoc``, ``dual`` and ``qdim`` read their premises.
     """
     known = False
     if not isinstance(names, str):

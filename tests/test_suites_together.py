@@ -1,11 +1,13 @@
 """Each suite reports the same failures run with every other suite as run alone.
 
-Run after ``comm`` and ``assoc`` pass on the same table, ``dual`` and
-``qdim`` prove their identities from the rows of the vacuum and of
-``assoc``'s generators; run alone, they check every row.  Each seeded fault
-of ``test_mutations`` is installed at k = 2, 3 and 8, and each suite's
-failures in ``run_suites(list(SUITES), k)`` are compared with its failures
-in ``run_suites([name], k)``.
+Run after ``oracle`` passes on the same table, ``assoc`` proves
+associativity from the coordinate rule's factors; run after ``comm`` and
+``assoc`` pass, ``dual`` proves (i) from (ii) and (iii), and ``qdim`` its
+identity from the rows of the vacuum and of the generators.  Run alone,
+``assoc`` checks the generators' triples and the other two every row.
+Each seeded fault of ``test_mutations`` is installed at k = 2, 3 and 8, and
+each suite's failures in ``run_suites(list(SUITES), k)`` are compared with
+its failures in ``run_suites([name], k)``.
 """
 
 import pytest

@@ -71,6 +71,70 @@ def test_associativity_suite_exhaustive_at_level_9():
     assert report.checks_run == 90 + 3 * 90 * 90
 
 
+def _factor_route_checks(k):
+    """assoc's checks once oracle has passed: the left unit, SU(2)_k's unit row, b x c = c x b, its
+    one generator i = 1, the flow and the group law."""
+    return 9 * (k + 1) + 2 * (k + 1) + 3 * (k + 1) ** 2
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 20])
+def test_assoc_passes_on_the_factor_route_and_on_the_generators(k):
+    n = 9 * (k + 1)
+    table = verify_mod._FusionTable(k)
+    generators = verify_mod._associativity(table)  # nothing proven: the generator body
+    assert generators.passed and generators.checks_run == n + 3 * n * n
+    assert verify_mod._oracle(table).passed
+    table.proven.add("oracle")
+    factors = verify_mod._associativity(table)
+    assert factors.passed and factors.checks_run == _factor_route_checks(k)
+
+
+# Each wrong coordinate rule, from the honest factors (cg, flow, shift) at level k.  Only the
+# generator triples of SU(2)_k fail on the last, which differs from the honest rule from k = 3 on.
+WRONG_RULES = {
+    "untruncated upper end": lambda cg, flow, shift, k: (
+        [[range(abs(a - b), a + b + 1, 2) for b in range(k + 1)] for a in range(k + 1)], flow, shift
+    ),
+    "flow without k - i": lambda cg, flow, shift, k: (cg, list(range(k + 1)), shift),
+    "flow lowering r by 2": lambda cg, flow, shift, k: (cg, flow, (-2, shift[1])),
+    "flow shifting lam by -k - 1": lambda cg, flow, shift, k: (cg, flow, (shift[0], shift[1] - 1)),
+    "1 x 1 and its flows holding 0 and k": lambda cg, flow, shift, k: (
+        [[range(0, k + 1, k) if {a, b} <= {1, k - 1} else rng for b, rng in enumerate(row)] for a, row in enumerate(cg)],
+        flow,
+        shift,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "wrong, k", [(wrong, k) for wrong in WRONG_RULES for k in ((4, 8) if wrong.startswith("1 x 1") else (1, 2, 3, 8))]
+)
+def test_a_wrong_coordinate_rule_fails_its_factor_checks_and_assoc_falls_back(monkeypatch, wrong, k):
+    n, honest = 9 * (k + 1), verify_mod._coordinate_rule
+    assert verify_mod._factor_checks(k) == _factor_route_checks(k) - n
+    monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: WRONG_RULES[wrong](*honest(k), k))
+    assert verify_mod._factor_checks(k) == 0
+    table = verify_mod._FusionTable(k)
+    table.proven.add("oracle")  # as if oracle had passed, so only the factor checks stop the route
+    report = verify_mod._associativity(table)
+    assert report.passed and report.checks_run == n + 3 * n * n
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_assoc_takes_the_factor_route_only_after_oracle_and_fuses_nothing_for_it(k, fuse_calls):
+    n = 9 * (k + 1)
+    assoc, oracle = run_suites(["assoc", "oracle"], k)
+    assert assoc.passed and oracle.passed and assoc.checks_run == n + 3 * n * n
+    assert verify_mod._associativity(verify_mod._FusionTable(k)).checks_run == n + 3 * n * n
+    fuse_calls.clear()
+    assert run_suites(["oracle"], k)[0].passed
+    alone = list(fuse_calls)
+    fuse_calls.clear()
+    oracle, assoc = run_suites(["oracle", "assoc"], k)
+    assert assoc.passed and assoc.checks_run == _factor_route_checks(k)
+    assert fuse_calls == alone and len(set(alone)) == n * n
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_duality_suite(k):
     report = run_suites(["dual"], k)[0]
@@ -322,7 +386,7 @@ def test_a_fusion_output_outside_the_catalog_is_a_value_error(monkeypatch):
 
 def test_run_suites_rejects_unknown_suites():
     for names in (["nope"], "unit", ["unit", "nope"]):
-        with pytest.raises(ValueError, match="the suites are catalog, unit, comm, assoc, dual, qdim, oracle"):
+        with pytest.raises(ValueError, match="the suites are catalog, unit, comm, oracle, assoc, dual, qdim"):
             run_suites(names, 2)
 
 
@@ -407,15 +471,16 @@ def test_run_suites_reports_an_unknown_name_before_a_bad_level(fuse_calls, k):
 @pytest.mark.parametrize("k", [*range(1, 9), 20])
 def test_every_suite_runs_exactly_its_checks(k):
     n = 9 * (k + 1)
-    # once comm and assoc pass, dual checks (i) on the rows of the vacuum and the generators
-    # u:0:1, t1:0:0 (n distinct outputs each) and u:1:0 (two each, but one for the 18 labels with
-    # i = 0 or k), and qdim checks those four rows
+    # once oracle passes, assoc checks the left unit and the coordinate rule's factors: SU(2)_k's
+    # unit row, b x c = c x b, its one generator i = 1, the flow and the group law; once comm and
+    # assoc pass, dual checks (iii) and (ii) alone, and qdim the rows of the vacuum and the
+    # generators u:0:1, u:1:0 and t1:0:0
     expected = {
         "catalog": 2 + 18 * (k + 1),
         "unit": n,
         "comm": n * (n + 1) // 2,
-        "assoc": n + 3 * n * n,
-        "dual": 3 * n + n * n + 3 * n + (2 * n - 18),  # (iii), (ii), then (i) on the four rows
+        "assoc": n + (k + 1) + 3 * (k + 1) ** 2 + (k + 1),
+        "dual": 3 * n + n * n,
         "qdim": 4 * n,
         "oracle": n * n + n,
     }
@@ -639,7 +704,7 @@ def test_dual_and_qdim_check_the_generator_rows_only_once_their_premises_pass(k,
         reports = {r.suite: r for r in run_suites(names, k)}
         return reports["dual"].checks_run, reports["qdim"].checks_run
 
-    assert counts(list(SUITES)) == (n * n + 8 * n - 18, 4 * n)
+    assert counts(list(SUITES)) == (n * n + 3 * n, 4 * n)
     assert counts(["assoc", "dual", "qdim"]) == (every_dual_row, 4 * n)  # comm has not run
     assert counts(["dual", "qdim", "comm", "assoc"]) == (every_dual_row, every_qdim_row)  # premises run later
     # only run_suites records a pass: the suites called directly on one table check every row
