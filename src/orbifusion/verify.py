@@ -8,7 +8,9 @@ earlier in the same :func:`run_suites` call, and from a few generators
 otherwise (below).  ``qdim`` is proven from the same generators once
 ``assoc`` has passed, and ``dual`` (i) from ``comm``, ``assoc`` and its own
 (ii) and (iii) once ``comm`` and ``assoc`` have; without its premises each
-checks every row.  Every other check is made case by case.
+checks every row.  ``oracle`` compares only the pairs b >= a once ``comm``
+has passed, as ``comm`` carries the other half.  Every other check is made
+case by case.
 
 ``catalog`` checks that the catalog has 9(k+1) labels, none twice, and that
 each label's weight is the one a construction gives that shares no code with
@@ -27,10 +29,17 @@ is (r, i, lam).  The sl2 weights add, twists add, i runs over the truncated
 Clebsch-Gordan range, and a twist of 3 or more flows back by sigma^3 = 1 (see
 :func:`_oracle`).  It restates ``fusion``'s rule on the construction's
 coordinates and reads nothing of ``fusion`` but the functions under test.
+A product depends on its pair only through one int key, and ``oracle``
+names each key once: the first pair read with it gives its product id, or
+-1 when that pair breaks the rule.  The key is symmetric in the pair, so
+once ``comm`` has passed ``oracle`` compares only the pairs b >= a of each
+row, n(n+1)/2 + n checks with the duals; otherwise, or when a pair
+differs, it compares every pair, n^2 + n.
 
 Once ``oracle`` has passed, the table is the coordinate rule, and
 :func:`_associativity` proves the rule associative on the factors that
-:func:`_coordinate_rule` gives ``oracle``, in O(k^2) checks.  Otherwise
+:func:`_coordinate_rule` gives ``oracle``, in O(k^2) checks.  The table
+builds those factors once, on first use, and both suites read them.  Otherwise
 associativity is proven from a few generators instead of all n^3 triples.
 Let L_a be c -> a x c, extended linearly; the vectors a with
 L_{a x b} = L_a L_b for every b form a subspace S over Q.  S holds the
@@ -95,7 +104,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 from .labels import FusionVector, IrrLabel, enumerate_irreducibles, vacuum
@@ -203,7 +212,8 @@ class _FusionTable:
     is one slot read and an identity match.  A vector hashes and compares
     as its ``(label, multiplicity)`` items, so fresh vectors from a
     substituted ``fuse_irreducible`` share ids too, and two pairs have one
-    id exactly when their outputs are equal.  ``vac`` is the vacuum's
+    id exactly when their outputs are equal.  Once ``ids()`` has built
+    every row, that lookup, ``by_vector``, is cleared.  ``vac`` is the vacuum's
     index.  A level that fails ``check_level`` raises its ``ValueError``
     from ``enumerate_irreducibles``, before anything is built.
 
@@ -214,8 +224,11 @@ class _FusionTable:
     most once per label.  A dual that is not a label of ``labels`` raises
     ``ValueError``.
 
+    ``rule`` holds the coordinate rule's factors, built on first use and
+    read by ``oracle`` and ``assoc``.
+
     ``proven`` names the suites that :func:`run_suites` has seen pass on
-    this table; ``assoc``, ``dual`` and ``qdim`` read their premises there.
+    this table; ``assoc``, ``dual``, ``qdim`` and ``oracle`` read their premises there.
     """
 
     def __init__(self, k: int):
@@ -239,7 +252,7 @@ class _FusionTable:
                 raise ValueError(f"dual of {lab.token()} is {d.token()}, not a label at level {k}")
             return d
 
-        shared = _Memo(new_id)
+        self.by_vector = shared = _Memo(new_id)
         repeat = itertools.repeat
         self.row = _Memo(
             lambda a: list(map(shared.__getitem__, map(fuse_irreducible, repeat(labels[a]), labels, repeat(k))))
@@ -248,9 +261,28 @@ class _FusionTable:
         self.qdim = _Memo(lambda lab: qdim_exact(lab, k))
         self.dual = _Memo(dual_of)
 
+    @cached_property
+    def rule(self) -> tuple[list[list[int]], list[range], list[int], tuple[int, int]]:
+        """The coordinate rule's factors at this level, with each Clebsch-Gordan range named once.
+
+        ``(cg, ranges, flow, shift)``: the range of ``ia x ib`` is ``ranges[cg[ia][ib]]``, and ``flow``
+        and ``shift`` are as :func:`_coordinate_rule` gives them.  Built on first use, from this
+        module's ``_coordinate_rule`` as looked up then, and kept for ``oracle`` and ``assoc``.
+        """
+        by_pair, flow, shift = _coordinate_rule(self.k)
+        found: dict[range, int] = {}  # each range, by id
+        cg = [[found.setdefault(rng, len(found)) for rng in row] for row in by_pair]
+        return cg, list(found), flow, shift
+
     def ids(self) -> list[list[int]]:
-        """Every row of product ids, in label order; builds the rows not built yet."""
-        return [self.row[a] for a in range(len(self.labels))]
+        """Every row of product ids, in label order; builds the rows not built yet.
+
+        Once every row is built no product is new, so ``by_vector``, the map from each product's
+        vector to its id, is cleared (5 MB at k=200).
+        """
+        rows = [self.row[a] for a in range(len(self.labels))]
+        self.by_vector.clear()
+        return rows
 
     def render(self, outputs: Sequence[int]) -> str:
         """A product's outputs as ``{label: multiplicity, ...}`` in canonical order, for failure messages."""
@@ -343,23 +375,23 @@ def _coordinate_rule(k: int) -> tuple[list[list[range]], list[int], tuple[int, i
     return cg, [k - i for i in span], (-3, -k)
 
 
-def _factor_checks(k: int) -> int:
-    """How many checks prove the coordinate rule's factors, or 0 when one fails (see :func:`_associativity`)."""
-    cg, flow, (dr, dlam) = _coordinate_rule(k)
+def _factor_checks(table: _FusionTable) -> int:
+    """How many checks prove the factors of ``table.rule``, or 0 when one fails (see :func:`_associativity`)."""
+    k, (ids, ranges, flow, (dr, dlam)) = table.k, table.rule
     span = range(k + 1)
-    found: dict[range, int] = {}  # each range, by id: the SU(2)_k table in assoc's form
-    ids = [[found.setdefault(rng, len(found)) for rng in row] for row in cg]
-    outputs = [tuple(sorted(rng)) for rng in found]
+    outputs = [tuple(sorted(rng)) for rng in ranges]  # the SU(2)_k table in assoc's form: ids are range ids
     if not set(itertools.chain.from_iterable(outputs)) <= set(span):
         return 0
     gens = _generators(ids, outputs, 0)
-    flowed = [tuple(sorted(map(flow.__getitem__, out))) for out in outputs]  # by product id
     holds = (
         all(outputs[p] == (b,) for b, p in enumerate(ids[0]))  # 0 is a left unit
         and ids == [list(col) for col in zip(*ids)]  # b x c = c x b
         and not any(_triples(ids, outputs, gens))  # (g x b) x c = g x (b x c)
         # N_{k-a,b}^{k-c} = N_{a,b}^c
-        and all([flowed[p] for p in ids[a]] == [outputs[p] for p in ids[k - a]] for a in span)
+        and all(
+            [tuple(sorted(map(flow.__getitem__, outputs[p]))) for p in ids[a]] == [outputs[p] for p in ids[k - a]]
+            for a in span
+        )
         and dr == -3  # and the group law: lam stays i mod 2, and two flows give the identity on i
         and all(f in span and flow[f] == i and (f - i - dlam) % 2 == 0 for i, f in enumerate(flow))
     )
@@ -422,7 +454,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     one label, with r in {0, 1, 2}, and the rule, which flows each output
     with r >= 3 once, is the product of R / (J - 1).  So the table
     associates once :func:`_factor_checks`, reading the factors from
-    :func:`_coordinate_rule` as ``oracle`` does, finds SU(2)_k a commutative
+    ``table.rule`` as ``oracle`` does, finds SU(2)_k a commutative
     ring: outputs in 0..k, 0 a left unit (k+1 checks), b x c = c x b and
     (g x b) x c = g x (b x c) for each generator g that :func:`_generators`
     grows it from, i = 1 alone when honest ((k+1)^2 checks each); the flow
@@ -442,7 +474,7 @@ def _associativity(table: _FusionTable) -> VerificationReport:
     n = len(labels)
     report = VerificationReport("assoc", k)
     _check_left_unit(table, ids[table.vac], report)
-    if report.passed and "oracle" in table.proven and (checks := _factor_checks(k)):
+    if report.passed and "oracle" in table.proven and (checks := _factor_checks(table)):
         report.checks_run += checks
         return _finish(report, start)
     gens = _generators(ids, outputs, table.vac)
@@ -692,49 +724,77 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     (3 - r, k - i, k - lam).
 
     A product depends on its pair only through the Clebsch-Gordan range,
-    r_a + r_b and ``(lam_a + lam_b) mod 6``, which one int key holds: row
-    ``a``'s keys are ``ranges[i_a]`` plus ``twists[r_a, lam_a mod 6]``,
-    column by column.  Each key's outputs are listed once and mapped to the
-    table's id of those outputs, or -1, so a row is one list equality; a
-    row that differs reports pair by pair.  n^2 + n checks.
+    r_a + r_b and ``(lam_a + lam_b) mod 6``, which one int key holds: the
+    range's id in ``table.rule``, plus the number of ranges times
+    6(r_a + r_b) + ((lam_a + lam_b) mod 6).  Row ``a``'s keys are
+    ``ranges[i_a]`` plus ``twists[r_a, lam_a mod 6]``.  ``named``, a flat
+    list indexed by key, names each key once: the first pair read with it
+    sets the entry to its product id when its outputs are the rule's, and to
+    -1 otherwise.  A row whose entries equal its ids is one list equality;
+    a row that differs reads its differing pairs in order, and a pair fails
+    exactly when its outputs are not the rule's, so an honest pair that
+    shares a key with a wrong one still passes.  No dict over the table's
+    outputs is built, and each key's outputs are listed only when a pair
+    first reads it or fails.
+
+    The key is symmetric in a and b.  Once ``comm`` is in the table's
+    ``proven``, the ids are symmetric too, so only the pairs b >= a of each
+    row are compared, n(n+1)/2 checks.  When one of them fails, every row is
+    compared on a fresh report, so the failures are those of ``oracle`` run
+    alone; that, and a run without ``comm``, is n^2 checks.  Then n checks
+    of the duals.
     """
     k, labels, ids, outputs = table.k, table.labels, table.ids(), table.outputs
     start = time.perf_counter()
     n, index = len(labels), table.index
-    report = VerificationReport("oracle", k)
     coords = [(r, i, i - 2 * (_E[r] * j % 3)) for r, i, j in labels]
     column_i = [i for _, i, _ in coords]
     # at[r][lam % 6][i] is the index of the label (r, i, lam); an entry where i and lam differ in parity is never read
     at = [[[index[r, i, _j(r, i, lam)] for i in range(k + 1)] for lam in range(6)] for r in range(3)]
 
-    cg, flow, (dr, dlam) = _coordinate_rule(k)
-    found: dict[range, int] = {}  # each Clebsch-Gordan range, by id
-    # by_i[i_a][i_b] is 30 times the id of the pair's range, and ranges[i_a] its columns
-    by_i = [[30 * found.setdefault(rng, len(found)) for rng in row] for row in cg]
-    range_of = list(found)  # by id
+    cg, range_of, flow, (dr, dlam) = table.rule
+    size = len(range_of)
 
     def rule(key: int) -> tuple[int, ...]:
         """The sorted output indices that the rule gives the product of ``key``."""
-        its, (r, lam) = range_of[key // 30], divmod(key % 30, 6)
+        its, (r, lam) = range_of[key % size], divmod(key // size, 6)
         if r >= 3:  # the flow
             its, r, lam = map(flow.__getitem__, its), r + dr, lam + dlam
         return tuple(sorted(map(at[r][lam % 6].__getitem__, its)))
 
-    first = {out: p for p, out in enumerate(outputs)}
-    predicted = _Memo(lambda key: first.get(rule(key), -1))
-    ranges = _Memo(lambda ia: list(map(by_i[ia].__getitem__, column_i)))
-    twists = _Memo(lambda rl: [6 * (rl[0] + r) + (rl[1] + lam) % 6 for r, _, lam in coords])
-    for a, (r, i, lam), row in zip(labels, coords, ids):
-        report.checks_run += n
-        keys = list(map(operator.add, ranges[i], twists[r, lam % 6]))
-        if list(map(predicted.__getitem__, keys)) == row:
-            continue
-        for b, key, p in zip(labels, keys, row):
-            if predicted[key] != p:
-                got, want = table.render(outputs[p]), table.render(rule(key))
-                report.failures.append(
-                    Failure(f"{a.token()} x {b.token()} = {got}, the coordinate rule gives {want}", (a, b))
-                )
+    # named[key]: None until a pair with that key is read, then the first such pair's product id
+    # if its outputs are rule(key), else -1
+    named: list[int | None] = [None] * (30 * size)
+    ranges = _Memo(lambda i: list(map(cg[i].__getitem__, column_i)))  # by i_a: each column's range id
+    twists = _Memo(lambda rl: [size * (6 * (rl[0] + r) + (rl[1] + lam) % 6) for r, _, lam in coords])
+
+    def sweep(half: bool) -> VerificationReport:
+        """Every row, or only its pairs b >= a when ``half``, into a fresh report."""
+        report = VerificationReport("oracle", k)
+        for ia, (a, (r, i, lam), row) in enumerate(zip(labels, coords, ids)):
+            lo = ia if half else 0
+            report.checks_run += n - lo
+            keys = list(map(operator.add, ranges[i][lo:], twists[r, lam % 6][lo:]))
+            cols = row[lo:]
+            if list(map(named.__getitem__, keys)) == cols:
+                continue
+            # the entries are read again as the pairs are: a pair may set the entry of a later one
+            for b, key, p in itertools.compress(
+                zip(labels[lo:], keys, cols), map(operator.ne, map(named.__getitem__, keys), cols)
+            ):
+                if named[key] is None:
+                    named[key] = p if outputs[p] == rule(key) else -1
+                if named[key] != p and outputs[p] != rule(key):
+                    got, want = table.render(outputs[p]), table.render(rule(key))
+                    report.failures.append(
+                        Failure(f"{a.token()} x {b.token()} = {got}, the coordinate rule gives {want}", (a, b))
+                    )
+        return report
+
+    half = "comm" in table.proven
+    report = sweep(half)
+    if half and not report.passed:  # a pair differs: every row, as oracle alone reports it
+        report = sweep(False)
     report.checks_run += n
     for lab, (r, i, lam) in zip(labels, coords):
         dual = (0, i, _j(0, i, -lam)) if r == 0 else (3 - r, k - i, _j(3 - r, k - i, k - lam))
@@ -747,7 +807,8 @@ def _oracle(table: _FusionTable) -> VerificationReport:
 
 
 #: Every suite, in ``verify --suite all`` order, keyed to its body, which takes a table.  Each suite follows
-#: the premises it reads from ``proven``: ``oracle`` for ``assoc``, ``comm`` and ``assoc`` for ``dual`` and ``qdim``.
+#: the premises it reads from ``proven``: ``comm`` for ``oracle``, ``oracle`` for ``assoc``, and ``comm`` and
+#: ``assoc`` for ``dual`` and ``qdim``.
 SUITES: dict[str, Callable[[_FusionTable], VerificationReport]] = {
     "catalog": _catalog,
     "unit": _unit,
@@ -765,7 +826,7 @@ def run_suites(names: Iterable[str], k: int) -> list[VerificationReport]:
     Raises ``ValueError``, before any suite runs, for a name not in
     :data:`SUITES` (a string is not a list of names) and for a level that
     fails :func:`check_level`.  Each suite that passes is recorded in the
-    table's ``proven``, where ``assoc``, ``dual`` and ``qdim`` read their premises.
+    table's ``proven``, where ``oracle``, ``assoc``, ``dual`` and ``qdim`` read their premises.
     """
     known = False
     if not isinstance(names, str):

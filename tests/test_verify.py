@@ -111,13 +111,24 @@ WRONG_RULES = {
 )
 def test_a_wrong_coordinate_rule_fails_its_factor_checks_and_assoc_falls_back(monkeypatch, wrong, k):
     n, honest = 9 * (k + 1), verify_mod._coordinate_rule
-    assert verify_mod._factor_checks(k) == _factor_route_checks(k) - n
+    assert verify_mod._factor_checks(verify_mod._FusionTable(k)) == _factor_route_checks(k) - n
     monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: WRONG_RULES[wrong](*honest(k), k))
-    assert verify_mod._factor_checks(k) == 0
+    assert verify_mod._factor_checks(verify_mod._FusionTable(k)) == 0
     table = verify_mod._FusionTable(k)
     table.proven.add("oracle")  # as if oracle had passed, so only the factor checks stop the route
     report = verify_mod._associativity(table)
     assert report.passed and report.checks_run == n + 3 * n * n
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_a_table_builds_the_coordinate_rule_once_and_oracle_and_assoc_read_it(monkeypatch, k):
+    calls, honest = [], verify_mod._coordinate_rule
+    monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: calls.append(k) or honest(k))
+    assert all(r.passed for r in run_suites(list(SUITES), k)) and calls == [k]
+    # looked up when the table first reads it, so a wrong rule reaches oracle as it reaches assoc
+    for wrong in ("flow without k - i", "flow lowering r by 2", "1 x 1 and its flows holding 0 and k"):
+        monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: WRONG_RULES[wrong](*honest(k), k))
+        assert not run_suites(["oracle"], k)[0].passed, wrong
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -348,6 +359,54 @@ def test_a_seeded_dual_fault_fails_the_oracle_once_naming_its_label(monkeypatch,
     assert report.failures == [Failure("dual of u:1:2 is u:1:1, the coordinate rule gives u:1:2", (u12,))]
 
 
+def _oracle_reads(k):
+    """Each pair ``(a, b)`` as oracle reads it once comm has passed, b >= a row by row, with its key.
+
+    The key is what the coordinate rule reads of a pair: its Clebsch-Gordan range, r_a + r_b and
+    (lam_a + lam_b) mod 6, with lam = i - 2*(e(r)*j mod 3).
+    """
+    labels = enumerate_irreducibles(k)
+    coords = [(r, i, i - 2 * (verify_mod._E[r] * j % 3)) for r, i, j in labels]
+    for ia, (a, (ra, i_a, lam_a)) in enumerate(zip(labels, coords)):
+        for b, (rb, i_b, lam_b) in zip(labels[ia:], coords[ia:]):
+            cg = range(abs(i_a - i_b), min(i_a + i_b, 2 * k - i_a - i_b) + 1, 2)
+            yield (a, b), (cg, ra + rb, (lam_a + lam_b) % 6)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_a_fault_on_both_orders_of_the_first_pair_with_a_key_fails_that_pair_alone(monkeypatch, k):
+    # the pair sets its key's entry to -1; the honest pairs that share the key still pass on their outputs
+    first, sharers = {}, {}
+    for pair, key in _oracle_reads(k):
+        first.setdefault(key, pair)
+        sharers.setdefault(key, []).append(pair)
+    a, b = next(pair for key, pair in first.items() if pair[0] != pair[1] and len(sharers[key]) > 1)
+
+    def fuse(x, y, level):
+        honest = fuse_irreducible(x, y, level)
+        return _drop_last(honest) if {x, y} == {a, b} else honest
+
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", fuse)
+    n = 9 * (k + 1)
+    comm, oracle = run_suites(["comm", "oracle"], k)
+    alone = run_suites(["oracle"], k)[0]
+    assert comm.passed
+    assert [f.labels for f in oracle.failures] == [(a, b), (b, a)]
+    assert (oracle.checks_run, oracle.failures) == (n * n + n, alone.failures)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_a_one_sided_fault_below_the_diagonal_fails_comm_and_oracle_checks_every_row(monkeypatch, k):
+    # oracle's half route would not read t1:2:0 x u:1:0, but comm fails, so oracle takes every row
+    monkeypatch.setattr(verify_mod, "fuse_irreducible", _fuse_with(k, ("t1:2:0", "u:1:0"), _drop_last))
+    n = 9 * (k + 1)
+    comm, oracle = run_suites(["comm", "oracle"], k)
+    alone = run_suites(["oracle"], k)[0]
+    assert not comm.passed
+    assert [f.labels for f in oracle.failures] == [(parse_label("t1:2:0", k), parse_label("u:1:0", k))]
+    assert (oracle.checks_run, oracle.failures) == (n * n + n, alone.failures)
+
+
 def test_a_level_one_weight_off_the_lattice_fails_catalog(monkeypatch):
     lab = parse_label("u:1:0", 1)  # coset 15 of the Z/18 lattice model: weight 1/4, which is 15^2/36 modulo 1
     monkeypatch.setattr(verify_mod, "conformal_weight", _weights_with({"u:1:0": lambda w: w + Fraction(1, 36)}))
@@ -474,7 +533,8 @@ def test_every_suite_runs_exactly_its_checks(k):
     # once oracle passes, assoc checks the left unit and the coordinate rule's factors: SU(2)_k's
     # unit row, b x c = c x b, its one generator i = 1, the flow and the group law; once comm and
     # assoc pass, dual checks (iii) and (ii) alone, and qdim the rows of the vacuum and the
-    # generators u:0:1, u:1:0 and t1:0:0
+    # generators u:0:1, u:1:0 and t1:0:0; once comm passes, oracle compares the pairs b >= a of each
+    # row, then every dual
     expected = {
         "catalog": 2 + 18 * (k + 1),
         "unit": n,
@@ -482,11 +542,12 @@ def test_every_suite_runs_exactly_its_checks(k):
         "assoc": n + (k + 1) + 3 * (k + 1) ** 2 + (k + 1),
         "dual": 3 * n + n * n,
         "qdim": 4 * n,
-        "oracle": n * n + n,
+        "oracle": n * (n + 1) // 2 + n,
     }
     reports = run_suites(list(SUITES), k)
     assert all(r.passed for r in reports)
     assert {r.suite: r.checks_run for r in reports} == expected
+    assert run_suites(["oracle", "comm"], k)[0].checks_run == n * n + n  # comm runs later: every pair
 
 
 def test_corrupted_vacuum_row_fails_unit_assoc_and_oracle(monkeypatch):
@@ -695,7 +756,7 @@ def test_assoc_leaves_the_shared_table_alone(k, fuse, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
-def test_dual_and_qdim_check_the_generator_rows_only_once_their_premises_pass(k, monkeypatch):
+def test_dual_and_qdim_take_their_short_routes_only_once_their_premises_pass(k, monkeypatch):
     n, labels = 9 * (k + 1), enumerate_irreducibles(k)
     distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
     every_dual_row, every_qdim_row = 3 * n + n * n + distinct_outputs, n * n
@@ -739,12 +800,13 @@ def test_a_qdim_row_failing_after_assoc_passes_checks_every_row(monkeypatch):
 
 def test_a_dual_pair_failing_after_comm_and_assoc_pass_checks_every_row(monkeypatch):
     # every label its own dual: an involution that keeps weight and qdim, so only (ii) and (i) fail
-    k, n = 2, 27
+    k, n, labels = 2, 27, enumerate_irreducibles(2)
+    distinct_outputs = sum(len(fuse_irreducible(a, b, k)) for a in labels for b in labels)
     monkeypatch.setattr(verify_mod, "contragredient", lambda lab, k: lab)
     comm, assoc, dual = run_suites(["comm", "assoc", "dual"], k)
     assert comm.passed and assoc.passed and not dual.passed
     alone = run_suites(["dual"], k)[0]
-    assert dual.checks_run == alone.checks_run > n * n + 8 * n - 18
+    assert dual.checks_run == alone.checks_run == 3 * n + n * n + distinct_outputs  # every row
     assert dual.failures == alone.failures
 
 
