@@ -32,9 +32,8 @@ coordinates and reads nothing of ``fusion`` but the functions under test.
 A product depends on its pair only through one int key, and ``oracle``
 names each key once: the first pair read with it gives its product id, or
 -1 when that pair breaks the rule.  The key is symmetric in the pair, so
-once ``comm`` has passed ``oracle`` compares only the pairs b >= a of each
-row, n(n+1)/2 + n checks with the duals; otherwise, or when a pair
-differs, it compares every pair, n^2 + n.
+the half route after ``comm`` is n(n+1)/2 + n checks with the duals;
+without ``comm``, or when a pair differs, it is n^2 + n.
 
 Once ``oracle`` has passed, the table is the coordinate rule, and
 :func:`_associativity` proves the rule associative on the factors that
@@ -753,20 +752,20 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     at = [[[index[r, i, _j(r, i, lam)] for i in range(k + 1)] for lam in range(6)] for r in range(3)]
 
     cg, range_of, flow, (dr, dlam) = table.rule
-    size = len(range_of)
+    n_ranges = len(range_of)
 
     def rule(key: int) -> tuple[int, ...]:
         """The sorted output indices that the rule gives the product of ``key``."""
-        its, (r, lam) = range_of[key % size], divmod(key // size, 6)
+        its, (r, lam) = range_of[key % n_ranges], divmod(key // n_ranges, 6)
         if r >= 3:  # the flow
             its, r, lam = map(flow.__getitem__, its), r + dr, lam + dlam
         return tuple(sorted(map(at[r][lam % 6].__getitem__, its)))
 
     # named[key]: None until a pair with that key is read, then the first such pair's product id
     # if its outputs are rule(key), else -1
-    named: list[int | None] = [None] * (30 * size)
+    named: list[int | None] = [None] * (30 * n_ranges)
     ranges = _Memo(lambda i: list(map(cg[i].__getitem__, column_i)))  # by i_a: each column's range id
-    twists = _Memo(lambda rl: [size * (6 * (rl[0] + r) + (rl[1] + lam) % 6) for r, _, lam in coords])
+    twists = _Memo(lambda rl: [n_ranges * (6 * (rl[0] + r) + (rl[1] + lam) % 6) for r, _, lam in coords])
 
     def sweep(half: bool) -> VerificationReport:
         """Every row, or only its pairs b >= a when ``half``, into a fresh report."""
