@@ -56,24 +56,33 @@ c)``: one key per distinct product, and both orders of a pair have one
 key.  Beside that memo the level keeps a table of the operands checked
 there, keyed by label: each entry holds the label object itself and the
 three ints the key needs, its sector, ``i`` and ``e(sector) j``.  A call
-whose ``k`` is an int equal to the level, and whose operands are each the
-very object their entry holds, is checked by identity and reads the key's
-inputs from the two entries.  Any other call checks ``check_label(a, k)``
-then ``check_label(b, k)``, and then adds each operand that is a plain
-:class:`IrrLabel` to the table.  So an operand that only equals a checked
-label (a plain tuple, an int sector, a bool index) or cannot be hashed
-raises the same message, in the same order, as on a first call.
-``verify`` fuses the labels of one ``enumerate_irreducibles(k)`` list with
-each other, so every call after its first row is checked by identity.  A
-call at a level other than the remembered one first replaces the memo and
-the table, together, with fresh, empty ones for its level: the table lives
-and dies with its level's memo.  Every call then reads the memo and, on a
-miss, builds its product and stores it.  The memo keeps the last level's
-products until a call at another level replaces it.  Each is one immutable
-:class:`FusionVector`, and a memo hit returns that shared vector as it is:
-it builds nothing and hashes nothing but its key.  A miss takes its
-``(label, 1)`` pairs from the level's interned pairs, keyed by the label
-and built on first use, so the work and memory of a call grow with its
+whose ``k`` is an int equal to the level reads both entries by subscript,
+and one whose operands are each the very object their entry holds is
+checked by identity.  Any other call, including one whose operand has no
+entry (``KeyError``) or cannot be hashed (``TypeError``), checks
+``check_label(a, k)`` then ``check_label(b, k)``, and then adds each
+operand that is a plain :class:`IrrLabel` to the table.  So an operand that
+only equals a checked label (a plain tuple, an int sector, a bool index) or
+cannot be hashed raises the same message, in the same order, as on a first
+call.  ``verify`` fuses the labels of one ``enumerate_irreducibles(k)`` list
+with each other, so every call after its first row is checked by identity.
+Either way, :func:`fuse_irreducible` then computes the key from the two
+entries inline, with one branch on ``i1 > i2`` for both ``lo`` and
+``min(i1, i2)``, rather than calling ``_key``, which
+:func:`fusion_coefficient` calls: a Python call costs about 75 ns of a
+checked call's roughly 530 ns.  The two repeat the rule above, and the
+tests that compare :func:`fusion_coefficient` with :func:`fuse_irreducible`
+on every triple at k = 1..6 and on random wrapping triples at k = 37, 100
+and 200 pin them to each other.  A call at a level other than the
+remembered one first replaces the memo and the table, together, with fresh,
+empty ones for its level: the table lives and dies with its level's memo.
+Every call then reads the memo and, on a miss, builds its product and
+stores it.  The memo keeps the last level's products until a call at
+another level replaces it.  Each is one immutable :class:`FusionVector`,
+and a memo hit returns that shared vector as it is: it builds nothing and
+hashes nothing but its key.  A miss takes its ``(label, 1)`` pairs from
+the level's interned pairs, keyed by the label and built on first use, so
+the work and memory of a call grow with its
 outputs and a level's memo with the products it holds, never with ``k``
 alone.  :func:`fusion_coefficient` checks its operands in full on every
 call and neither reads nor writes the memo or the table.
@@ -126,16 +135,18 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
     Raises ``ValueError`` unless ``a`` and ``b`` pass :func:`check_label`
     at level ``k``, with the message of ``check_label(a, k)`` and then of
     ``check_label(b, k)``.  The returned vector is immutable and shared
-    with every call of the level that has the same product (see the
-    module docstring).
+    with every call of the level that has the same product.  An operand
+    checked at the level before is checked by identity, and the product's
+    key is computed inline, as ``_key`` computes it (see the module
+    docstring).
     """
     global _level_memo
     level, memo, pairs, known = _level_memo
     fa = fb = _UNKNOWN
     if type(k) is int and k == level:
         try:
-            fa, fb = known.get(a, _UNKNOWN), known.get(b, _UNKNOWN)
-        except TypeError:  # an unhashable operand is no label: the full check names it
+            fa, fb = known[a], known[b]
+        except (KeyError, TypeError):  # not checked at this level, or unhashable: the full check names it
             pass
     if fa[0] is not a or fb[0] is not b:
         fa, fb = _entries(a, b, k)
@@ -145,7 +156,20 @@ def fuse_irreducible(a: IrrLabel, b: IrrLabel, k: int) -> FusionVector:
             known[a] = fa
         if type(b) is IrrLabel:
             known[b] = fb
-    key = _key(fa, fb, k)
+    # the key as _key(fa, fb, k) gives it, inline (see the module docstring)
+    _, s1, i1, j1 = fa
+    _, s2, i2, j2 = fb
+    s, out = i1 + i2, s1 + s2
+    if i1 > i2:
+        lo, m = i1 - i2, i2
+    else:
+        lo, m = i2 - i1, i1
+    hi = s if s <= k else 2 * k - s
+    c = (j1 + j2 - m) % 3
+    if out >= 3:  # a wrap, reflected as in _key
+        key = out - 3, k - hi, k - lo, (c + k - (lo + hi) // 2) % 3
+    else:
+        key = out, lo, hi, c
     vector = memo.get(key)
     if vector is None:
         out, lo, hi, c = key

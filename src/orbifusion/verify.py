@@ -202,7 +202,10 @@ class _FusionTable:
     lists every row.  ``row`` is a memo: row ``a`` is built on first use,
     with one call of this module's ``fuse_irreducible``, looked up when the
     row is built, per pair ``(a, b)``, and kept; the calls and the id
-    lookups are mapped over the row, with no Python-level loop.  A product
+    lookups are mapped over the row, with no Python-level loop.  Every label
+    is an operand of the first row built, so once that row is built
+    ``fuse_irreducible`` has checked each in full, and every later call is
+    checked by identity (see :mod:`orbifusion.fusion`).  A product
     not met before takes the next id, so ``outputs`` grows as rows are
     built.  A product with an output outside the level's catalog raises
     ``ValueError``.  A product is looked up by its vector:
@@ -732,9 +735,11 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     -1 otherwise.  A row whose entries equal its ids is one list equality;
     a row that differs reads its differing pairs in order, and a pair fails
     exactly when its outputs are not the rule's, so an honest pair that
-    shares a key with a wrong one still passes.  No dict over the table's
-    outputs is built, and each key's outputs are listed only when a pair
-    first reads it or fails.
+    shares a key with a wrong one still passes.  A rule output that is no
+    label (an r outside 0..2, an i outside 0..k before or after the flow,
+    or an i of another parity than lam) fails every pair with its key.  No
+    dict over the table's outputs is built, and each key's outputs are
+    listed only when a pair first reads it or fails.
 
     The key is symmetric in a and b.  Once ``comm`` is in the table's
     ``proven``, the ids are symmetric too, so only the pairs b >= a of each
@@ -748,18 +753,21 @@ def _oracle(table: _FusionTable) -> VerificationReport:
     n, index = len(labels), table.index
     coords = [(r, i, i - 2 * (_E[r] * j % 3)) for r, i, j in labels]
     column_i = [i for _, i, _ in coords]
-    # at[r][lam % 6][i] is the index of the label (r, i, lam); an entry where i and lam differ in parity is never read
-    at = [[[index[r, i, _j(r, i, lam)] for i in range(k + 1)] for lam in range(6)] for r in range(3)]
+    # at[r][lam % 6] maps each i for which (r, i, lam) is a label, 0 <= i <= k with i = lam (mod 2), to its index
+    at = {r: [{i: index[r, i, _j(r, i, lam)] for i in range(lam % 2, k + 1, 2)} for lam in range(6)] for r in range(3)}
 
     cg, range_of, flow, (dr, dlam) = table.rule
-    n_ranges = len(range_of)
+    n_ranges, flow_of = len(range_of), dict(zip(range(k + 1), flow))  # the flow is defined on 0 <= i <= k
 
-    def rule(key: int) -> tuple[int, ...]:
-        """The sorted output indices that the rule gives the product of ``key``."""
+    def rule(key: int) -> tuple[int, ...] | None:
+        """The sorted output indices that the rule gives the product of ``key``, or None when one is no label."""
         its, (r, lam) = range_of[key % n_ranges], divmod(key // n_ranges, 6)
-        if r >= 3:  # the flow
-            its, r, lam = map(flow.__getitem__, its), r + dr, lam + dlam
-        return tuple(sorted(map(at[r][lam % 6].__getitem__, its)))
+        try:
+            if r >= 3:  # the flow
+                its, r, lam = map(flow_of.__getitem__, its), r + dr, lam + dlam
+            return tuple(sorted(map(at[r][lam % 6].__getitem__, its)))
+        except KeyError:  # an r or i that is no label's, or an i the flow does not take
+            return None
 
     # named[key]: None until a pair with that key is read, then the first such pair's product id
     # if its outputs are rule(key), else -1
@@ -783,8 +791,9 @@ def _oracle(table: _FusionTable) -> VerificationReport:
             ):
                 if named[key] is None:
                     named[key] = p if outputs[p] == rule(key) else -1
-                if named[key] != p and outputs[p] != rule(key):
-                    got, want = table.render(outputs[p]), table.render(rule(key))
+                if named[key] != p and outputs[p] != (want := rule(key)):
+                    got = table.render(outputs[p])
+                    want = f"an output that is no label at level {k}" if want is None else table.render(want)
                     report.failures.append(
                         Failure(f"{a.token()} x {b.token()} = {got}, the coordinate rule gives {want}", (a, b))
                     )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import orbifusion.fusion as fusion_mod
 import orbifusion.verify as verify_mod
 from orbifusion.fusion import contragredient, fuse_irreducible
 from orbifusion.labels import FusionVector, IrrLabel, Sector, check_level, enumerate_irreducibles, parse_label, vacuum
@@ -126,9 +127,65 @@ def test_a_table_builds_the_coordinate_rule_once_and_oracle_and_assoc_read_it(mo
     monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: calls.append(k) or honest(k))
     assert all(r.passed for r in run_suites(list(SUITES), k)) and calls == [k]
     # looked up when the table first reads it, so a wrong rule reaches oracle as it reaches assoc
-    for wrong in ("flow without k - i", "flow lowering r by 2", "1 x 1 and its flows holding 0 and k"):
+    for wrong in WRONG_RULES:
         monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: WRONG_RULES[wrong](*honest(k), k))
         assert not run_suites(["oracle"], k)[0].passed, wrong
+
+
+def _every(a, b, k):
+    """Every pair (a, b) at level k."""
+    return True
+
+
+# Wrong rules that give outputs which are no label, each as (rule, the pairs (a, b) that fail, those of them
+# whose rule output is no label); the others fail on an output that is a wrong label.
+NO_LABEL_RULES = {
+    "untruncated upper end": (WRONG_RULES["untruncated upper end"], lambda a, b, k: a.i + b.i > k, _every),
+    "flow shifting lam by -k - 1": (
+        WRONG_RULES["flow shifting lam by -k - 1"], lambda a, b, k: a.sector + b.sector >= 3, _every
+    ),
+    "lower end below 0": (
+        lambda cg, flow, shift, k: (
+            [[range(a - b, min(a + b, 2 * k - a - b) + 1, 2) for b in range(k + 1)] for a in range(k + 1)], flow, shift
+        ),
+        lambda a, b, k: a.i < b.i,
+        _every,
+    ),
+    "flow lowering r by 4": (
+        lambda cg, flow, shift, k: (cg, flow, (-4, shift[1])),
+        lambda a, b, k: a.sector + b.sector >= 3,
+        lambda a, b, k: a.sector + b.sector == 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("wrong", NO_LABEL_RULES)
+def test_oracle_fails_each_pair_whose_rule_output_is_no_label_and_names_the_pair(monkeypatch, wrong, k):
+    rule, fails, no_label = NO_LABEL_RULES[wrong]
+    honest = verify_mod._coordinate_rule
+    monkeypatch.setattr(verify_mod, "_coordinate_rule", lambda k: rule(*honest(k), k))
+    report = run_suites(["oracle"], k)[0]  # reports, never raises
+    labels = enumerate_irreducibles(k)
+    assert [f.labels for f in report.failures] == [(a, b) for a in labels for b in labels if fails(a, b, k)]
+    for f in report.failures:
+        a, b = f.labels
+        assert f.description.startswith(f"{a.token()} x {b.token()} = {{")
+        gives_no_label = f.description.endswith(f", the coordinate rule gives an output that is no label at level {k}")
+        assert gives_no_label == no_label(a, b, k), f.description
+
+
+@pytest.mark.parametrize("k", [1, 4, 20])
+def test_a_table_checks_each_label_in_full_in_its_first_row_alone(monkeypatch, k):
+    # the calls after the first row are checked by identity, which the table's build time depends on
+    n, calls, entries = 9 * (k + 1), [], fusion_mod._entries
+    fuse_irreducible(vacuum(k + 1), vacuum(k + 1), k + 1)  # another level: no operand is checked at k yet
+    monkeypatch.setattr(fusion_mod, "_entries", lambda a, b, k: calls.append((a, b)) or entries(a, b, k))
+    table = verify_mod._FusionTable(k)
+    table.row[0]
+    assert len(calls) == n
+    table.ids()
+    assert len(calls) == n
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
